@@ -11,6 +11,7 @@ import pytest
 import qutritlab
 from qutritlab.qutrit_core import QutritLabError
 from qutritlab.device_hamiltonian import labeled_spectrum
+from qutritlab.gates_compiler import _moment_unitary
 from qutritlab.noise_sim import sample_counts
 from qutritlab.readout_mitigation import save_confusion, synthetic_confusion
 from qutritlab.cli_harness import (
@@ -285,6 +286,23 @@ class TestCountsFile:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             _load_counts_file(tmp_path / "nope.txt")
+
+
+class TestMomentCacheBundles:
+    """Memoized moment unitaries leave every algorithm bundle byte-identical."""
+
+    @pytest.mark.parametrize("runner", [run_dj, run_bv, run_grover], ids=["dj", "bv", "grover"])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy_mitigated"])
+    def test_cold_and_warm_cache_agree(self, runner, noisy):
+        config = exact_config()
+        if noisy:
+            config = config.replace(noisy=True, mitigate=True, shots=2000, seed=11)
+        _moment_unitary.cache_clear()
+        cold = runner(config).to_json()
+        assert _moment_unitary.cache_info().currsize > 0
+        warm = runner(config).to_json()
+        assert _moment_unitary.cache_info().hits > 0
+        assert cold == warm
 
 
 class TestMain:

@@ -1,6 +1,7 @@
 """Native gates, logical decompositions, conditional-phase compilation,
 virtual phase frames and the duration model."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,9 @@ from qutritlab.gates_compiler import (
     circuit_unitary,
     compile_cphase,
     cphase_matrix,
+    _moment_unitary,
     decompose_single,
+    embed_operator,
     equal_up_to_global_phase,
     frame_equivalence_check,
     gate_duration,
@@ -25,11 +28,13 @@ from qutritlab.gates_compiler import (
     logical_gate,
     lower_frames,
     merge_streams,
+    moment_unitary,
     moments_of,
     native_cphase,
     native_cphase_pulse_model,
     pulse_envelope,
     pulse_r01,
+    pulse_r12,
     pulse_vphase,
     r01_matrix,
     r12_matrix,
@@ -290,6 +295,90 @@ class TestCircuitStructure:
     def test_moments_of_sequences_one_per_instruction(self):
         seq = decompose_single("H", 0)
         assert len(moments_of(seq)) == len(seq)
+
+
+def embed_by_permutation(u, targets, n_qutrits):
+    """Reference embedding: kron onto the targets, then permute every basis
+    index digit by digit from (targets, rest) order into register order."""
+    rest = [q for q in range(n_qutrits) if q not in targets]
+    order = list(targets) + rest
+    full = np.kron(u, np.eye(DIM ** len(rest), dtype=complex))
+    perm = []
+    for idx in range(DIM**n_qutrits):
+        digits = BasisLabel.from_index(idx, n_qutrits).digits
+        perm.append(sum(digits[q] * DIM ** (n_qutrits - 1 - k) for k, q in enumerate(order)))
+    return full[np.ix_(perm, perm)]
+
+
+def ordered_targets(n_qutrits):
+    for k in range(1, n_qutrits + 1):
+        yield from itertools.permutations(range(n_qutrits), k)
+
+
+class TestEmbedOperator:
+    @pytest.mark.parametrize(
+        "n_qutrits, targets",
+        [(n, t) for n in (1, 2, 3) for t in ordered_targets(n)],
+    )
+    def test_matches_digit_permutation(self, n_qutrits, targets):
+        rng = np.random.default_rng(len(targets) * 10 + n_qutrits)
+        d = DIM ** len(targets)
+        # distinct complex entries, so any misplaced one shows:
+        u = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        got = embed_operator(u, targets, n_qutrits)
+        want = embed_by_permutation(u, targets, n_qutrits)
+        assert got.shape == want.shape == (DIM**n_qutrits, DIM**n_qutrits)
+        assert got.tobytes() == want.tobytes()
+
+    def test_reversed_pair_swaps_the_qutrits(self):
+        a, b = logical_gate("X"), logical_gate("Z")
+        assert np.array_equal(embed_operator(tensor(a, b), (1, 0), 2), tensor(b, a))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(CompileError):
+            embed_operator(np.eye(3), (0, 1), 2)
+        with pytest.raises(CompileError):
+            embed_operator(np.eye(9), (0,), 2)
+
+    def test_rejects_duplicate_targets(self):
+        with pytest.raises(CompileError):
+            embed_operator(np.eye(9), (1, 1), 2)
+
+    def test_rejects_out_of_range_targets(self):
+        with pytest.raises(CompileError):
+            embed_operator(np.eye(3), (2,), 2)
+        with pytest.raises(CompileError):
+            embed_operator(np.eye(3), (-1,), 2)
+
+
+class TestMomentCache:
+    MOMENT = (pulse_r12(0, 0.3, math.pi / 2.0), pulse_vphase(1, 0.4, 1.1))
+
+    def test_result_is_read_only(self):
+        u = moment_unitary(self.MOMENT, 2)
+        with pytest.raises(ValueError):
+            u[0, 0] = 2.0
+
+    def test_list_moment_matches_tuple(self):
+        _moment_unitary.cache_clear()
+        from_list = moment_unitary(list(self.MOMENT), 2)
+        from_tuple = moment_unitary(self.MOMENT, 2)
+        assert np.array_equal(from_list, from_tuple)
+        explicit = (embed_operator(instruction_matrix(self.MOMENT[1]), (1,), 2)
+                    @ embed_operator(instruction_matrix(self.MOMENT[0]), (0,), 2))
+        assert np.array_equal(from_tuple, explicit)
+
+    def test_register_size_is_part_of_the_key(self):
+        moment = (pulse_r01(0, 0.0, math.pi),)
+        assert moment_unitary(moment, 1).shape == (3, 3)
+        assert moment_unitary(moment, 2).shape == (9, 9)
+
+    def test_cache_is_bounded(self):
+        maxsize = _moment_unitary.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+        for k in range(maxsize + 5):
+            moment_unitary((pulse_vphase(0, 1e-3 * k, 0.0),), 1)
+        assert _moment_unitary.cache_info().currsize == maxsize
 
 
 class TestPhaseFrames:
