@@ -11,11 +11,15 @@ seed reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +27,6 @@ import yaml
 
 from .qutrit_core import DIM, BasisLabel, ProbDist, QutritLabError
 from .gates_compiler import (
-    Circuit,
     circuit_unitary,
     compile_cphase,
     cphase_matrix,
@@ -49,7 +52,6 @@ from .noise_sim import (
 )
 from .algorithms import (
     BVString,
-    DJOracle,
     GroverSpec,
     balanced_oracle_table,
     bv_circuit,
@@ -61,7 +63,6 @@ from .algorithms import (
     grover_ideal_success,
 )
 from .readout_mitigation import (
-    ConfusionMatrix,
     apply_confusion,
     load_confusion,
     mitigate_counts,
@@ -80,32 +81,31 @@ class ConfigError(QutritLabError, ValueError):
     """A configuration value is missing, unknown or inconsistent."""
 
 
-def _default_mapping() -> dict:
-    return {
-        "shots": 20000,
-        "seed": 7,
-        "noisy": False,
-        "mitigate": False,
-        "step_scale": 1,
-        "out_dir": None,
-        "readout": {"diagonal": 0.85},
-        "coherence": {
-            "q1": {"t1_01": 47.9, "t1_12": 21.7, "t2r_01": 4.5, "t2r_12": 2.0},
-            "q2": {"t1_01": 35.1, "t1_12": 3.9, "t2r_01": 3.2, "t2r_12": 2.4},
-        },
-        "coupling_khz": {"j11": -304.3, "j21": 37.8, "j12": 23.6, "j22": 5.4},
-        "device": {
-            "c_q1": 178.0,
-            "c_q2": 131.0,
-            "c_c": 193.6,
-            "c_q12": 2.0,
-            "e_j1": 13.6,
-            "e_j2": 13.3,
-            "e_jc": 1140.0,
-            "flux": 0.185,
-            "n_levels": 8,
-        },
-    }
+@functools.cache
+def _defaults() -> dict:
+    """The packaged default profile, parsed once per process; never mutate it."""
+    return yaml.safe_load(resources.files(__package__).joinpath("default_config.yaml").read_text())
+
+
+# keys whose value may be null; every other key keeps the type of its default
+_NULLABLE = ("shots", "seed", "out_dir")
+
+
+def _check_leaf(value, default, path: str):
+    """An override that has the type of the packaged default it replaces."""
+    if value is None and path in _NULLABLE:
+        return value
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, numbers.Integral) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok, kind = isinstance(value, numbers.Real) and not isinstance(value, bool), "a number"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"{path!r} must be {kind}, got {value!r}")
+    return value
 
 
 def _merge_over(base: dict, override: dict, prefix: str = "") -> dict:
@@ -119,7 +119,7 @@ def _merge_over(base: dict, override: dict, prefix: str = "") -> dict:
                 raise ConfigError(f"{path!r} must be a mapping")
             merged[key] = _merge_over(base[key], value, path + ".")
         else:
-            merged[key] = value
+            merged[key] = _check_leaf(value, base[key], path)
     return merged
 
 
@@ -152,27 +152,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict | None) -> "ExperimentConfig":
-        resolved = _merge_over(_default_mapping(), mapping or {})
+        resolved = _merge_over(_defaults(), mapping or {})
         coh = resolved["coherence"]
-        cpl = resolved["coupling_khz"]
         noise = NoiseModel(
             q1=QutritCoherence(**coh["q1"]),
             q2=QutritCoherence(**coh["q2"]),
-            j11=float(cpl["j11"]),
-            j21=float(cpl["j21"]),
-            j12=float(cpl["j12"]),
-            j22=float(cpl["j22"]),
+            **{name: float(j) for name, j in resolved["coupling_khz"].items()},
         )
-        device = DeviceParams(**resolved["device"])
         shots = resolved["shots"]
         seed = resolved["seed"]
         return cls(
             noise=noise,
-            device=device,
+            device=DeviceParams(**resolved["device"]),
             shots=None if shots is None else int(shots),
             seed=None if seed is None else int(seed),
-            noisy=bool(resolved["noisy"]),
-            mitigate=bool(resolved["mitigate"]),
+            noisy=resolved["noisy"],
+            mitigate=resolved["mitigate"],
             readout_diagonal=float(resolved["readout"]["diagonal"]),
             step_scale=int(resolved["step_scale"]),
             out_dir=resolved["out_dir"],
@@ -199,19 +194,7 @@ class ExperimentConfig:
         return cls.from_mapping(data)
 
     def replace(self, **changes) -> "ExperimentConfig":
-        fields = {
-            "noise": self.noise,
-            "device": self.device,
-            "shots": self.shots,
-            "seed": self.seed,
-            "noisy": self.noisy,
-            "mitigate": self.mitigate,
-            "readout_diagonal": self.readout_diagonal,
-            "step_scale": self.step_scale,
-            "out_dir": self.out_dir,
-        }
-        fields.update(changes)
-        return ExperimentConfig(**fields)
+        return dataclasses.replace(self, **changes)
 
     def to_mapping(self) -> dict:
         """Experiment identity: everything that shapes results.
@@ -219,7 +202,7 @@ class ExperimentConfig:
         The output directory is deliberately left out so the same run
         written to two places hashes identically.
         """
-        n, d = self.noise, self.device
+        noise = dataclasses.asdict(self.noise)
         return {
             "shots": self.shots,
             "seed": self.seed,
@@ -227,16 +210,9 @@ class ExperimentConfig:
             "mitigate": self.mitigate,
             "step_scale": self.step_scale,
             "readout": {"diagonal": self.readout_diagonal},
-            "coherence": {
-                "q1": {"t1_01": n.q1.t1_01, "t1_12": n.q1.t1_12, "t2r_01": n.q1.t2r_01, "t2r_12": n.q1.t2r_12},
-                "q2": {"t1_01": n.q2.t1_01, "t1_12": n.q2.t1_12, "t2r_01": n.q2.t2r_01, "t2r_12": n.q2.t2r_12},
-            },
-            "coupling_khz": {"j11": n.j11, "j21": n.j21, "j12": n.j12, "j22": n.j22},
-            "device": {
-                "c_q1": d.c_q1, "c_q2": d.c_q2, "c_c": d.c_c, "c_q12": d.c_q12,
-                "e_j1": d.e_j1, "e_j2": d.e_j2, "e_jc": d.e_jc,
-                "flux": d.flux, "n_levels": d.n_levels,
-            },
+            "coherence": {"q1": noise.pop("q1"), "q2": noise.pop("q2")},
+            "coupling_khz": noise,
+            "device": dataclasses.asdict(self.device),
         }
 
     def config_hash(self) -> str:
@@ -288,127 +264,97 @@ class ResultBundle:
         return json_path, csv_path
 
 
-def _dist_dict(dist: ProbDist) -> dict:
-    return {label: float(dist.probs[i]) for i, label in enumerate(_PAIR_LABELS)}
+def _by_label(values: np.ndarray) -> dict:
+    return {label: float(values[i]) for i, label in enumerate(_PAIR_LABELS)}
 
 
-def _counts_dict(counts: np.ndarray) -> dict:
-    return {label: float(counts[i]) for i, label in enumerate(_PAIR_LABELS)}
+def _run_cases(config: ExperimentConfig, cases) -> list[dict]:
+    """One entry per (circuit, fields, score, seed_offset) case.
+
+    fields(dist) gives the case's own entry fields and score(dist) its
+    success probability, taken of the exact distribution and, when
+    mitigating, of the mitigated one. Sampling uses seed + seed_offset.
+    """
+    engine = LindbladEngine(config.noise, config.step_scale) if config.noisy else None
+    matrix = synthetic_confusion(DIM * DIM, config.readout_diagonal) if config.mitigate else None
+    entries = []
+    for circ, fields, score, seed_offset in cases:
+        if config.noisy:
+            dist = measure_probs(simulate_lindblad(circ, config.noise, step_scale=config.step_scale, engine=engine))
+        else:
+            dist = measure_probs(simulate_pure(circ))
+        entry = fields(dist)
+        entry.update(sp=score(dist), duration_ns=circ.total_duration, distribution=_by_label(dist.probs))
+        if config.shots is not None:
+            measured = dist if matrix is None else apply_confusion(dist, matrix)
+            counts = sample_counts(measured, config.shots, config.seed + seed_offset)
+            entry["counts"] = _by_label(counts)
+            if matrix is not None:
+                corrected = mitigate_counts(counts, matrix)
+                mitigated = ProbDist(corrected / corrected.sum())
+                entry["mitigated_distribution"] = _by_label(mitigated.probs)
+                entry["sp_mitigated"] = score(mitigated)
+        entries.append(entry)
+    return entries
 
 
-def _final_dist(circuit: Circuit, config: ExperimentConfig, engine: LindbladEngine | None) -> ProbDist:
-    if config.noisy:
-        rho = simulate_lindblad(circuit, config.noise, step_scale=config.step_scale, engine=engine)
-        return measure_probs(rho)
-    return measure_probs(simulate_pure(circuit))
+def _mean(entries: list[dict], key: str, **where) -> float:
+    return float(np.mean([e[key] for e in entries if all(e[k] == v for k, v in where.items())]))
 
 
-def _shared_engine(config: ExperimentConfig) -> LindbladEngine | None:
-    return LindbladEngine(config.noise, config.step_scale) if config.noisy else None
-
-
-def _attach_sampling(entry: dict, dist: ProbDist, sp_label, config: ExperimentConfig,
-                     matrix: ConfusionMatrix | None, entry_seed: int) -> None:
-    """Add sampled counts, and the mitigated distribution when enabled."""
-    if config.shots is None:
-        return
-    if matrix is None:
-        counts = sample_counts(dist, config.shots, entry_seed)
-        entry["counts"] = _counts_dict(counts)
-        return
-    measured = apply_confusion(dist, matrix)
-    counts = sample_counts(measured, config.shots, entry_seed)
-    corrected = mitigate_counts(counts, matrix)
-    mitigated = ProbDist(corrected / corrected.sum())
-    entry["counts"] = _counts_dict(counts)
-    entry["mitigated_distribution"] = _dist_dict(mitigated)
-    if sp_label is not None:
-        entry["sp_mitigated"] = mitigated.prob_of(sp_label)
-
-
-def _mitigation_matrix(config: ExperimentConfig) -> ConfusionMatrix | None:
-    if not config.mitigate:
-        return None
-    return synthetic_confusion(DIM * DIM, config.readout_diagonal)
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
 
 
 def run_dj(config: ExperimentConfig) -> ResultBundle:
     """All 25 single-query oracles: 9 constant and 16 balanced."""
-    engine = _shared_engine(config)
-    matrix = _mitigation_matrix(config)
-    oracles = [(o, "0") for o in constant_oracles()]
-    oracles += [(o, note) for o, note in balanced_oracle_table()]
-    entries = []
-    for idx, (oracle, note) in enumerate(oracles):
-        circ = dj_circuit(oracle)
-        dist = _final_dist(circ, config, engine)
-        p00 = dist.prob_of("00")
-        sp = p00 if oracle.kind == "constant" else 1.0 - p00
-        entry = {
-            "name": oracle.label(),
-            "kind": oracle.kind,
-            "function": note,
-            "sp": sp,
-            "duration_ns": circ.total_duration,
-            "distribution": _dist_dict(dist),
-        }
+    def case(idx, oracle, note):
+        fields = {"name": oracle.label(), "kind": oracle.kind, "function": note}
         if oracle.kind == "constant":
-            entry["constant_value"] = oracle.constant_value
-        if config.shots is not None:
-            _attach_sampling(entry, dist, None, config, matrix, config.seed + idx)
-            if "mitigated_distribution" in entry:
-                m00 = entry["mitigated_distribution"]["00"]
-                entry["sp_mitigated"] = m00 if oracle.kind == "constant" else 1.0 - m00
-        entries.append(entry)
-    const = [e["sp"] for e in entries if e["kind"] == "constant"]
-    bal = [e["sp"] for e in entries if e["kind"] == "balanced"]
+            fields["constant_value"] = oracle.constant_value
+            score = lambda dist: dist.prob_of("00")
+        else:
+            score = lambda dist: 1.0 - dist.prob_of("00")
+        return dj_circuit(oracle), lambda dist: fields, score, idx
+
+    oracles = [(o, "0") for o in constant_oracles()] + list(balanced_oracle_table())
+    entries = _run_cases(config, [case(idx, o, note) for idx, (o, note) in enumerate(oracles)])
     summary = {
-        "constant_avg": float(np.mean(const)),
-        "balanced_avg": float(np.mean(bal)),
+        "constant_avg": _mean(entries, "sp", kind="constant"),
+        "balanced_avg": _mean(entries, "sp", kind="balanced"),
         "classical_baseline": classical_baselines()["dj"],
-        "n_constant": len(const),
-        "n_balanced": len(bal),
+        "n_constant": sum(e["kind"] == "constant" for e in entries),
+        "n_balanced": sum(e["kind"] == "balanced" for e in entries),
     }
     if config.mitigate:
-        summary["constant_avg_mitigated"] = float(np.mean([e["sp_mitigated"] for e in entries if e["kind"] == "constant"]))
-        summary["balanced_avg_mitigated"] = float(np.mean([e["sp_mitigated"] for e in entries if e["kind"] == "balanced"]))
-    lines = ["oracle,kind,function,sp"]
-    lines += [f"{e['name']},{e['kind']},{e['function'].replace(' ', '')},{e['sp']:.9g}" for e in entries]
-    return ResultBundle("dj", config.config_hash(), tuple(entries), summary, "\n".join(lines) + "\n")
+        summary["constant_avg_mitigated"] = _mean(entries, "sp_mitigated", kind="constant")
+        summary["balanced_avg_mitigated"] = _mean(entries, "sp_mitigated", kind="balanced")
+    rows = [f"{e['name']},{e['kind']},{e['function'].replace(' ', '')},{e['sp']:.9g}" for e in entries]
+    return ResultBundle("dj", config.config_hash(), tuple(entries), summary, _csv("oracle,kind,function,sp", rows))
 
 
 def run_bv(config: ExperimentConfig) -> ResultBundle:
     """All 9 hidden strings, decoded from the exact distribution."""
-    engine = _shared_engine(config)
-    matrix = _mitigation_matrix(config)
-    entries = []
-    for idx in range(DIM * DIM):
-        s = BVString(BasisLabel.from_index(idx, 2).digits)
-        circ = bv_circuit(s)
-        dist = _final_dist(circ, config, engine)
-        label = "".join(str(t) for t in s.s)
-        decoded = bv_decode(dist)
-        entry = {
-            "name": label,
-            "sp": dist.prob_of(label),
-            "decoded": "".join(str(t) for t in decoded),
-            "decoded_correctly": decoded == s.s,
-            "duration_ns": circ.total_duration,
-            "distribution": _dist_dict(dist),
-        }
-        if config.shots is not None:
-            _attach_sampling(entry, dist, label, config, matrix, config.seed + 100 + idx)
-        entries.append(entry)
+    def case(idx):
+        label = BasisLabel.from_index(idx, 2)
+        s = BVString(label.digits)
+
+        def fields(dist):
+            decoded = bv_decode(dist)
+            return {"name": str(label), "decoded": "".join(str(t) for t in decoded),
+                    "decoded_correctly": decoded == s.s}
+        return bv_circuit(s), fields, lambda dist: dist.prob_of(label), 100 + idx
+
+    entries = _run_cases(config, [case(idx) for idx in range(DIM * DIM)])
     summary = {
-        "average_sp": float(np.mean([e["sp"] for e in entries])),
+        "average_sp": _mean(entries, "sp"),
         "classical_baseline": classical_baselines()["bv"],
         "all_decoded_correctly": all(e["decoded_correctly"] for e in entries),
     }
     if config.mitigate:
-        summary["average_sp_mitigated"] = float(np.mean([e["sp_mitigated"] for e in entries]))
-    lines = ["string,sp,decoded"]
-    lines += [f"{e['name']},{e['sp']:.9g},{e['decoded']}" for e in entries]
-    return ResultBundle("bv", config.config_hash(), tuple(entries), summary, "\n".join(lines) + "\n")
+        summary["average_sp_mitigated"] = _mean(entries, "sp_mitigated")
+    rows = [f"{e['name']},{e['sp']:.9g},{e['decoded']}" for e in entries]
+    return ResultBundle("bv", config.config_hash(), tuple(entries), summary, _csv("string,sp,decoded", rows))
 
 
 def run_grover(config: ExperimentConfig) -> ResultBundle:
@@ -417,45 +363,31 @@ def run_grover(config: ExperimentConfig) -> ResultBundle:
     The figure CSV holds both 9 x 9 probability matrices, one row per
     (rounds, target) pair.
     """
-    engine = _shared_engine(config)
-    matrix = _mitigation_matrix(config)
-    entries = []
-    for iterations in (1, 2):
-        for idx in range(DIM * DIM):
-            target = str(BasisLabel.from_index(idx, 2))
-            circ = grover_circuit(GroverSpec(BasisLabel.parse(target), iterations))
-            dist = _final_dist(circ, config, engine)
-            entry = {
-                "name": f"k{iterations}_{target}",
-                "rounds": iterations,
-                "target": target,
-                "sp": dist.prob_of(target),
-                "ideal_sp": grover_ideal_success(iterations),
-                "duration_ns": circ.total_duration,
-                "distribution": _dist_dict(dist),
-            }
-            if config.shots is not None:
-                _attach_sampling(entry, dist, target, config, matrix,
-                                 config.seed + 200 + 9 * iterations + idx)
-            entries.append(entry)
-    round1 = [e["sp"] for e in entries if e["rounds"] == 1]
-    round2 = [e["sp"] for e in entries if e["rounds"] == 2]
+    def case(rounds, idx):
+        target = BasisLabel.from_index(idx, 2)
+        fields = {"name": f"k{rounds}_{target}", "rounds": rounds, "target": str(target),
+                  "ideal_sp": grover_ideal_success(rounds)}
+        return (grover_circuit(GroverSpec(target, rounds)), lambda dist: fields,
+                lambda dist: dist.prob_of(target), 200 + 9 * rounds + idx)
+
+    entries = _run_cases(config, [case(k, idx) for k in (1, 2) for idx in range(DIM * DIM)])
+    round1 = _mean(entries, "sp", rounds=1)
+    round2 = _mean(entries, "sp", rounds=2)
     baselines = classical_baselines()
     summary = {
-        "round1_avg": float(np.mean(round1)),
-        "round2_avg": float(np.mean(round2)),
-        "round2_exceeds_round1": float(np.mean(round2)) > float(np.mean(round1)),
+        "round1_avg": round1,
+        "round2_avg": round2,
+        "round2_exceeds_round1": round2 > round1,
         "classical_baseline_round1": baselines["grover1"],
         "classical_baseline_round2": baselines["grover2"],
         "round2_duration_ns_22": next(
             e["duration_ns"] for e in entries if e["rounds"] == 2 and e["target"] == "22"
         ),
     }
-    lines = ["rounds,target," + ",".join(_PAIR_LABELS)]
-    for e in entries:
-        row = ",".join(f"{e['distribution'][lbl]:.9g}" for lbl in _PAIR_LABELS)
-        lines.append(f"{e['rounds']},{e['target']},{row}")
-    return ResultBundle("grover", config.config_hash(), tuple(entries), summary, "\n".join(lines) + "\n")
+    rows = [f"{e['rounds']},{e['target']}," + ",".join(f"{e['distribution'][lbl]:.9g}" for lbl in _PAIR_LABELS)
+            for e in entries]
+    return ResultBundle("grover", config.config_hash(), tuple(entries), summary,
+                        _csv("rounds,target," + ",".join(_PAIR_LABELS), rows))
 
 
 def run_device_report(config: ExperimentConfig, flux_grid) -> ResultBundle:
@@ -519,12 +451,8 @@ def run_process_tomo(config: ExperimentConfig, gate: str, qutrit: int) -> Result
         "noiseless_fidelity": noiseless_fid,
         "noisy_fidelity": noisy_fid,
     }
-    lines = ["row,col,re,im"]
-    m = noisy_chi.matrix
-    for r in range(m.shape[0]):
-        for c in range(m.shape[1]):
-            lines.append(f"{r},{c},{m[r, c].real:.9g},{m[r, c].imag:.9g}")
-    return ResultBundle("tomo", config.config_hash(), entries, summary, "\n".join(lines) + "\n")
+    rows = [f"{r},{c},{v.real:.9g},{v.imag:.9g}" for (r, c), v in np.ndenumerate(noisy_chi.matrix)]
+    return ResultBundle("tomo", config.config_hash(), entries, summary, _csv("row,col,re,im", rows))
 
 
 def compile_report(theta: float, target: str) -> dict:
@@ -565,7 +493,13 @@ def _load_counts_file(path) -> np.ndarray:
         label, value = parts
         if label in counts:
             raise ConfigError(f"duplicate counts label {label!r}")
-        counts[label] = float(value)
+        try:
+            count = float(value)
+        except ValueError:
+            raise ConfigError(f"counts value is not a number: {raw!r}") from None
+        if not math.isfinite(count) or count < 0.0:
+            raise ConfigError(f"counts value must be finite and non-negative: {raw!r}")
+        counts[label] = count
     if set(counts) != set(_PAIR_LABELS):
         raise ConfigError(f"counts file must cover exactly the labels {' '.join(_PAIR_LABELS)}")
     return np.array([counts[lbl] for lbl in _PAIR_LABELS])
@@ -602,6 +536,18 @@ def _emit_bundle(bundle: ResultBundle, config: ExperimentConfig) -> None:
         }, sort_keys=True, indent=2))
     else:
         sys.stdout.write(bundle.to_json())
+
+
+def _emit_document(doc: dict, out_dir, name: str) -> None:
+    """The document on stdout, or written to out_dir/name with its path on stdout."""
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if not out_dir:
+        sys.stdout.write(text)
+        return
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text)
+    print(json.dumps({"written": str(out / name)}, sort_keys=True))
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -664,15 +610,7 @@ def _dispatch(args) -> int:
         return 0
     if args.command == "compile":
         report = compile_report(args.theta, args.target)
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            path = out / f"cphase_{report['target']}_compiled.json"
-            path.write_text(text)
-            print(json.dumps({"written": str(path)}, sort_keys=True))
-        else:
-            sys.stdout.write(text)
+        _emit_document(report, args.out, f"cphase_{report['target']}_compiled.json")
         return 0
     if args.command == "device":
         config = _config_from_args(args)
@@ -687,21 +625,9 @@ def _dispatch(args) -> int:
         return 0
     if args.command == "mitigate":
         counts = _load_counts_file(args.counts)
-        matrix = load_confusion(args.matrix)
-        corrected = mitigate_counts(counts, matrix)
-        doc = {
-            "total": float(corrected.sum()),
-            "corrected": {lbl: float(corrected[i]) for i, lbl in enumerate(_PAIR_LABELS)},
-        }
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            path = out / "mitigated_counts.json"
-            path.write_text(text)
-            print(json.dumps({"written": str(path)}, sort_keys=True))
-        else:
-            sys.stdout.write(text)
+        corrected = mitigate_counts(counts, load_confusion(args.matrix))
+        doc = {"total": float(corrected.sum()), "corrected": _by_label(corrected)}
+        _emit_document(doc, args.out, "mitigated_counts.json")
         return 0
     raise ConfigError(f"unknown command {args.command!r}")
 

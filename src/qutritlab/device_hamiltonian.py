@@ -21,7 +21,7 @@ cross-Kerr coefficients in kHz, flux in units of the flux quantum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,10 +79,7 @@ class DeviceParams:
             raise TruncationError("n_levels must be at least 1")
 
     def with_flux(self, flux: float) -> "DeviceParams":
-        return DeviceParams(
-            self.c_q1, self.c_q2, self.c_c, self.c_q12,
-            self.e_j1, self.e_j2, self.e_jc, float(flux), self.n_levels,
-        )
+        return replace(self, flux=float(flux))
 
     def squid_cos(self) -> float:
         """Flux factor of the coupler junction energy."""

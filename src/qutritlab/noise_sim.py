@@ -77,17 +77,6 @@ class NoiseModel:
     j22: float = 0.0
 
     @classmethod
-    def default(cls) -> "NoiseModel":
-        return cls(
-            q1=QutritCoherence(t1_01=47.9, t1_12=21.7, t2r_01=4.5, t2r_12=2.0),
-            q2=QutritCoherence(t1_01=35.1, t1_12=3.9, t2r_01=3.2, t2r_12=2.4),
-            j11=-304.3,
-            j21=37.8,
-            j12=23.6,
-            j22=5.4,
-        )
-
-    @classmethod
     def none(cls) -> "NoiseModel":
         inf = math.inf
         quiet = QutritCoherence(inf, inf, inf, inf)
@@ -462,12 +451,8 @@ class QuantumChannel:
 
     def trace_preservation_defect(self) -> float:
         d = self.dim
-        worst = 0.0
-        for k in range(d):
-            for l in range(d):
-                tr = complex(np.trace(self.matrix_unit_image(k, l)))
-                worst = max(worst, abs(tr - (1.0 if k == l else 0.0)))
-        return worst
+        traces = np.einsum("aakl->kl", self.superop.reshape(d, d, d, d))
+        return float(np.max(np.abs(traces - np.eye(d))))
 
 
 def circuit_channel(circuit: Circuit, noise: NoiseModel, step_scale: int = 1) -> QuantumChannel:
@@ -511,18 +496,12 @@ def chi_matrix(channel: QuantumChannel, tol: float = 1e-6) -> ProcessMatrix:
     defect = channel.trace_preservation_defect()
     if defect > tol:
         raise ChannelError(f"map is not trace preserving (defect {defect:.3g})")
-    choi_min = float(np.min(np.linalg.eigvalsh((channel.choi() + channel.choi().conj().T) / 2.0)))
+    choi = channel.choi()
+    choi_min = float(np.min(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)))
     if choi_min < -10.0 * tol:
         raise ChannelError(f"map is not completely positive (eigenvalue {choi_min:.3g})")
     d = channel.dim
-    chi = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            img = channel.matrix_unit_image(k, l)
-            for a in range(d):
-                for c in range(d):
-                    chi[a * d + k, c * d + l] = img[a, c]
-    return ProcessMatrix(chi)
+    return ProcessMatrix(channel.superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))
 
 
 def chi_of_unitary(u: np.ndarray) -> ProcessMatrix:

@@ -193,7 +193,7 @@ def test_05_noisy_oracle_brackets(capsys):
 
 
 def test_06_lindblad_integrity(capsys):
-    noise = NoiseModel.default()
+    noise = ExperimentConfig.default().noise
     deep = grover_circuit(GroverSpec(BasisLabel.parse("22"), 2))
 
     rho = simulate_lindblad(deep, noise).matrix
@@ -332,7 +332,7 @@ def test_09_process_fidelities(capsys):
     noiseless_fid = process_fidelity(noiseless, ideal)
     noiseless_ok = abs(noiseless_fid - 1.0) <= 1e-8
 
-    noise = NoiseModel.default()
+    noise = ExperimentConfig.default().noise
     noisy_fids = {}
     for qidx in (0, 1):
         pair = merge_streams(2, {qidx: decompose_single("H", qidx)})

@@ -1,16 +1,21 @@
 """Command-line harness: configuration resolution, experiment bundles,
 subcommand dispatch, on-disk outputs and byte-level determinism."""
 
+import copy
 import json
 import math
+import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import qutritlab
+from qutritlab import cli_harness
 from qutritlab.qutrit_core import QutritLabError
-from qutritlab.device_hamiltonian import labeled_spectrum
+from qutritlab.device_hamiltonian import DeviceParams, labeled_spectrum
 from qutritlab.gates_compiler import _moment_unitary
 from qutritlab.noise_sim import sample_counts
 from qutritlab.readout_mitigation import save_confusion, synthetic_confusion
@@ -72,6 +77,32 @@ class TestConfig:
         packaged = Path(qutritlab.__file__).parent / "default_config.yaml"
         c = ExperimentConfig.from_yaml(packaged)
         assert c.config_hash() == ExperimentConfig.default().config_hash()
+
+    def test_default_hash_is_pinned(self):
+        # the YAML's value types enter the hash: 178 and 178.0 hash differently
+        assert ExperimentConfig.default().config_hash() == "046f2ad7d64a62a1"
+
+    def test_device_field_defaults_match_packaged_yaml(self):
+        assert DeviceParams() == ExperimentConfig.default().device
+
+    def test_packaged_defaults_parsed_once_and_never_mutated(self):
+        before = copy.deepcopy(cli_harness._defaults())
+        ExperimentConfig.from_mapping({"coherence": {"q1": {"t1_01": 1.0}}, "device": {"flux": 0.2}})
+        assert cli_harness._defaults() is cli_harness._defaults()
+        assert cli_harness._defaults() == before
+
+    @pytest.mark.parametrize("mapping, key", [
+        ({"shots": "abc"}, "shots"),
+        ({"shots": 2.5}, "shots"),
+        ({"noisy": "yes"}, "noisy"),
+        ({"coherence": {"q1": {"t1_01": "fast"}}}, "coherence.q1.t1_01"),
+        ({"device": {"n_levels": "many"}}, "device.n_levels"),
+    ], ids=["shots_text", "shots_fraction", "noisy_text", "coherence_text", "n_levels_text"])
+    def test_wrong_value_type_names_the_key(self, tmp_path, mapping, key):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(mapping))
+        with pytest.raises(ConfigError, match=re.escape(repr(key))):
+            ExperimentConfig.from_yaml(path)
 
     def test_yaml_file_round_trip(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -286,6 +317,35 @@ class TestCountsFile:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             _load_counts_file(tmp_path / "nope.txt")
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-5"])
+    def test_bad_count_exits_one_with_json(self, tmp_path, capsys, value):
+        counts = tmp_path / "counts.txt"
+        counts.write_text(self.good_text().replace("00, 100", f"00, {value}"))
+        matrix = tmp_path / "matrix.txt"
+        save_confusion(synthetic_confusion(), matrix)
+        assert main(["mitigate", "--counts", str(counts), "--matrix", str(matrix)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == "ConfigError"
+
+
+class TestRunnerLookups:
+    """The runners look up the circuit, sampling and mitigation functions in
+    cli_harness when they run, so a wrapper set on those names (as the
+    benchmark's per-layer tracing does) sees every call."""
+
+    def test_wrappers_on_module_names_see_every_call(self, monkeypatch):
+        calls = Counter()
+        for name in ("dj_circuit", "bv_circuit", "grover_circuit", "sample_counts", "mitigate_counts"):
+            def counting(*args, _name=name, _original=getattr(cli_harness, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(cli_harness, name, counting)
+        config = exact_config().replace(mitigate=True, shots=2000, seed=3)
+        entries = sum(len(runner(config).entries) for runner in (run_dj, run_bv, run_grover))
+        assert (calls["dj_circuit"], calls["bv_circuit"], calls["grover_circuit"]) == (25, 9, 18)
+        assert calls["sample_counts"] == calls["mitigate_counts"] == entries == 52
 
 
 class TestMomentCacheBundles:

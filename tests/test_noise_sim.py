@@ -19,6 +19,7 @@ from qutritlab.gates_compiler import (
     pulse_r01,
     single_qutrit_circuit,
 )
+from qutritlab.cli_harness import ExperimentConfig
 from qutritlab.noise_sim import (
     LindbladEngine,
     NoiseModel,
@@ -59,7 +60,7 @@ def uniform_pair() -> PureState:
 
 class TestNoiseModel:
     def test_default_matches_coherence_tables(self):
-        nm = NoiseModel.default()
+        nm = ExperimentConfig.default().noise
         assert (nm.q1.t1_01, nm.q1.t1_12) == (47.9, 21.7)
         assert (nm.q1.t2r_01, nm.q1.t2r_12) == (4.5, 2.0)
         assert (nm.q2.t1_01, nm.q2.t1_12) == (35.1, 3.9)
@@ -76,22 +77,22 @@ class TestNoiseModel:
         assert build_collapse_ops(NoiseModel.none()) == []
 
     def test_default_model_collapse_op_count(self):
-        ops = build_collapse_ops(NoiseModel.default())
+        ops = build_collapse_ops(ExperimentConfig.default().noise)
         assert len(ops) > 0
         for op in ops:
             assert op.shape == (9, 9)
 
     def test_first_qutrit_dephasing_rates_positive(self):
-        ga, gb = dephasing_rates(NoiseModel.default().q1)
+        ga, gb = dephasing_rates(ExperimentConfig.default().noise.q1)
         assert ga > 0
         assert gb > 0
 
     def test_second_qutrit_dephasing_needs_correlated_operator(self):
         # the raw two-projector split would need a negative rate here
-        ga, gb = dephasing_rates(NoiseModel.default().q2)
+        ga, gb = dephasing_rates(ExperimentConfig.default().noise.q2)
         assert gb < 0
         with pytest.warns(UserWarning):
-            build_collapse_ops(NoiseModel.default())
+            build_collapse_ops(ExperimentConfig.default().noise)
 
 
 class TestRamseyConstants:
@@ -100,12 +101,12 @@ class TestRamseyConstants:
         expected = TABLE_T2R[(qutrit, transition)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            t2r = ramsey_coherence_time(NoiseModel.default(), qutrit, transition)
+            t2r = ramsey_coherence_time(ExperimentConfig.default().noise, qutrit, transition)
         assert t2r == pytest.approx(expected, rel=0.02)
 
     def test_idle_coherence_follows_exponential(self):
         # superposition on the first qutrit decays with its 01 constant
-        nm = NoiseModel.default()
+        nm = ExperimentConfig.default().noise
         plus = np.kron(np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0), np.array([1.0, 0.0, 0.0]))
         rho = evolve_idle(nm, plus.astype(complex), 2110.0).matrix
         expected = 0.5 * math.exp(-2.11 / 4.5)
@@ -114,23 +115,23 @@ class TestRamseyConstants:
 
 class TestIdleHamiltonian:
     def test_ground_pair_unshifted(self):
-        h = idle_hamiltonian(NoiseModel.default())
+        h = idle_hamiltonian(ExperimentConfig.default().noise)
         assert h[0, 0] == 0.0
 
     def test_singly_excited_pair(self):
-        nm = NoiseModel.default()
+        nm = ExperimentConfig.default().noise
         h = idle_hamiltonian(nm)
         expected = 2 * math.pi * 1e-3 * (nm.j11 + nm.j21 + nm.j12 + nm.j22)
         assert h[4, 4] == pytest.approx(expected)
 
     def test_doubly_excited_pair(self):
-        nm = NoiseModel.default()
+        nm = ExperimentConfig.default().noise
         h = idle_hamiltonian(nm)
         expected = 2 * math.pi * 1e-3 * (4 * nm.j11 + 8 * nm.j21 + 8 * nm.j12 + 16 * nm.j22)
         assert h[8, 8] == pytest.approx(expected)
 
     def test_diagonal(self):
-        h = idle_hamiltonian(NoiseModel.default())
+        h = idle_hamiltonian(ExperimentConfig.default().noise)
         assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
 
 
@@ -217,7 +218,7 @@ class TestMeasureAndSample:
 def default_engine():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return LindbladEngine(NoiseModel.default())
+        return LindbladEngine(ExperimentConfig.default().noise)
 
 
 class TestLindbladBackend:
@@ -229,7 +230,7 @@ class TestLindbladBackend:
 
     def test_trace_and_positivity_after_deep_circuit(self, default_engine):
         circ = grover_circuit(GroverSpec(BasisLabel.parse("22"), 2))
-        rho = simulate_lindblad(circ, NoiseModel.default(), engine=default_engine).matrix
+        rho = simulate_lindblad(circ, ExperimentConfig.default().noise, engine=default_engine).matrix
         assert abs(np.trace(rho).real - 1.0) < 1e-6
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-6
         assert np.allclose(rho, rho.conj().T, atol=1e-9)
@@ -238,15 +239,15 @@ class TestLindbladBackend:
         circ = dj_circuit(DJOracle("Z", "X"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rho1 = simulate_lindblad(circ, NoiseModel.default(), step_scale=1)
-            rho2 = simulate_lindblad(circ, NoiseModel.default(), step_scale=2)
+            rho1 = simulate_lindblad(circ, ExperimentConfig.default().noise, step_scale=1)
+            rho2 = simulate_lindblad(circ, ExperimentConfig.default().noise, step_scale=2)
         assert fidelity(rho1, rho2) >= 1.0 - 1e-6
 
     def test_more_dephasing_never_helps_search(self):
         # scale both Ramsey times down: 1x, 2x and 4x the base dephasing
         averages = []
         for scale in (1.0, 2.0, 4.0):
-            base = NoiseModel.default()
+            base = ExperimentConfig.default().noise
             nm = NoiseModel(
                 q1=QutritCoherence(base.q1.t1_01, base.q1.t1_12, base.q1.t2r_01 / scale, base.q1.t2r_12 / scale),
                 q2=QutritCoherence(base.q2.t1_01, base.q2.t1_12, base.q2.t2r_01 / scale, base.q2.t2r_12 / scale),
@@ -318,7 +319,7 @@ class TestProcessMatrices:
         circ = merge_streams(2, {qutrit: decompose_single("H", qutrit)})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            channel = circuit_channel(circ, NoiseModel.default())
+            channel = circuit_channel(circ, ExperimentConfig.default().noise)
         fid = process_fidelity(
             chi_matrix(reduced_qutrit_channel(channel, qutrit)),
             chi_of_unitary(logical_gate("H")),
@@ -328,7 +329,7 @@ class TestProcessMatrices:
     def test_channel_trace_preservation_on_random_inputs(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            channel = circuit_channel(both_h(), NoiseModel.default())
+            channel = circuit_channel(both_h(), ExperimentConfig.default().noise)
         rng = np.random.default_rng(37)
         for _ in range(10):
             z = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
@@ -340,6 +341,6 @@ class TestProcessMatrices:
     def test_choi_operator_positive(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            channel = circuit_channel(both_h(), NoiseModel.default())
+            channel = circuit_channel(both_h(), ExperimentConfig.default().noise)
         evals = np.linalg.eigvalsh(channel.choi())
         assert np.min(evals) >= -1e-7
