@@ -31,6 +31,10 @@ from .qutrit_core import QutritLabError
 K_C = 1.602176634e-19**2 / (2.0 * 6.62607015e-34) * 1e15 * 1e-9
 
 _REQUIRED_LABELS = [(m, n) for m in range(3) for n in range(3)] + [(3, 0), (3, 1)]
+# H's cross-parity block measures at most 9.1e-13 GHz (n_levels 6 to 10,
+# flux 0 to 0.3, max|H| up to 1154 GHz); a thousand times that means the
+# model lost the symmetry
+_PARITY_TOL_GHZ = 1e-9
 
 
 class DeviceModelError(QutritLabError, RuntimeError):
@@ -172,6 +176,15 @@ def normal_mode_transform(params: DeviceParams, decoupled: bool = False) -> Norm
     return NormalForm(u=u, c_tilde=np.ones(3), d_tilde=lam, orthogonal=orth, mode_to_node=mode_to_node)
 
 
+def _add_on_mode(h: np.ndarray, k: int, op: np.ndarray) -> None:
+    """h += op on mode k, identity on the other two modes, in place."""
+    n = op.shape[0]
+    j, l = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    others = [j, l]
+    index = tuple(others[:k] + [slice(None)] + others[k:])
+    h.reshape((n,) * 6)[index + index] += op
+
+
 def _mode_operators(nf: NormalForm, n_levels: int):
     """Per-mode flux operators and the summed charging term."""
     n = n_levels
@@ -180,24 +193,59 @@ def _mode_operators(nf: NormalForm, n_levels: int):
     charging = np.zeros((n**3, n**3))
     for k in range(3):
         lam = nf.d_tilde[k]
-        phi_k = lam**-0.25 / math.sqrt(2.0) * (ladder + ladder.T)
-        phis.append(phi_k)
+        phis.append(lam**-0.25 / math.sqrt(2.0) * (ladder + ladder.T))
         # n_tilde = i lam^(1/4) (a_dag - a)/sqrt(2), so n**2 is real:
-        nsq = -math.sqrt(lam) / 2.0 * (ladder.T - ladder) @ (ladder.T - ladder)
-        ops = [np.eye(n)] * 3
-        ops[k] = nsq
-        charging += np.kron(np.kron(ops[0], ops[1]), ops[2])
+        _add_on_mode(charging, k, -math.sqrt(lam) / 2.0 * (ladder.T - ladder) @ (ladder.T - ladder))
     return phis, charging
 
 
-def _cosine_of(weights: np.ndarray, phis: list[np.ndarray]) -> np.ndarray:
-    """cos(sum_k w_k phi_k) via single-mode spectral exponentials."""
+def _cosine_of(weights: np.ndarray, phis: list[np.ndarray], energy: float) -> np.ndarray:
+    """energy * cos(sum_k w_k phi_k) via single-mode spectral exponentials.
+
+    Each E_k = exp(i w_k phi_k) is complex symmetric because phi_k is real
+    symmetric, so the Hermitian part of E0 (x) E1 (x) E2 is its real part,
+    Re E01 (x) Re E2 - Im E01 (x) Im E2 with E01 = E0 (x) E1. That is one
+    real two-term contraction instead of a complex Kronecker product; its
+    axes come out as (E01 row, E01 column, E2 row, E2 column).
+    """
     exps = []
     for k in range(3):
         ev, evec = np.linalg.eigh(weights[k] * phis[k])
         exps.append((evec * np.exp(1j * ev)) @ evec.conj().T)
-    prod = np.kron(np.kron(exps[0], exps[1]), exps[2])
-    return np.real((prod + prod.conj().T) / 2.0)
+    e01 = np.kron(exps[0], exps[1])
+    cos = np.tensordot([e01.real, -e01.imag], [exps[2].real, exps[2].imag], axes=(0, 0))
+    cos *= energy
+    return cos
+
+
+def _hamiltonian(params: DeviceParams, nf: NormalForm, linearize: bool = False) -> np.ndarray:
+    """build_full_hamiltonian on a normal form the caller already has."""
+    if params.n_levels < 4:
+        raise TruncationError(f"n_levels = {params.n_levels} is too small (need at least 4)")
+    n = params.n_levels
+    phis, h = _mode_operators(nf, n)
+    if linearize:
+        for k in range(3):
+            _add_on_mode(h, k, nf.d_tilde[k] * (phis[k] @ phis[k]))
+        return _symmetrized(h)
+    u = nf.u
+    junctions = [
+        (params.e_j1, u[0, :] - u[2, :]),
+        (params.e_j2, u[1, :] - u[2, :]),
+        (params.coupler_energy(), u[2, :]),
+    ]
+    # (E01 row, E2 row, E01 column, E2 column) view of h
+    h4 = h.reshape(n * n, n, n * n, n)
+    for energy, weights in junctions:
+        h4 -= _cosine_of(weights, phis, energy).transpose(0, 2, 1, 3)
+    return _symmetrized(h)
+
+
+def _symmetrized(h: np.ndarray) -> np.ndarray:
+    """(h + h.T) / 2, in place."""
+    h += h.T
+    h *= 0.5
+    return h
 
 
 def build_full_hamiltonian(params: DeviceParams, linearize: bool = False) -> np.ndarray:
@@ -208,25 +256,7 @@ def build_full_hamiltonian(params: DeviceParams, linearize: bool = False) -> np.
     the reference limit for the nonlinearity. Literally zero Josephson
     energies leave free modes with no normal form and raise instead.
     """
-    if params.n_levels < 4:
-        raise TruncationError(f"n_levels = {params.n_levels} is too small (need at least 4)")
-    nf = normal_mode_transform(params)
-    phis, h = _mode_operators(nf, params.n_levels)
-    if linearize:
-        n = params.n_levels
-        for k in range(3):
-            ops = [np.eye(n)] * 3
-            ops[k] = nf.d_tilde[k] * (phis[k] @ phis[k])
-            h = h + np.kron(np.kron(ops[0], ops[1]), ops[2])
-        return (h + h.T) / 2.0
-    u = nf.u
-    junction1 = u[0, :] - u[2, :]
-    junction2 = u[1, :] - u[2, :]
-    coupler = u[2, :]
-    h = h - params.e_j1 * _cosine_of(junction1, phis)
-    h = h - params.e_j2 * _cosine_of(junction2, phis)
-    h = h - params.coupler_energy() * _cosine_of(coupler, phis)
-    return (h + h.T) / 2.0
+    return _hamiltonian(params, normal_mode_transform(params), linearize)
 
 
 _ZZ_DEFS = {
@@ -285,6 +315,12 @@ class SpectrumReport:
         return ",".join(f"{x:.9g}" for x in cells)
 
 
+def _parity_sectors(n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the even and odd total Fock parity (-1)**(n1 + n2 + n3)."""
+    parity = np.indices((n_levels,) * 3).sum(axis=0).ravel() % 2
+    return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+
+
 def _label_eigenstates(params: DeviceParams):
     """Diagonalize H and map each bare label to (energy above ground, overlap).
 
@@ -293,24 +329,38 @@ def _label_eigenstates(params: DeviceParams):
     eigh's rounding scales with from ~967 GHz to ~72 GHz at the default
     operating point. Cross-Kerr coefficients then agree between BLAS
     thread counts to about 6e-7 kHz instead of 4e-6 kHz.
+
+    The charging term and every junction cosine are even under
+    phi -> -phi, so H commutes with the total Fock parity and is
+    diagonalized one parity block at a time (two eigh of half the size,
+    as in symmetry-reduced bases of scqubits). A cross-parity entry above
+    _PARITY_TOL_GHZ means the model lost that symmetry and raises.
     """
     nf = normal_mode_transform(params)
-    h = build_full_hamiltonian(params)
+    h = _hamiltonian(params, nf)
     h[np.diag_indices_from(h)] -= np.diag(h).mean()
-    evals, evecs = np.linalg.eigh(h)
     n = params.n_levels
-    weights = np.abs(evecs) ** 2
+    even, odd = _parity_sectors(n)
+    mixing = float(np.max(np.abs(h[np.ix_(even, odd)])))
+    if mixing > _PARITY_TOL_GHZ:
+        raise DeviceModelError(f"H couples the Fock parity sectors by {mixing:.3g} GHz")
+    parts = []
+    for sector in (even, odd):
+        vals, vecs = np.linalg.eigh(h[np.ix_(sector, sector)])
+        weights = vecs**2
+        rows = np.argmax(weights, axis=0)
+        parts.append((vals, sector[rows], weights[rows, np.arange(rows.size)]))
+    evals, dominant, overlaps = (np.concatenate(x) for x in zip(*parts))
+    modes = np.unravel_index(dominant, (n, n, n))
+    occ = np.zeros((3, evals.size), dtype=int)
+    for k in range(3):
+        occ[nf.mode_to_node[k]] = modes[k]
+    # a label has one parity, so all eigenstates that compete for it come
+    # from one sector, in ascending energy as one eigh of H lists them
     found: dict[tuple[int, int, int], tuple[float, float]] = {}
-    for idx in range(evals.shape[0]):
-        j = int(np.argmax(weights[:, idx]))
-        overlap = float(weights[j, idx])
-        trip = np.unravel_index(j, (n, n, n))
-        occ = [0, 0, 0]
-        for k in range(3):
-            occ[nf.mode_to_node[k]] = int(trip[k])
-        key = (occ[0], occ[1], occ[2])
+    for key, energy, overlap in zip(zip(*occ.tolist()), (evals - evals.min()).tolist(), overlaps.tolist()):
         if key not in found or found[key][1] < overlap:
-            found[key] = (float(evals[idx] - evals[0]), overlap)
+            found[key] = (energy, overlap)
     return nf, found
 
 
@@ -325,9 +375,10 @@ def labeled_spectrum(params: DeviceParams) -> SpectrumReport:
     H is shifted by the mean of its diagonal before eigh (see
     _label_eigenstates), so the energies are exact differences of the
     eigenvalues of build_full_hamiltonian. Their numerical floor: the
-    cross-Kerr values lie within 6.4e-7 kHz of extended-precision
+    cross-Kerr values lie within 4e-7 kHz of extended-precision
     eigenvalues of the same H, and the frequencies within 2e-13 GHz,
-    for 1 or 2 BLAS threads and n_levels 6 to 10.
+    for 1 or 2 BLAS threads and n_levels 6 to 10. Rounding in the
+    assembly of H itself moves J by up to ~2e-6 kHz.
     """
     nf, found = _label_eigenstates(params)
     energies: dict[tuple[int, int], float] = {}

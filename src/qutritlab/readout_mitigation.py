@@ -40,6 +40,8 @@ class ConfusionMatrix:
         m = np.asarray(self.m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise MitigationError("confusion matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise MitigationError("entries must be finite")
         if np.min(m) < -1e-12 or np.max(m) > 1.0 + 1e-12:
             raise MitigationError("entries must lie in [0, 1]")
         col_sums = m.sum(axis=0)
@@ -170,12 +172,19 @@ def save_confusion(matrix: ConfusionMatrix, path) -> None:
 
 def load_confusion(path) -> ConfusionMatrix:
     """Read a plain-text matrix saved by save_confusion (or hand-written)."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise MitigationError(f"cannot read confusion matrix file: {exc}") from exc
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([float(x) for x in line.split()])
+        try:
+            rows.append([float(x) for x in line.split()])
+        except ValueError:
+            raise MitigationError(f"confusion matrix entry is not a number: {line!r}") from None
     if not rows:
         raise MitigationError(f"no numeric rows found in {path}")
     if len({len(r) for r in rows}) != 1:

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import qutritlab
-from qutritlab import cli_harness
+from qutritlab import cli_harness, device_hamiltonian
 from qutritlab.qutrit_core import QutritLabError
 from qutritlab.device_hamiltonian import DeviceParams, labeled_spectrum
 from qutritlab.gates_compiler import _moment_unitary
@@ -329,6 +329,21 @@ class TestCountsFile:
         assert out == ""
         assert json.loads(err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("entry", [None, "x", "nan"], ids=["missing-file", "not-a-number", "nan"])
+    def test_bad_confusion_matrix_exits_one_with_json(self, tmp_path, capsys, entry):
+        counts = tmp_path / "counts.txt"
+        counts.write_text(self.good_text())
+        matrix = tmp_path / "matrix.txt"
+        if entry is not None:
+            rows = [" ".join("1" if i == j else "0" for j in range(9)) for i in range(9)]
+            rows[0] = rows[0][:-1] + entry
+            matrix.write_text("\n".join(rows) + "\n")
+        assert main(["mitigate", "--counts", str(counts), "--matrix", str(matrix)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "MitigationError"
+
 
 class TestRunnerLookups:
     """The runners look up the circuit, sampling and mitigation functions in
@@ -346,6 +361,26 @@ class TestRunnerLookups:
         entries = sum(len(runner(config).entries) for runner in (run_dj, run_bv, run_grover))
         assert (calls["dj_circuit"], calls["bv_circuit"], calls["grover_circuit"]) == (25, 9, 18)
         assert calls["sample_counts"] == calls["mitigate_counts"] == entries == 52
+
+    def test_device_report_reuses_an_operating_point_on_the_grid(self, monkeypatch):
+        # flux_sweep looks labeled_spectrum up in device_hamiltonian, the
+        # operating point in cli_harness; count both
+        calls = Counter()
+        for module in (cli_harness, device_hamiltonian):
+            def counting(params, _original=module.labeled_spectrum):
+                calls["spectra"] += 1
+                return _original(params)
+            monkeypatch.setattr(module, "labeled_spectrum", counting)
+        config = exact_config().replace(device=DeviceParams(n_levels=6))
+        direct = labeled_spectrum(config.device)
+        for grid in ([0.1, 0.185], [0.1, 0.2]):
+            calls.clear()
+            bundle = run_device_report(config, grid)
+            assert calls["spectra"] == len(grid) + (0.185 not in grid)
+            assert bundle.summary["operating_w01_q1"] == direct.w01_q1
+            assert bundle.summary["operating_w01_q2"] == direct.w01_q2
+            assert bundle.summary["operating_j11_khz"] == direct.j11
+            assert bundle.summary["operating_coupler_ghz"] == direct.coupler_ghz
 
 
 class TestMomentCacheBundles:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qutritlab
+from qutritlab import device_hamiltonian
 from qutritlab.device_hamiltonian import (
     K_C,
     DeviceModelError,
@@ -162,6 +163,124 @@ class TestFullHamiltonian:
         # the cosine wells subtract their depth and compress the ladder
         assert full[0] + offset < harmonic[0]
         assert full[1] - full[0] < harmonic[1] - harmonic[0]
+
+
+def kron_hamiltonian(p: DeviceParams, linearize: bool = False) -> np.ndarray:
+    """H by dense Kronecker products and complex exponentials, term by term."""
+    nf = normal_mode_transform(p)
+    n = p.n_levels
+    ladder = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+
+    def on_mode(k, op):
+        ops = [np.eye(n)] * 3
+        ops[k] = op
+        return np.kron(np.kron(ops[0], ops[1]), ops[2])
+
+    phis = [lam**-0.25 / math.sqrt(2.0) * (ladder + ladder.T) for lam in nf.d_tilde]
+    h = np.zeros((n**3, n**3))
+    for k, lam in enumerate(nf.d_tilde):
+        h += on_mode(k, -math.sqrt(lam) / 2.0 * (ladder.T - ladder) @ (ladder.T - ladder))
+    if linearize:
+        for k, lam in enumerate(nf.d_tilde):
+            h = h + on_mode(k, lam * (phis[k] @ phis[k]))
+        return (h + h.T) / 2.0
+    u = nf.u
+    for energy, weights in ((p.e_j1, u[0] - u[2]), (p.e_j2, u[1] - u[2]), (p.coupler_energy(), u[2])):
+        exps = []
+        for k in range(3):
+            ev, evec = np.linalg.eigh(weights[k] * phis[k])
+            exps.append((evec * np.exp(1j * ev)) @ evec.conj().T)
+        prod = np.kron(np.kron(exps[0], exps[1]), exps[2])
+        h = h - energy * np.real((prod + prod.conj().T) / 2.0)
+    return (h + h.T) / 2.0
+
+
+class TestHamiltonianAssembly:
+    """build_full_hamiltonian adds single-mode terms in place and takes the
+    cosines as real parts; the dense Kronecker form is the reference."""
+
+    def test_linearized_equals_kron_form_exactly(self):
+        p = DeviceParams(n_levels=6)
+        assert np.array_equal(build_full_hamiltonian(p, linearize=True), kron_hamiltonian(p, linearize=True))
+
+    @pytest.mark.parametrize("n_levels", [5, 8])
+    @pytest.mark.parametrize("flux", [0.0, 0.185, 0.3])
+    def test_cosines_match_kron_form(self, n_levels, flux):
+        p = DeviceParams(n_levels=n_levels, flux=flux)
+        # entries reach ~1150 GHz, whose float64 spacing is 2.3e-13
+        assert np.max(np.abs(build_full_hamiltonian(p) - kron_hamiltonian(p))) < 1e-11
+
+
+def parity_of(n: int) -> np.ndarray:
+    return np.array([sum(np.unravel_index(i, (n, n, n))) % 2 for i in range(n**3)])
+
+
+def full_matrix_labels(params: DeviceParams):
+    """Labeling with one eigh of the whole shifted H and a per-column argmax."""
+    nf = normal_mode_transform(params)
+    h = build_full_hamiltonian(params)
+    h[np.diag_indices_from(h)] -= np.diag(h).mean()
+    evals, evecs = np.linalg.eigh(h)
+    n = params.n_levels
+    weights = np.abs(evecs) ** 2
+    found = {}
+    for idx in range(evals.shape[0]):
+        j = int(np.argmax(weights[:, idx]))
+        overlap = float(weights[j, idx])
+        trip = np.unravel_index(j, (n, n, n))
+        occ = [0, 0, 0]
+        for k in range(3):
+            occ[nf.mode_to_node[k]] = int(trip[k])
+        key = (occ[0], occ[1], occ[2])
+        if key not in found or found[key][1] < overlap:
+            found[key] = (float(evals[idx] - evals[0]), overlap)
+    return nf, found
+
+
+class TestParitySectors:
+    """labeled_spectrum diagonalizes H one total-Fock-parity block at a time."""
+
+    @pytest.mark.parametrize("n_levels", [6, 8, 10])
+    @pytest.mark.parametrize("flux", [0.0, 0.185, 0.3])
+    def test_cross_parity_block_vanishes(self, n_levels, flux):
+        h = build_full_hamiltonian(DeviceParams(n_levels=n_levels, flux=flux))
+        parity = parity_of(n_levels)
+        assert np.max(np.abs(h[np.ix_(parity == 0, parity == 1)])) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "n_levels, fluxes",
+        [(8, np.linspace(0.0, 0.3, 13)), (6, [0.185]), (10, [0.185])],
+        ids=["sweep-n8", "operating-n6", "operating-n10"],
+    )
+    def test_matches_full_matrix_labeler(self, monkeypatch, n_levels, fluxes):
+        for flux in fluxes:
+            p = DeviceParams(n_levels=n_levels, flux=float(flux))
+            assert set(device_hamiltonian._label_eigenstates(p)[1]) == set(full_matrix_labels(p)[1])
+            sectors = labeled_spectrum(p)
+            with monkeypatch.context() as patch:
+                patch.setattr(device_hamiltonian, "_label_eigenstates", full_matrix_labels)
+                full = labeled_spectrum(p)
+            assert set(sectors.energies) == set(full.energies)
+            assert sectors.j_values() == pytest.approx(full.j_values(), abs=J_TOL_KHZ)
+            assert sectors.zz == pytest.approx(full.zz, abs=J_TOL_KHZ)
+            freqs = ("w01_q1", "w12_q1", "w01_q2", "w12_q2")
+            assert [getattr(sectors, f) for f in freqs] == pytest.approx(
+                [getattr(full, f) for f in freqs], abs=1e-9
+            )
+            assert sectors.min_overlap == pytest.approx(full.min_overlap, abs=1e-9)
+
+    def test_broken_parity_symmetry_raises(self, monkeypatch):
+        original = device_hamiltonian._hamiltonian
+
+        def mixed(*args, **kwargs):
+            h = original(*args, **kwargs)
+            # basis states 0 = |000> and 1 = |001> have opposite parity
+            h[0, 1] = h[1, 0] = 1e-6
+            return h
+
+        monkeypatch.setattr(device_hamiltonian, "_hamiltonian", mixed)
+        with pytest.raises(DeviceModelError, match="parity"):
+            labeled_spectrum(DeviceParams(n_levels=6))
 
 
 # Cross-Kerr values at the operating point, in kHz: exact eigenvalues of
