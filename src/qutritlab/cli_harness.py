@@ -81,10 +81,14 @@ class ConfigError(QutritLabError, ValueError):
     """A configuration value is missing, unknown or inconsistent."""
 
 
+# libyaml's safe loader where present; it builds the same values as the pure one
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 @functools.cache
 def _defaults() -> dict:
     """The packaged default profile, parsed once per process; never mutate it."""
-    return yaml.safe_load(resources.files(__package__).joinpath("default_config.yaml").read_text())
+    return yaml.load(resources.files(__package__).joinpath("default_config.yaml").read_text(), _YAML_LOADER)
 
 
 # keys whose value may be null; every other key keeps the type of its default
@@ -92,7 +96,11 @@ _NULLABLE = ("shots", "seed", "out_dir")
 
 
 def _check_leaf(value, default, path: str):
-    """An override that has the type of the packaged default it replaces."""
+    """An override converted to the type of the packaged default it replaces.
+
+    The conversion makes 2 and 2.0 resolve, and hash, alike. No number may
+    be nan, and only coherence times may be infinite (no decay).
+    """
     if value is None and path in _NULLABLE:
         return value
     if isinstance(default, bool):
@@ -105,7 +113,15 @@ def _check_leaf(value, default, path: str):
         ok, kind = isinstance(value, str), "a string"
     if not ok:
         raise ConfigError(f"{path!r} must be {kind}, got {value!r}")
-    return value
+    if not isinstance(default, float):
+        return int(value) if type(default) is int else value
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path!r} is out of range, got {value!r}") from None
+    if math.isnan(number) or (math.isinf(number) and not path.startswith("coherence.")):
+        raise ConfigError(f"{path!r} must be a finite number, got {value!r}")
+    return number
 
 
 def _merge_over(base: dict, override: dict, prefix: str = "") -> dict:
@@ -129,13 +145,13 @@ class ExperimentConfig:
 
     noise: NoiseModel
     device: DeviceParams
-    shots: int | None = 20000
-    seed: int | None = 7
-    noisy: bool = False
-    mitigate: bool = False
-    readout_diagonal: float = 0.85
-    step_scale: int = 1
-    out_dir: str | None = None
+    shots: int | None
+    seed: int | None
+    noisy: bool
+    mitigate: bool
+    readout_diagonal: float
+    step_scale: int
+    out_dir: str | None
 
     def __post_init__(self):
         if self.shots is not None and int(self.shots) < 1:
@@ -145,6 +161,8 @@ class ExperimentConfig:
                 raise ConfigError("mitigation needs shots >= 81 so the count floor stays feasible")
         if self.shots is not None and self.seed is None:
             raise ConfigError("sampled runs need an explicit seed")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.readout_diagonal <= 1.0:
             raise ConfigError("readout diagonal must lie in (0, 1]")
         if int(self.step_scale) < 1:
@@ -153,25 +171,12 @@ class ExperimentConfig:
     @classmethod
     def from_mapping(cls, mapping: dict | None) -> "ExperimentConfig":
         resolved = _merge_over(_defaults(), mapping or {})
-        coh = resolved["coherence"]
+        coh = resolved.pop("coherence")
         noise = NoiseModel(
-            q1=QutritCoherence(**coh["q1"]),
-            q2=QutritCoherence(**coh["q2"]),
-            **{name: float(j) for name, j in resolved["coupling_khz"].items()},
+            q1=QutritCoherence(**coh["q1"]), q2=QutritCoherence(**coh["q2"]), **resolved.pop("coupling_khz")
         )
-        shots = resolved["shots"]
-        seed = resolved["seed"]
-        return cls(
-            noise=noise,
-            device=DeviceParams(**resolved["device"]),
-            shots=None if shots is None else int(shots),
-            seed=None if seed is None else int(seed),
-            noisy=resolved["noisy"],
-            mitigate=resolved["mitigate"],
-            readout_diagonal=float(resolved["readout"]["diagonal"]),
-            step_scale=int(resolved["step_scale"]),
-            out_dir=resolved["out_dir"],
-        )
+        return cls(noise=noise, device=DeviceParams(**resolved.pop("device")),
+                   readout_diagonal=resolved.pop("readout")["diagonal"], **resolved)
 
     @classmethod
     def default(cls) -> "ExperimentConfig":
@@ -184,12 +189,10 @@ class ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read configuration file: {exc}") from exc
         try:
-            data = yaml.safe_load(text)
+            data = yaml.load(text, _YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"malformed configuration file: {exc}") from exc
-        if data is None:
-            data = {}
-        if not isinstance(data, dict):
+        if data is not None and not isinstance(data, dict):
             raise ConfigError("configuration root must be a mapping")
         return cls.from_mapping(data)
 

@@ -29,9 +29,9 @@ from .qutrit_core import (
     PureState,
     QutritLabError,
     StateValidationError,
-    partial_trace,
+    _coerce_state,
 )
-from .gates_compiler import Circuit, embed_operator, moment_unitary
+from .gates_compiler import Circuit, moment_unitary
 
 DIM2 = DIM * DIM
 
@@ -97,18 +97,14 @@ def dephasing_rates(coh: QutritCoherence) -> tuple[float, float]:
 
 def _single_qutrit_collapse_ops(coh: QutritCoherence) -> list[np.ndarray]:
     ops = []
-    if math.isfinite(coh.t1_01):
-        relax = np.zeros((DIM, DIM), dtype=complex)
-        relax[0, 1] = math.sqrt(1.0 / coh.t1_01)
-        ops.append(relax)
-    if math.isfinite(coh.t1_12):
-        relax = np.zeros((DIM, DIM), dtype=complex)
-        relax[1, 2] = math.sqrt(1.0 / coh.t1_12)
-        ops.append(relax)
+    for lower, t1 in ((0, coh.t1_01), (1, coh.t1_12)):
+        if math.isfinite(t1):
+            relax = np.zeros((DIM, DIM), dtype=complex)
+            relax[lower, lower + 1] = math.sqrt(1.0 / t1)
+            ops.append(relax)
     gamma_a, gamma_b = dephasing_rates(coh)
     if gamma_a < -1e-12:
         warnings.warn(f"negative 01 dephasing rate {gamma_a:.4g}/us clamped to zero")
-        gamma_a = 0.0
     gamma_a = max(gamma_a, 0.0)
     if gamma_b >= -1e-12:
         gamma_b = max(gamma_b, 0.0)
@@ -136,39 +132,19 @@ def _single_qutrit_collapse_ops(coh: QutritCoherence) -> list[np.ndarray]:
 def build_collapse_ops(noise: NoiseModel) -> list[np.ndarray]:
     """Collapse operators of the pair, embedded to 9x9, amplitudes in 1/sqrt(us)."""
     eye = np.eye(DIM, dtype=complex)
-    ops = []
-    for op in _single_qutrit_collapse_ops(noise.q1):
-        ops.append(np.kron(op, eye))
-    for op in _single_qutrit_collapse_ops(noise.q2):
-        ops.append(np.kron(eye, op))
-    return ops
+    return ([np.kron(op, eye) for op in _single_qutrit_collapse_ops(noise.q1)]
+            + [np.kron(eye, op) for op in _single_qutrit_collapse_ops(noise.q2)])
 
 
 def idle_hamiltonian(noise: NoiseModel) -> np.ndarray:
     """Diagonal always-on coupling Hamiltonian of the pair, in rad/us."""
-    diag = np.zeros(DIM2)
-    for m in range(DIM):
-        for n in range(DIM):
-            poly = (
-                noise.j11 * m * n
-                + noise.j21 * m * m * n
-                + noise.j12 * m * n * n
-                + noise.j22 * m * m * n * n
-            )
-            diag[m * DIM + n] = 2.0 * math.pi * 1e-3 * poly
-    return np.diag(diag).astype(complex)
+    m, n = np.indices((DIM, DIM))
+    poly = noise.j11 * m * n + noise.j21 * m * m * n + noise.j12 * m * n * n + noise.j22 * m * m * n * n
+    return np.diag(2.0 * math.pi * 1e-3 * poly.reshape(-1)).astype(complex)
 
 
 # ---------------------------------------------------------------------------
 # Lindblad propagation
-
-def _vec(rho: np.ndarray) -> np.ndarray:
-    return rho.reshape(-1)
-
-
-def _unvec(v: np.ndarray) -> np.ndarray:
-    return v.reshape(DIM2, DIM2)
-
 
 def lindblad_generator(noise: NoiseModel) -> np.ndarray:
     """81x81 generator acting on the row-major vectorized density matrix."""
@@ -220,7 +196,7 @@ class LindbladEngine:
     def evolve(self, rho: np.ndarray, duration_ns: float) -> np.ndarray:
         if duration_ns <= 0.0:
             return rho
-        out = _unvec(self.propagator(duration_ns) @ _vec(rho))
+        out = (self.propagator(duration_ns) @ rho.reshape(-1)).reshape(rho.shape)
         return (out + out.conj().T) / 2.0
 
     def calibrated_moment_unitary(self, moment, n_qutrits: int, duration_ns: float) -> np.ndarray:
@@ -252,14 +228,10 @@ def _initial_rho(initial, dim: int) -> np.ndarray:
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
         return rho
-    if isinstance(initial, PureState):
-        return initial.density().matrix.copy()
-    if isinstance(initial, DensityMatrix):
-        return initial.matrix.copy()
-    arr = np.asarray(initial, dtype=complex)
-    if arr.ndim == 1:
-        return np.outer(arr, arr.conj())
-    return arr
+    state = _coerce_state(initial)
+    if state.dim != dim:
+        raise StateValidationError("initial state size does not match the register")
+    return state.density().matrix if isinstance(state, PureState) else state.matrix.copy()
 
 
 def simulate_lindblad(
@@ -273,10 +245,13 @@ def simulate_lindblad(
 
     Returns the final density matrix. Raises SimulationError when the
     integration drifts off trace one by more than 1e-6 or produces an
-    eigenvalue below -1e-6.
+    eigenvalue below -1e-6, or when a passed engine was built for another
+    noise model or step_scale.
     """
     if engine is None:
         engine = LindbladEngine(noise, step_scale)
+    elif engine.noise != noise or engine.step_scale != step_scale:
+        raise SimulationError("the engine was built for a different noise model or step_scale")
     rho = _initial_rho(initial, DIM**circuit.n_qutrits)
     rho = engine.run(circuit, rho)
     rho = (rho + rho.conj().T) / 2.0
@@ -293,8 +268,7 @@ def simulate_lindblad(
 def evolve_idle(noise: NoiseModel, initial, duration_ns: float, step_scale: int = 1) -> DensityMatrix:
     """Free evolution of the pair for a fixed time, no pulses."""
     engine = LindbladEngine(noise, step_scale)
-    rho = engine.evolve(_initial_rho(initial, DIM2), float(duration_ns))
-    return DensityMatrix((rho + rho.conj().T) / 2.0)
+    return DensityMatrix(engine.evolve(_initial_rho(initial, DIM2), float(duration_ns)))
 
 
 def ramsey_coherence_time(noise: NoiseModel, qutrit: int, transition: str, delay_us: float = 1.0) -> float:
@@ -324,26 +298,6 @@ def ramsey_coherence_time(noise: NoiseModel, qutrit: int, transition: str, delay
 # ---------------------------------------------------------------------------
 # Ideal evolution, measurement, sampling
 
-def apply_unitary(state, u: np.ndarray, targets: tuple[int, ...], n_qutrits: int | None = None):
-    """Apply a unitary on the given qutrits of a pure or mixed state."""
-    u = np.asarray(u, dtype=complex)
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-10:
-        raise ChannelError("operator is not unitary within 1e-10")
-    if isinstance(state, PureState):
-        full = embed_operator(u, tuple(targets), state.n_qutrits)
-        return PureState(full @ state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        full = embed_operator(u, tuple(targets), state.n_qutrits)
-        return DensityMatrix(full @ state.matrix @ full.conj().T)
-    arr = np.asarray(state, dtype=complex)
-    if n_qutrits is None:
-        raise StateValidationError("raw arrays need an explicit register size")
-    full = embed_operator(u, tuple(targets), n_qutrits)
-    if arr.ndim == 1:
-        return full @ arr
-    return full @ arr @ full.conj().T
-
-
 def simulate_pure(circuit: Circuit, initial: PureState | None = None) -> PureState:
     """Noiseless evolution of a circuit on a state vector."""
     dim = DIM**circuit.n_qutrits
@@ -361,14 +315,8 @@ def simulate_pure(circuit: Circuit, initial: PureState | None = None) -> PureSta
 
 def measure_probs(state) -> ProbDist:
     """Computational-basis outcome distribution of a state."""
-    if isinstance(state, PureState):
-        return state.probabilities()
-    if isinstance(state, DensityMatrix):
-        return state.diagonal_probs()
-    arr = np.asarray(state)
-    if arr.ndim == 1:
-        return PureState(arr.astype(complex)).probabilities()
-    return DensityMatrix(arr.astype(complex)).diagonal_probs()
+    state = _coerce_state(state)
+    return state.probabilities() if isinstance(state, PureState) else state.diagonal_probs()
 
 
 def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
@@ -428,22 +376,9 @@ class QuantumChannel:
             raise ChannelError("operator is not unitary within 1e-10")
         return cls(np.kron(u, u.conj()), u.shape[0])
 
-    @classmethod
-    def from_matrix_unit_images(cls, images: list[np.ndarray]) -> "QuantumChannel":
-        d = int(round(math.sqrt(len(images))))
-        if d * d != len(images):
-            raise ChannelError("need d*d matrix-unit images")
-        s = np.zeros((d * d, d * d), dtype=complex)
-        for col, img in enumerate(images):
-            s[:, col] = np.asarray(img, dtype=complex).reshape(-1)
-        return cls(s, d)
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
         return (self.superop @ rho.reshape(-1)).reshape(self.dim, self.dim)
-
-    def matrix_unit_image(self, k: int, l: int) -> np.ndarray:
-        return self.superop[:, k * self.dim + l].reshape(self.dim, self.dim)
 
     def choi(self) -> np.ndarray:
         d = self.dim
@@ -473,18 +408,14 @@ def circuit_channel(circuit: Circuit, noise: NoiseModel, step_scale: int = 1) ->
 
 def reduced_qutrit_channel(channel: QuantumChannel, qutrit: int) -> QuantumChannel:
     """Single-qutrit channel seen by one qutrit, the other starting in |0>."""
-    if channel.dim != DIM2:
-        raise ChannelError("reduction expects a two-qutrit channel")
-    ground = np.zeros((DIM, DIM), dtype=complex)
-    ground[0, 0] = 1.0
-    images = []
-    for k in range(DIM):
-        for l in range(DIM):
-            unit = np.zeros((DIM, DIM), dtype=complex)
-            unit[k, l] = 1.0
-            rho_in = np.kron(unit, ground) if qutrit == 0 else np.kron(ground, unit)
-            images.append(partial_trace(channel.apply(rho_in), keep=qutrit, n_qutrits=2))
-    return QuantumChannel.from_matrix_unit_images(images)
+    if channel.dim != DIM2 or qutrit not in (0, 1):
+        raise ChannelError("reduction expects a two-qutrit channel and qutrit 0 or 1")
+    # axes: output ket, output bra, input ket, input bra, each as (q1, q2)
+    s = channel.superop.reshape((DIM,) * 8)
+    if qutrit == 1:
+        s = s.transpose(1, 0, 3, 2, 5, 4, 7, 6)
+    # the other qutrit enters as |0><0| and its output is traced out
+    return QuantumChannel(np.trace(s[..., 0, :, 0], axis1=1, axis2=3).reshape(DIM2, DIM2), DIM)
 
 
 def chi_matrix(channel: QuantumChannel, tol: float = 1e-6) -> ProcessMatrix:
@@ -515,5 +446,4 @@ def process_fidelity(chi_a: ProcessMatrix, chi_b: ProcessMatrix) -> float:
     """
     if chi_a.matrix.shape != chi_b.matrix.shape:
         raise ChannelError("process matrices have different shapes")
-    val = float(np.real(np.trace(chi_a.normalized() @ chi_b.normalized())))
-    return val
+    return float(np.real(np.trace(chi_a.normalized() @ chi_b.normalized())))

@@ -90,6 +90,38 @@ class TestConfig:
         ExperimentConfig.from_mapping({"coherence": {"q1": {"t1_01": 1.0}}, "device": {"flux": 0.2}})
         assert cli_harness._defaults() is cli_harness._defaults()
         assert cli_harness._defaults() == before
+        packaged = Path(qutritlab.__file__).parent / "default_config.yaml"
+        assert before == yaml.safe_load(packaged.read_text())
+
+    @pytest.mark.parametrize("as_int, as_float", [
+        ({"c_q12": 2}, {"c_q12": 2.0}),
+        ({"flux": 0}, {"flux": 0.0}),
+    ], ids=["c_q12", "flux"])
+    def test_integer_written_for_a_number_is_that_number(self, as_int, as_float):
+        a = ExperimentConfig.from_mapping({"device": as_int})
+        b = ExperimentConfig.from_mapping({"device": as_float})
+        assert a.config_hash() == b.config_hash()
+        assert run_device_report(a, [0.1]).to_json() == run_device_report(b, [0.1]).to_json()
+
+    @pytest.mark.parametrize("mapping, key", [
+        ({"device": {"flux": math.nan}}, "device.flux"),
+        ({"device": {"e_j1": math.inf}}, "device.e_j1"),
+        ({"coupling_khz": {"j11": math.inf}}, "coupling_khz.j11"),
+        ({"coupling_khz": {"j11": math.nan}}, "coupling_khz.j11"),
+        ({"readout": {"diagonal": -math.inf}}, "readout.diagonal"),
+        ({"coherence": {"q2": {"t2r_12": math.nan}}}, "coherence.q2.t2r_12"),
+        ({"device": {"flux": 10**400}}, "device.flux"),
+    ], ids=["flux-nan", "e_j1-inf", "j11-inf", "j11-nan", "diagonal-minus-inf", "coherence-nan", "flux-overflow"])
+    def test_non_finite_numbers_name_the_key(self, mapping, key):
+        with pytest.raises(ConfigError, match=re.escape(repr(key))):
+            ExperimentConfig.from_mapping(mapping)
+
+    def test_infinite_coherence_time_means_no_decay(self, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_text("coherence: {q1: {t1_01: .inf}}\n")
+        assert ExperimentConfig.from_yaml(path).noise.q1.t1_01 == math.inf
+        assert main(["sim", "dj", "--noisy", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["constant_avg"] > 0.5
 
     @pytest.mark.parametrize("mapping, key", [
         ({"shots": "abc"}, "shots"),
@@ -121,6 +153,11 @@ class TestConfig:
         nonmap.write_text("- 1\n- 2\n")
         with pytest.raises(ConfigError):
             ExperimentConfig.from_yaml(nonmap)
+        unsafe = tmp_path / "unsafe.yaml"
+        unsafe.write_text("shots: !!python/object:collections.OrderedDict {}\n")
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_yaml(unsafe)
+        assert isinstance(exc.value.__cause__, yaml.constructor.ConstructorError)
 
     def test_validation(self):
         base = ExperimentConfig.default()
@@ -464,6 +501,17 @@ class TestMain:
         corrected = doc["corrected"]
         assert max(corrected, key=corrected.get) == "22"
         assert corrected["22"] > observed[8]
+
+    @pytest.mark.parametrize("algorithm", ["dj", "bv", "grover"])
+    def test_negative_seed_exits_one_with_json(self, tmp_path, capsys, algorithm):
+        config = tmp_path / "run.yaml"
+        config.write_text("seed: -3\n")
+        for flags in (["--shots", "100", "--seed", "-1"], ["--config", str(config)]):
+            assert main(["sim", algorithm, *flags]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"] == "ConfigError"
 
     def test_domain_errors_exit_one_with_json(self, tmp_path, capsys):
         code = main(["sim", "dj", "--config", str(tmp_path / "missing.yaml")])

@@ -7,12 +7,23 @@ import warnings
 import numpy as np
 import pytest
 
-from qutritlab.qutrit_core import DIM, BasisLabel, ProbDist, PureState, StateValidationError, fidelity, tensor
+from qutritlab.qutrit_core import (
+    DIM,
+    BasisLabel,
+    DensityMatrix,
+    ProbDist,
+    PureState,
+    StateValidationError,
+    fidelity,
+    partial_trace,
+    tensor,
+)
 from qutritlab.gates_compiler import (
     Circuit,
     compile_cphase,
     circuit_unitary,
     decompose_single,
+    embed_operator,
     logical_gate,
     merge_streams,
     moments_of,
@@ -21,11 +32,11 @@ from qutritlab.gates_compiler import (
 )
 from qutritlab.cli_harness import ExperimentConfig
 from qutritlab.noise_sim import (
+    ChannelError,
     LindbladEngine,
     NoiseModel,
     QutritCoherence,
     SimulationError,
-    apply_unitary,
     build_collapse_ops,
     chi_matrix,
     chi_of_unitary,
@@ -136,26 +147,27 @@ class TestIdleHamiltonian:
 
 
 class TestApplyUnitary:
+    """Gates act on states through their register embedding."""
+
     def test_identity_leaves_state(self):
         psi = uniform_pair()
-        out = apply_unitary(psi, np.eye(3), (0,), 2)
+        out = PureState(embed_operator(np.eye(3), (0,), 2) @ psi.amplitudes)
         assert np.allclose(out.amplitudes, psi.amplitudes)
 
     def test_fanout_builds_uniform_state(self):
-        ground = PureState(np.eye(9, dtype=complex)[0])
         h = logical_gate("H")
-        out = apply_unitary(apply_unitary(ground, h, (0,), 2), h, (1,), 2)
-        assert np.allclose(out.amplitudes, np.full(9, 1.0 / 3.0))
+        out = embed_operator(h, (1,), 2) @ embed_operator(h, (0,), 2) @ np.eye(9, dtype=complex)[0]
+        assert np.allclose(out, np.full(9, 1.0 / 3.0))
 
     def test_compiled_conditional_phase_negates_target(self):
         u = circuit_unitary(compile_cphase(math.pi, "22"))
-        out = apply_unitary(uniform_pair(), u, (0, 1), 2)
-        assert out.amplitudes[8] == pytest.approx(-1.0 / 3.0)
-        assert np.allclose(out.amplitudes[:8], np.full(8, 1.0 / 3.0))
+        out = embed_operator(u, (0, 1), 2) @ uniform_pair().amplitudes
+        assert out[8] == pytest.approx(-1.0 / 3.0)
+        assert np.allclose(out[:8], np.full(8, 1.0 / 3.0))
 
     def test_overlapping_targets_rejected(self):
         with pytest.raises(Exception):
-            apply_unitary(uniform_pair(), np.eye(9), (0, 0), 2)
+            embed_operator(np.eye(9), (0, 0), 2)
 
 
 class TestPureBackend:
@@ -204,6 +216,16 @@ class TestMeasureAndSample:
         sigma = math.sqrt(20000 * (1 / 9) * (8 / 9))
         assert counts.sum() == 20000
         assert np.all(np.abs(counts - 20000 / 9) < 5 * sigma)
+
+    def test_raw_vector_and_matrix_accepted(self):
+        amps = uniform_pair().amplitudes
+        assert np.array_equal(measure_probs(amps).probs, measure_probs(uniform_pair()).probs)
+        rho = np.outer(amps, amps.conj())
+        assert np.array_equal(measure_probs(rho).probs, measure_probs(DensityMatrix(rho)).probs)
+
+    def test_raw_three_axis_array_rejected(self):
+        with pytest.raises(StateValidationError):
+            measure_probs(np.zeros((9, 9, 1), dtype=complex))
 
     def test_seed_reproducibility(self):
         probs = measure_probs(uniform_pair())
@@ -270,8 +292,50 @@ class TestLindbladBackend:
         with pytest.raises(SimulationError):
             simulate_lindblad(circ, NoiseModel.none())
 
+    def test_single_qutrit_initial_state_rejected(self):
+        one = PureState.basis("1")
+        with pytest.raises(StateValidationError):
+            simulate_lindblad(dj_circuit(DJOracle("Z", "X")), NoiseModel.none(), initial=one)
+        with pytest.raises(StateValidationError):
+            evolve_idle(NoiseModel.none(), one.density(), 100.0)
+
+    def test_engine_of_another_noise_model_rejected(self, default_engine):
+        circ = dj_circuit(DJOracle("Z", "X"))
+        with pytest.raises(SimulationError):
+            simulate_lindblad(circ, NoiseModel.none(), engine=default_engine)
+        with pytest.raises(SimulationError):
+            simulate_lindblad(circ, default_engine.noise, step_scale=2, engine=default_engine)
+
+
+def matrix_unit_reduction(channel, qutrit: int) -> np.ndarray:
+    """Reference reduced superoperator: push each |k><l| (other qutrit in
+    |0><0|) through the pair channel and trace the other qutrit out."""
+    ground = np.zeros((DIM, DIM), dtype=complex)
+    ground[0, 0] = 1.0
+    s = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
+    for k in range(DIM):
+        for l in range(DIM):
+            unit = np.zeros((DIM, DIM), dtype=complex)
+            unit[k, l] = 1.0
+            rho_in = np.kron(unit, ground) if qutrit == 0 else np.kron(ground, unit)
+            s[:, k * DIM + l] = partial_trace(channel.apply(rho_in), keep=qutrit, n_qutrits=2).reshape(-1)
+    return s
+
 
 class TestProcessMatrices:
+    @pytest.mark.parametrize("gate", ["I", "X", "Xsq", "Z", "Zsq", "H", "Hdag"])
+    def test_reduced_channel_matches_matrix_unit_images(self, gate):
+        for qutrit in (0, 1):
+            circ = merge_streams(2, {qutrit: decompose_single(gate, qutrit)})
+            channel = circuit_channel(circ, ExperimentConfig.default().noise)
+            reduced = reduced_qutrit_channel(channel, qutrit)
+            assert reduced.dim == DIM
+            assert np.array_equal(reduced.superop, matrix_unit_reduction(channel, qutrit))
+
+    def test_reduction_needs_qutrit_zero_or_one(self):
+        with pytest.raises(ChannelError):
+            reduced_qutrit_channel(circuit_channel(both_h(), NoiseModel.none()), 2)
+
     def test_identity_channel_rank_one(self):
         chi = chi_of_unitary(np.eye(3))
         evals = np.linalg.eigvalsh(chi.matrix)
