@@ -7,6 +7,7 @@ counts and total durations reflect what the hardware would execute.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -146,11 +147,13 @@ def balanced_oracle_table() -> list[tuple[DJOracle, str]]:
     return table
 
 
+@functools.cache
 def dj_circuit(oracle: DJOracle) -> Circuit:
     """Single-query constant-vs-balanced test, no ancilla.
 
     Both qutrits are fanned out with H, the oracle product acts, and the
-    inverse fan-in maps constant oracles back onto |00>.
+    inverse fan-in maps constant oracles back onto |00>. Built once per
+    oracle; the circuit is immutable.
     """
     return _both("H", "H").then(_both(oracle.w1, oracle.w2)).then(_both("Hdag", "Hdag"))
 
@@ -181,13 +184,15 @@ def bv_decode(dist: ProbDist) -> tuple[int, int]:
     return label.digits
 
 
+@functools.cache
 def grover_circuit(spec: GroverSpec) -> Circuit:
     """Amplitude amplification on 9 states.
 
     Each round applies the conditional-phase oracle on the target, then
     the diffusion reflection: inverse fan-out, conditional phase on |00>,
     fan-out. Both conditional phases run through the compiled ladder, so
-    circuit depth matches the physical implementation.
+    circuit depth matches the physical implementation. Built once per
+    spec; the circuit is immutable.
     """
     circ = _both("H", "H")
     for _ in range(spec.iterations):

@@ -37,7 +37,6 @@ from .gates_compiler import (
     single_qutrit_circuit,
 )
 from .noise_sim import (
-    LindbladEngine,
     NoiseModel,
     QutritCoherence,
     chi_matrix,
@@ -93,6 +92,9 @@ def _defaults() -> dict:
 
 # keys whose value may be null; every other key keeps the type of its default
 _NULLABLE = ("shots", "seed", "out_dir")
+
+# numpy's int64 maximum: the multinomial sampler overflows at 2**63 shots
+_MAX_SHOTS = 2**63 - 1
 
 
 def _check_leaf(value, default, path: str):
@@ -156,6 +158,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.shots is not None and int(self.shots) < 1:
             raise ConfigError(f"shots must be positive, got {self.shots}")
+        if self.shots is not None and int(self.shots) > _MAX_SHOTS:
+            raise ConfigError(f"shots must be at most 2**63 - 1, got {self.shots}")
         if self.mitigate:
             if self.shots is None or self.shots < (DIM * DIM) ** 2:
                 raise ConfigError("mitigation needs shots >= 81 so the count floor stays feasible")
@@ -278,12 +282,11 @@ def _run_cases(config: ExperimentConfig, cases) -> list[dict]:
     success probability, taken of the exact distribution and, when
     mitigating, of the mitigated one. Sampling uses seed + seed_offset.
     """
-    engine = LindbladEngine(config.noise, config.step_scale) if config.noisy else None
     matrix = synthetic_confusion(DIM * DIM, config.readout_diagonal) if config.mitigate else None
     entries = []
     for circ, fields, score, seed_offset in cases:
         if config.noisy:
-            dist = measure_probs(simulate_lindblad(circ, config.noise, step_scale=config.step_scale, engine=engine))
+            dist = measure_probs(simulate_lindblad(circ, config.noise, step_scale=config.step_scale))
         else:
             dist = measure_probs(simulate_pure(circ))
         entry = fields(dist)
@@ -464,6 +467,8 @@ def run_process_tomo(config: ExperimentConfig, gate: str, qutrit: int) -> Result
 
 def compile_report(theta: float, target: str) -> dict:
     """Compile one conditional phase and verify it against the ideal matrix."""
+    if not math.isfinite(theta):
+        raise ConfigError(f"theta must be a finite angle, got {theta}")
     circ = compile_cphase(theta, target)
     pi_pulses = sum(
         1 for i in circ.instructions()
@@ -623,6 +628,8 @@ def _dispatch(args) -> int:
         config = _config_from_args(args)
         if args.steps < 1:
             raise ConfigError("steps must be at least 1")
+        if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+            raise ConfigError(f"--from and --to must be finite, got {args.start} and {args.stop}")
         grid = np.linspace(args.start, args.stop, args.steps)
         _emit_bundle(run_device_report(config, grid), config)
         return 0

@@ -2,9 +2,13 @@
 subcommand dispatch, on-disk outputs and byte-level determinism."""
 
 import copy
+import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -13,11 +17,12 @@ import pytest
 import yaml
 
 import qutritlab
-from qutritlab import cli_harness, device_hamiltonian
-from qutritlab.qutrit_core import QutritLabError
+from qutritlab import algorithms, cli_harness, device_hamiltonian, noise_sim
+from qutritlab.qutrit_core import BasisLabel, QutritLabError
+from qutritlab.algorithms import BVString, DJOracle, GroverSpec, bv_circuit, dj_circuit, grover_circuit
 from qutritlab.device_hamiltonian import DeviceParams, labeled_spectrum
-from qutritlab.gates_compiler import _moment_unitary
-from qutritlab.noise_sim import sample_counts
+from qutritlab.gates_compiler import _moment_unitary, moment_unitary
+from qutritlab.noise_sim import sample_counts, simulate_lindblad
 from qutritlab.readout_mitigation import save_confusion, synthetic_confusion
 from qutritlab.cli_harness import (
     ConfigError,
@@ -158,6 +163,22 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_yaml(unsafe)
         assert isinstance(exc.value.__cause__, yaml.constructor.ConstructorError)
+
+    def test_shots_bounded_by_the_sampler_limit(self, tmp_path, capsys):
+        # numpy's multinomial takes int64 counts: 2**63 - 1 shots sample,
+        # one more used to end in a raw OverflowError
+        limit = 2**63 - 1
+        assert exact_config().replace(shots=limit, seed=1).shots == limit
+        with pytest.raises(ConfigError, match="shots"):
+            exact_config().replace(shots=limit + 1, seed=1)
+        config = tmp_path / "run.yaml"
+        config.write_text("shots: 99999999999999999999\nseed: 1\n")
+        for flags in (["--shots", "99999999999999999999", "--seed", "1"], ["--config", str(config)]):
+            assert main(["sim", "dj", *flags]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"] == "ConfigError"
 
     def test_validation(self):
         base = ExperimentConfig.default()
@@ -320,6 +341,17 @@ class TestCompileReport:
         assert report["matches_ideal"] is True
         assert "CPhaseNative" in report["circuit_text"]
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_exits_one_with_json(self, capsys, theta):
+        with pytest.raises(ConfigError, match="theta"):
+            compile_report(float(theta), "22")
+        # "=" keeps argparse from reading "-inf" as a flag
+        assert main(["compile", "cphase", f"--theta={theta}", "--target", "22"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
+
 
 class TestCountsFile:
     def good_text(self):
@@ -437,6 +469,106 @@ class TestMomentCacheBundles:
         assert cold == warm
 
 
+class TestNoisyPathReuse:
+    """One Lindblad engine per noise model, one calibration phase per
+    duration and one circuit per spec, with every bundle byte-identical."""
+
+    @pytest.mark.parametrize("runner", [run_dj, run_bv, run_grover], ids=["dj", "bv", "grover"])
+    def test_cold_and_warm_noisy_bundles_agree(self, runner):
+        config = exact_config().replace(noisy=True, mitigate=True, shots=2000, seed=11)
+        for cached in (noise_sim._engine, algorithms.dj_circuit, algorithms.grover_circuit, _moment_unitary):
+            cached.cache_clear()
+        cold = runner(config).to_json()
+        assert noise_sim._engine.cache_info().misses == 1
+        warm = runner(config).to_json()
+        assert noise_sim._engine.cache_info().misses == 1
+        assert cold == warm
+
+    def test_same_noise_builds_no_second_propagator(self):
+        noise = ExperimentConfig.default().noise
+        circ = dj_circuit(DJOracle("X", "Z"))
+        noise_sim._engine.cache_clear()
+        first = simulate_lindblad(circ, noise)
+        engine = noise_sim._engine(noise, 1)
+        built = len(engine._cache)
+        assert built > 0
+        second = simulate_lindblad(circ, noise)
+        assert noise_sim._engine(noise, 1) is engine
+        assert len(engine._cache) == built
+        assert first.matrix.tobytes() == second.matrix.tobytes()
+
+    def test_one_engine_slot_keyed_by_noise_and_step_scale(self):
+        noise = ExperimentConfig.default().noise
+        other = dataclasses.replace(noise, j11=noise.j11 + 1.0)
+        circ = dj_circuit(DJOracle("Z", "Z"))
+        noise_sim._engine.cache_clear()
+        simulate_lindblad(circ, noise)
+        engine = noise_sim._engine(noise, 1)
+        simulate_lindblad(circ, other)
+        assert noise_sim._engine.cache_info().currsize == 1
+        assert noise_sim._engine(other, 1).noise == other
+        assert noise_sim._engine(noise, 1) is not engine
+        halved = noise_sim._engine(noise, 2)
+        assert halved.step_scale == 2
+        assert noise_sim._engine(noise, 1) is not halved
+
+    def test_cached_propagators_and_phases_are_read_only(self):
+        engine = noise_sim._engine(ExperimentConfig.default().noise, 1)
+        prop = engine.propagator(40.0)
+        assert engine.propagator(40.0) is prop
+        with pytest.raises(ValueError):
+            prop[0, 0] = 0.0
+        moment = next(m for m in dj_circuit(DJOracle("X", "Z")).moments if m[0].duration > 0.0)
+        duration = max(i.duration for i in moment)
+        engine.calibrated_moment_unitary(moment, 2, duration)
+        phase = engine._phases[duration]
+        engine.calibrated_moment_unitary(moment, 2, duration)
+        assert engine._phases[duration] is phase
+        with pytest.raises(ValueError):
+            phase[0, 0] = 0.0
+
+    def test_cached_phase_gives_the_uncached_bytes(self):
+        # the cached matrix enters through a matmul; a column scaling
+        # u * phase agrees only to rounding and would move the bundles' bytes
+        engine = noise_sim._engine(ExperimentConfig.default().noise, 1)
+        circuits = ([dj_circuit(o) for o in cli_harness.constant_oracles()]
+                    + [dj_circuit(o) for o, _ in cli_harness.balanced_oracle_table()]
+                    + [grover_circuit(GroverSpec(BasisLabel.from_index(i, 2), k)) for i in range(9) for k in (1, 2)])
+        for moment in {m for circ in circuits for m in circ.moments}:
+            duration = max(i.duration for i in moment)
+            expected = moment_unitary(moment, 2)
+            if duration > 0.0:
+                expected = expected @ np.diag(np.exp(1j * engine._coupling_diag * duration * 1e-3))
+            assert engine.calibrated_moment_unitary(moment, 2, duration).tobytes() == expected.tobytes()
+
+    def test_circuits_built_once_per_spec(self):
+        oracle = DJOracle("Z", "Xsq")
+        assert dj_circuit(oracle) is dj_circuit(oracle)
+        assert dj_circuit(oracle) is dj_circuit(DJOracle("Z", "Xsq"))
+        assert bv_circuit((1, 2)) is bv_circuit(BVString((1, 2)))
+        assert grover_circuit(GroverSpec("21", 2)) is grover_circuit(GroverSpec(BasisLabel.parse("21"), 2))
+        assert grover_circuit(GroverSpec("21", 1)) is not grover_circuit(GroverSpec("21", 2))
+
+    @pytest.mark.parametrize("argv", [
+        ["sim", "grover", "--noisy", "--mitigate", "--shots", "20000", "--seed", "5"],
+        ["tomo", "process", "--gate", "H", "--qutrit", "2"],
+    ], ids=["grover_noisy_mitigated", "tomo_h_q2"])
+    def test_noisy_output_independent_of_blas_threads(self, argv):
+        # the thread count must be set before numpy is imported, so each
+        # setting gets its own interpreter
+        script = "import sys; from qutritlab.cli_harness import main; sys.exit(main(sys.argv[1:]))"
+        src = str(Path(qutritlab.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                                  capture_output=True, check=True)
+            outputs.append(done.stdout)
+        assert json.loads(outputs[0])["entries"]
+        assert outputs[0] == outputs[1]
+
+
 class TestMain:
     def test_stdout_json_without_out_dir(self, capsys):
         code = main(["sim", "bv"])
@@ -466,6 +598,16 @@ class TestMain:
         assert doc["summary"]["points"] == 2
         csv = (tmp_path / "device_figure.csv").read_text().strip().split("\n")
         assert len(csv) == 3
+
+    @pytest.mark.parametrize("bounds", [["nan", "0.3"], ["0", "inf"], ["-inf", "0.3"]],
+                             ids=["from_nan", "to_inf", "from_minus_inf"])
+    def test_device_sweep_rejects_non_finite_flux(self, capsys, bounds):
+        start, stop = bounds
+        assert main(["device", "sweep", f"--from={start}", f"--to={stop}", "--steps", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
 
     def test_tomo_subcommand(self, capsys):
         code = main(["tomo", "process", "--gate", "X", "--qutrit", "2"])
