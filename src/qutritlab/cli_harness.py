@@ -27,6 +27,7 @@ import yaml
 
 from .qutrit_core import DIM, BasisLabel, ProbDist, QutritLabError
 from .gates_compiler import (
+    LOGICAL_GATE_NAMES,
     circuit_unitary,
     compile_cphase,
     cphase_matrix,
@@ -71,8 +72,6 @@ from .device_hamiltonian import DeviceParams, flux_sweep, labeled_spectrum, swee
 
 PACKAGE_VERSION = "1.0.0"
 
-_SINGLE_GATES = ("I", "X", "Xsq", "Z", "Zsq", "H", "Hdag")
-
 _PAIR_LABELS = [str(BasisLabel.from_index(i, 2)) for i in range(DIM * DIM)]
 
 
@@ -95,6 +94,9 @@ _NULLABLE = ("shots", "seed", "out_dir")
 
 # numpy's int64 maximum: the multinomial sampler overflows at 2**63 shots
 _MAX_SHOTS = 2**63 - 1
+
+# device sweep grid points: about 4 minutes at 25 ms per point (n_levels 8, one core)
+_MAX_SWEEP_STEPS = 10_000
 
 
 def _check_leaf(value, default, path: str):
@@ -262,13 +264,20 @@ class ResultBundle:
         return json.dumps(self.to_document(), sort_keys=True, indent=2) + "\n"
 
     def save(self, out_dir) -> tuple[Path, Path]:
-        out = Path(out_dir)
+        return tuple(_write_files(out_dir, {f"{self.experiment}_result.json": self.to_json(),
+                                            f"{self.experiment}_figure.csv": self.figure_csv}))
+
+
+def _write_files(out_dir, texts: dict) -> list[Path]:
+    """Write each name's text into out_dir, created if missing; an OS failure is a ConfigError."""
+    out = Path(out_dir)
+    try:
         out.mkdir(parents=True, exist_ok=True)
-        json_path = out / f"{self.experiment}_result.json"
-        csv_path = out / f"{self.experiment}_figure.csv"
-        json_path.write_text(self.to_json())
-        csv_path.write_text(self.figure_csv)
-        return json_path, csv_path
+        for name, text in texts.items():
+            (out / name).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+    return [out / name for name in texts]
 
 
 def _by_label(values: np.ndarray) -> dict:
@@ -429,8 +438,8 @@ def run_device_report(config: ExperimentConfig, flux_grid) -> ResultBundle:
 
 def run_process_tomo(config: ExperimentConfig, gate: str, qutrit: int) -> ResultBundle:
     """Process matrix of a compiled gate, noiseless and under the noise model."""
-    if gate not in _SINGLE_GATES:
-        raise ConfigError(f"unsupported gate {gate!r}; pick one of {', '.join(_SINGLE_GATES)}")
+    if gate not in LOGICAL_GATE_NAMES:
+        raise ConfigError(f"unsupported gate {gate!r}; pick one of {', '.join(LOGICAL_GATE_NAMES)}")
     if qutrit not in (1, 2):
         raise ConfigError(f"qutrit must be 1 or 2, got {qutrit}")
     qidx = qutrit - 1
@@ -556,10 +565,8 @@ def _emit_document(doc: dict, out_dir, name: str) -> None:
     if not out_dir:
         sys.stdout.write(text)
         return
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(text)
-    print(json.dumps({"written": str(out / name)}, sort_keys=True))
+    (path,) = _write_files(out_dir, {name: text})
+    print(json.dumps({"written": str(path)}, sort_keys=True))
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -626,8 +633,8 @@ def _dispatch(args) -> int:
         return 0
     if args.command == "device":
         config = _config_from_args(args)
-        if args.steps < 1:
-            raise ConfigError("steps must be at least 1")
+        if not 1 <= args.steps <= _MAX_SWEEP_STEPS:
+            raise ConfigError(f"steps must be between 1 and {_MAX_SWEEP_STEPS}, got {args.steps}")
         if not (math.isfinite(args.start) and math.isfinite(args.stop)):
             raise ConfigError(f"--from and --to must be finite, got {args.start} and {args.stop}")
         grid = np.linspace(args.start, args.stop, args.steps)

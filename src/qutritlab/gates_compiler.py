@@ -39,7 +39,7 @@ CPHASE21_NS = 55.9
 CPHASE22_NS = 94.0
 
 KINDS = ("R01", "R12", "VPhase", "CPhaseNative21", "CPhaseNative22")
-LOGICAL_GATE_NAMES = ("I", "H", "X", "Z", "Hdag", "Xsq", "Zsq")
+LOGICAL_GATE_NAMES = ("I", "X", "Xsq", "Z", "Zsq", "H", "Hdag")
 
 
 class CompileError(QutritLabError, ValueError):

@@ -10,12 +10,13 @@ dissipative part of the window is untouched. The generator is
 exponentiated with a fixed-step fourth-order integrator.
 
 Work that depends only on the noise model is done once per process.
-`simulate_lindblad`, `circuit_channel` and `evolve_idle` share one
-`LindbladEngine` per (noise model, step_scale), kept in a single cache
-slot: a run with a new noise model replaces it. The engine holds the
-81x81 generator plus one propagator and one calibration phase matrix per
-distinct duration, about 1 MB for a tomography run. Cached arrays are
-read-only, and reuse changes no output byte.
+`simulate_lindblad`, `circuit_channel` and `evolve_idle` take their
+`LindbladEngine` from one cache slot keyed by (noise model, step_scale),
+the only route to an engine; a run with a new noise model replaces it.
+The engine holds the 81x81 generator plus one propagator and one
+calibration phase per distinct duration, about 1 MB for a tomography run,
+and walks a circuit's moments once for both the state and the channel
+path. Cached arrays are read-only, and reuse changes no output byte.
 
 Coherence times are given in microseconds, coupling coefficients in kHz,
 and circuit durations in nanoseconds.
@@ -175,17 +176,11 @@ class LindbladEngine:
             raise SimulationError("step_scale must be a positive integer")
         self.noise = noise
         self.step_scale = int(step_scale)
-        self._generator = None
+        self.generator = lindblad_generator(noise)
         self._cache: dict[float, np.ndarray] = {}
         self._phases: dict[float, np.ndarray] = {}
         self._coupling_diag = np.real(np.diag(idle_hamiltonian(noise)))
         self._coupled = bool(np.any(self._coupling_diag))
-
-    @property
-    def generator(self) -> np.ndarray:
-        if self._generator is None:
-            self._generator = lindblad_generator(self.noise)
-        return self._generator
 
     def propagator(self, duration_ns: float) -> np.ndarray:
         key = round(float(duration_ns), 9)
@@ -210,15 +205,15 @@ class LindbladEngine:
         out = (self.propagator(duration_ns) @ rho.reshape(-1)).reshape(rho.shape)
         return (out + out.conj().T) / 2.0
 
-    def calibrated_moment_unitary(self, moment, n_qutrits: int, duration_ns: float) -> np.ndarray:
-        """Gate unitary of a moment including the tune-up phase null.
+    def calibrated_moment_unitary(self, moment, duration_ns: float) -> np.ndarray:
+        """Gate unitary of a two-qutrit moment including the tune-up phase null.
 
         Calibration on hardware makes each gate realize its ideal unitary
         across its own window, so the deterministic phase the always-on
         coupling accrued during the window is undone here; relaxation and
         dephasing during the window are not.
         """
-        u = moment_unitary(moment, n_qutrits)
+        u = moment_unitary(moment, 2)
         if duration_ns > 0.0 and self._coupled:
             phase = self._phases.get(duration_ns)
             if phase is None:
@@ -228,73 +223,62 @@ class LindbladEngine:
             u = u @ phase
         return u
 
-    def run(self, circuit: Circuit, rho: np.ndarray) -> np.ndarray:
+    def moments(self, circuit: Circuit) -> list[tuple[float, np.ndarray]]:
+        """(duration, calibrated unitary) of each moment of a two-qutrit circuit."""
         if circuit.n_qutrits != 2:
             raise SimulationError("the noise model is calibrated for a two-qutrit register")
-        for moment in circuit.moments:
-            duration = max((i.duration for i in moment), default=0.0)
+        timed = [(max((i.duration for i in moment), default=0.0), moment) for moment in circuit.moments]
+        return [(duration, self.calibrated_moment_unitary(moment, duration)) for duration, moment in timed]
+
+    def run(self, circuit: Circuit, initial=None) -> np.ndarray:
+        """Density matrix after the circuit, from |00> or the given state."""
+        moments = self.moments(circuit)
+        rho = _initial_rho(initial)
+        for duration, u in moments:
             rho = self.evolve(rho, duration)
-            u = self.calibrated_moment_unitary(moment, circuit.n_qutrits, duration)
             rho = u @ rho @ u.conj().T
         return rho
 
 
 @functools.lru_cache(maxsize=1)
 def _engine(noise: NoiseModel, step_scale: int) -> LindbladEngine:
-    """The shared engine of the last noise model asked for.
-
-    One slot: each engine holds about 1 MB of propagators, and a run
-    uses one noise model throughout.
-    """
+    """The shared engine of the last noise model asked for; one slot, as a run uses one noise model."""
     return LindbladEngine(noise, step_scale)
 
 
-def _initial_rho(initial, dim: int) -> np.ndarray:
+def _initial_rho(initial) -> np.ndarray:
     if initial is None:
-        rho = np.zeros((dim, dim), dtype=complex)
+        rho = np.zeros((DIM2, DIM2), dtype=complex)
         rho[0, 0] = 1.0
         return rho
     state = _coerce_state(initial)
-    if state.dim != dim:
+    if state.dim != DIM2:
         raise StateValidationError("initial state size does not match the register")
     return state.density().matrix if isinstance(state, PureState) else state.matrix.copy()
 
 
-def simulate_lindblad(
-    circuit: Circuit,
-    noise: NoiseModel,
-    initial=None,
-    step_scale: int = 1,
-    engine: LindbladEngine | None = None,
-) -> DensityMatrix:
+def simulate_lindblad(circuit: Circuit, noise: NoiseModel, initial=None, step_scale: int = 1) -> DensityMatrix:
     """Evolve through a compiled circuit under the noise model.
 
     Returns the final density matrix. Raises SimulationError when the
     integration drifts off trace one by more than 1e-6 or produces an
-    eigenvalue below -1e-6, or when a passed engine was built for another
-    noise model or step_scale.
+    eigenvalue below -1e-6.
     """
-    if engine is None:
-        engine = _engine(noise, step_scale)
-    elif engine.noise != noise or engine.step_scale != step_scale:
-        raise SimulationError("the engine was built for a different noise model or step_scale")
-    rho = _initial_rho(initial, DIM**circuit.n_qutrits)
-    rho = engine.run(circuit, rho)
+    rho = _engine(noise, step_scale).run(circuit, initial)
     rho = (rho + rho.conj().T) / 2.0
-    drift = abs(float(np.real(np.trace(rho))) - 1.0)
-    if drift > 1e-6:
-        raise SimulationError(f"trace drifted by {drift:.3g}")
-    min_eig = float(np.min(np.linalg.eigvalsh(rho)))
-    if min_eig < -1e-6:
-        raise SimulationError(f"negative eigenvalue {min_eig:.3g}")
-    rho = rho / np.real(np.trace(rho))
-    return DensityMatrix(rho)
+    trace = float(np.real(np.trace(rho)))
+    if abs(trace - 1.0) > 1e-6:
+        raise SimulationError(f"trace drifted by {abs(trace - 1.0):.3g}")
+    try:
+        return DensityMatrix(rho / trace)
+    except StateValidationError as exc:
+        raise SimulationError(str(exc)) from exc
 
 
 def evolve_idle(noise: NoiseModel, initial, duration_ns: float, step_scale: int = 1) -> DensityMatrix:
     """Free evolution of the pair for a fixed time, no pulses."""
     engine = _engine(noise, step_scale)
-    return DensityMatrix(engine.evolve(_initial_rho(initial, DIM2), float(duration_ns)))
+    return DensityMatrix(engine.evolve(_initial_rho(initial), float(duration_ns)))
 
 
 def ramsey_coherence_time(noise: NoiseModel, qutrit: int, transition: str, delay_us: float = 1.0) -> float:
@@ -418,18 +402,13 @@ class QuantumChannel:
 
 def circuit_channel(circuit: Circuit, noise: NoiseModel, step_scale: int = 1) -> QuantumChannel:
     """Full-register channel of a compiled circuit under the noise model."""
-    if circuit.n_qutrits != 2:
-        raise SimulationError("the noise model is calibrated for a two-qutrit register")
     engine = _engine(noise, step_scale)
-    dim = DIM**circuit.n_qutrits
-    total = np.eye(dim * dim, dtype=complex)
-    for moment in circuit.moments:
-        duration = max((i.duration for i in moment), default=0.0)
+    total = np.eye(DIM2 * DIM2, dtype=complex)
+    for duration, u in engine.moments(circuit):
         if duration > 0.0:
             total = engine.propagator(duration) @ total
-        u = engine.calibrated_moment_unitary(moment, circuit.n_qutrits, duration)
         total = np.kron(u, u.conj()) @ total
-    return QuantumChannel(total, dim)
+    return QuantumChannel(total, DIM2)
 
 
 def reduced_qutrit_channel(channel: QuantumChannel, qutrit: int) -> QuantumChannel:

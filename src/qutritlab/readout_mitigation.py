@@ -48,13 +48,15 @@ class ConfusionMatrix:
         if np.max(np.abs(col_sums - 1.0)) > 1e-9:
             raise MitigationError(f"columns must sum to 1 within 1e-9, got {col_sums}")
         object.__setattr__(self, "m", m)
+        # one SVD per matrix: invert_confusion checks it on every call
+        object.__setattr__(self, "_condition", float(np.linalg.cond(m)))
 
     @property
     def dim(self) -> int:
         return self.m.shape[0]
 
     def condition_number(self) -> float:
-        return float(np.linalg.cond(self.m))
+        return self._condition
 
 
 def synthetic_confusion(dim: int = DIM * DIM, diagonal: float = 0.85) -> ConfusionMatrix:
@@ -154,9 +156,9 @@ def mle_correct(signed: SignedCounts, floor: float | None = None) -> np.ndarray:
     return p
 
 
-def mitigate_counts(measured_counts, matrix: ConfusionMatrix, floor: float | None = None) -> np.ndarray:
+def mitigate_counts(measured_counts, matrix: ConfusionMatrix) -> np.ndarray:
     """Inversion followed by repair, the full pipeline on raw counts."""
-    return mle_correct(invert_confusion(measured_counts, matrix), floor)
+    return mle_correct(invert_confusion(measured_counts, matrix))
 
 
 def save_confusion(matrix: ConfusionMatrix, path) -> None:

@@ -520,9 +520,9 @@ class TestNoisyPathReuse:
             prop[0, 0] = 0.0
         moment = next(m for m in dj_circuit(DJOracle("X", "Z")).moments if m[0].duration > 0.0)
         duration = max(i.duration for i in moment)
-        engine.calibrated_moment_unitary(moment, 2, duration)
+        engine.calibrated_moment_unitary(moment, duration)
         phase = engine._phases[duration]
-        engine.calibrated_moment_unitary(moment, 2, duration)
+        engine.calibrated_moment_unitary(moment, duration)
         assert engine._phases[duration] is phase
         with pytest.raises(ValueError):
             phase[0, 0] = 0.0
@@ -539,7 +539,7 @@ class TestNoisyPathReuse:
             expected = moment_unitary(moment, 2)
             if duration > 0.0:
                 expected = expected @ np.diag(np.exp(1j * engine._coupling_diag * duration * 1e-3))
-            assert engine.calibrated_moment_unitary(moment, 2, duration).tobytes() == expected.tobytes()
+            assert engine.calibrated_moment_unitary(moment, duration).tobytes() == expected.tobytes()
 
     def test_circuits_built_once_per_spec(self):
         oracle = DJOracle("Z", "Xsq")
@@ -608,6 +608,30 @@ class TestMain:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("steps", ["10001", "100000000000"])
+    def test_device_sweep_rejects_too_many_steps(self, capsys, steps):
+        assert main(["device", "sweep", "--from", "0", "--to", "0.3", "--steps", steps]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("command", [
+        ["sim", "dj"],
+        ["compile", "cphase", "--theta", "3.141592653589793", "--target", "12"],
+    ], ids=["sim", "compile"])
+    @pytest.mark.parametrize("where", ["existing_file", "below_a_file"])
+    def test_unwritable_out_exits_one_with_json(self, tmp_path, capsys, command, where):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out_dir = blocker if where == "existing_file" else blocker / "sub"
+        assert main([*command, "--out", str(out_dir)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
+        assert blocker.read_text() == "not a directory\n"
 
     def test_tomo_subcommand(self, capsys):
         code = main(["tomo", "process", "--gate", "X", "--qutrit", "2"])

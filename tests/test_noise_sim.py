@@ -236,13 +236,6 @@ class TestMeasureAndSample:
         assert not np.array_equal(a, c)
 
 
-@pytest.fixture(scope="module")
-def default_engine():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return LindbladEngine(ExperimentConfig.default().noise)
-
-
 class TestLindbladBackend:
     def test_zero_noise_matches_pure_backend(self):
         circ = grover_circuit(GroverSpec(BasisLabel.parse("12"), 2))
@@ -250,9 +243,11 @@ class TestLindbladBackend:
         psi = simulate_pure(circ)
         assert fidelity(psi, rho) >= 1.0 - 1e-8
 
-    def test_trace_and_positivity_after_deep_circuit(self, default_engine):
+    def test_trace_and_positivity_after_deep_circuit(self):
         circ = grover_circuit(GroverSpec(BasisLabel.parse("22"), 2))
-        rho = simulate_lindblad(circ, ExperimentConfig.default().noise, engine=default_engine).matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rho = simulate_lindblad(circ, ExperimentConfig.default().noise).matrix
         assert abs(np.trace(rho).real - 1.0) < 1e-6
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-6
         assert np.allclose(rho, rho.conj().T, atol=1e-9)
@@ -277,12 +272,11 @@ class TestLindbladBackend:
             )
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                engine = LindbladEngine(nm)
                 sps = []
                 for idx in range(9):
                     target = str(BasisLabel.from_index(idx, 2))
                     circ = grover_circuit(GroverSpec(BasisLabel.parse(target), 1))
-                    rho = simulate_lindblad(circ, nm, engine=engine)
+                    rho = simulate_lindblad(circ, nm)
                     sps.append(measure_probs(rho).prob_of(target))
             averages.append(float(np.mean(sps)))
         assert averages[0] >= averages[1] >= averages[2]
@@ -299,12 +293,34 @@ class TestLindbladBackend:
         with pytest.raises(StateValidationError):
             evolve_idle(NoiseModel.none(), one.density(), 100.0)
 
-    def test_engine_of_another_noise_model_rejected(self, default_engine):
-        circ = dj_circuit(DJOracle("Z", "X"))
+    def test_channel_wrong_register_size_rejected(self):
+        circ = Circuit(1, moments_of((pulse_r01(0, 0.0, math.pi),)))
         with pytest.raises(SimulationError):
-            simulate_lindblad(circ, NoiseModel.none(), engine=default_engine)
+            circuit_channel(circ, NoiseModel.none())
+
+    @pytest.mark.parametrize("case", ["negative_eigenvalue", "trace_drift"])
+    def test_bad_final_state_raises_simulation_error(self, monkeypatch, case):
+        # the drift check sees the raw trace; the eigenvalue check is DensityMatrix's
+        if case == "negative_eigenvalue":
+            bad = np.diag([0.5, 0.501, -1e-3] + [0.0] * 6).astype(complex)
+            assert np.trace(bad).real == pytest.approx(1.0, abs=1e-12)
+        else:
+            bad = np.diag([1.0 + 1e-3] + [0.0] * 8).astype(complex)
+        monkeypatch.setattr(LindbladEngine, "run", lambda self, circuit, initial=None: bad.copy())
         with pytest.raises(SimulationError):
-            simulate_lindblad(circ, default_engine.noise, step_scale=2, engine=default_engine)
+            simulate_lindblad(dj_circuit(DJOracle("Z", "X")), NoiseModel.none())
+
+    def test_state_and_channel_paths_agree(self):
+        # both walk the same moments: the channel applied to |00><00| is the evolved state
+        circ = dj_circuit(DJOracle("X", "Z"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            noise = ExperimentConfig.default().noise
+            rho = simulate_lindblad(circ, noise).matrix
+            ground = np.zeros((9, 9), dtype=complex)
+            ground[0, 0] = 1.0
+            via_channel = circuit_channel(circ, noise).apply(ground)
+        assert np.max(np.abs(rho - via_channel)) < 1e-12
 
 
 def matrix_unit_reduction(channel, qutrit: int) -> np.ndarray:

@@ -110,6 +110,20 @@ class TestInversion:
         with pytest.raises(IllConditionedError):
             invert_confusion(np.full(9, 100.0), flat)
 
+    def test_condition_number_computed_once_per_matrix(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m, *a: calls.append(1) or cond(m, *a))
+        matrix = synthetic_confusion()
+        for _ in range(5):
+            invert_confusion(np.full(9, 100.0), matrix)
+        assert len(calls) == 1
+        flat = synthetic_confusion(diagonal=1.0 / 9.0)
+        for _ in range(2):
+            with pytest.raises(IllConditionedError):
+                invert_confusion(np.full(9, 100.0), flat)
+        assert len(calls) == 2
+
     def test_barely_distinguishable_columns_rejected(self):
         eps = 1e-9
         diag = 1.0 / 9.0 + eps
