@@ -20,8 +20,10 @@ cross-Kerr coefficients in kHz, flux in units of the flux quantum.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,6 +37,8 @@ _REQUIRED_LABELS = [(m, n) for m in range(3) for n in range(3)] + [(3, 0), (3, 1
 # flux 0 to 0.3, max|H| up to 1154 GHz); a thousand times that means the
 # model lost the symmetry
 _PARITY_TOL_GHZ = 1e-9
+# labelings _label_eigenstates keeps: each truncation's operating point stays warm
+_SPECTRUM_CACHE_SIZE = 8
 
 
 class DeviceModelError(QutritLabError, RuntimeError):
@@ -72,6 +76,13 @@ class DeviceParams:
     n_levels: int = 8
 
     def __post_init__(self):
+        # equal parameter sets share one cached labeling, so 6.0 must not
+        # pass for 6 and nan (equal to nothing) must not reach eigh
+        if isinstance(self.n_levels, bool) or not isinstance(self.n_levels, int):
+            raise TruncationError(f"n_levels must be an integer, got {self.n_levels!r}")
+        for f in fields(self):
+            if f.name != "n_levels" and not math.isfinite(getattr(self, f.name)):
+                raise DeviceModelError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         for name in ("c_q1", "c_q2", "c_c"):
             if getattr(self, name) <= 0:
                 raise DeviceModelError(f"{name} must be positive")
@@ -321,8 +332,19 @@ def _parity_sectors(n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
 
 
+@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
 def _label_eigenstates(params: DeviceParams):
     """Diagonalize H and map each bare label to (energy above ground, overlap).
+
+    The result depends on the frozen params alone, so each parameter set
+    is diagonalized once per process: a bounded LRU keeps the last
+    _SPECTRUM_CACHE_SIZE = 8 labelings. One measures ~200 KB at n_levels
+    10, so the cache stays near 1.6 MB, and a caller that alternates a few
+    truncations, each with its own operating point and a new flux point
+    between them, needs about 6 entries to keep those operating points
+    warm. The label map is a read-only MappingProxyType and the normal
+    form's arrays are read-only, so every labeled_spectrum call builds a
+    fresh report from the shared result. Failures raise and are not cached.
 
     H is first shifted by the mean of its diagonal, in place. The shift
     is exact for every energy difference, but it cuts the norm that
@@ -361,7 +383,9 @@ def _label_eigenstates(params: DeviceParams):
     for key, energy, overlap in zip(zip(*occ.tolist()), (evals - evals.min()).tolist(), overlaps.tolist()):
         if key not in found or found[key][1] < overlap:
             found[key] = (energy, overlap)
-    return nf, found
+    for array in (nf.u, nf.c_tilde, nf.d_tilde, nf.orthogonal):
+        array.flags.writeable = False
+    return nf, MappingProxyType(found)
 
 
 def labeled_spectrum(params: DeviceParams) -> SpectrumReport:

@@ -30,6 +30,9 @@ from qutritlab.device_hamiltonian import (
     sweep_to_csv,
     toy_couplings,
 )
+from qutritlab.cli_harness import main
+
+FLOAT_FIELDS = ("c_q1", "c_q2", "c_c", "c_q12", "e_j1", "e_j2", "e_jc", "flux")
 
 
 def junction_quadratic(p: DeviceParams) -> np.ndarray:
@@ -62,6 +65,18 @@ class TestParams:
             DeviceParams(e_j2=-0.1)
         with pytest.raises(TruncationError):
             DeviceParams(n_levels=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(DeviceModelError, match="finite"):
+            DeviceParams(n_levels=6, **{name: value})
+
+    @pytest.mark.parametrize("n_levels", [6.0, True], ids=["float", "bool"])
+    def test_non_integer_truncation_rejected(self, n_levels):
+        # 6.0 == 6 would otherwise share the integer truncation's cache entry
+        with pytest.raises(TruncationError, match="integer"):
+            DeviceParams(n_levels=n_levels)
 
     def test_with_flux_returns_new_instance(self):
         p = DeviceParams()
@@ -278,6 +293,8 @@ class TestParitySectors:
             h[0, 1] = h[1, 0] = 1e-6
             return h
 
+        # a cached labeling of the same params would skip the guard
+        device_hamiltonian._label_eigenstates.cache_clear()
         monkeypatch.setattr(device_hamiltonian, "_hamiltonian", mixed)
         with pytest.raises(DeviceModelError, match="parity"):
             labeled_spectrum(DeviceParams(n_levels=6))
@@ -292,6 +309,10 @@ REFERENCE_ZZ = -32.920351895171507
 # eigh reads J at most 6.4e-7 kHz from the reference (threads 1 and 2,
 # n_levels 6/8/10 and a 13-point flux sweep); pins sit at ~15x that floor.
 J_TOL_KHZ = 1e-5
+# n_levels 12 -> 14 moves J11, J21, J12, J22 by 0.103, 0.006, 0.099 and
+# 0.002 kHz (1 and 2 BLAS threads agree to 1e-6 kHz); the bound sits ~1.5x
+# above the largest
+CONVERGED_J_TOL_KHZ = 0.15
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +372,11 @@ class TestOperatingPoint:
     def test_coupler_mode(self, report):
         assert report.coupler_ghz == pytest.approx(17.391474336662803, abs=1e-6)
 
+    def test_cross_kerr_converged_between_12_and_14_levels(self):
+        j12 = labeled_spectrum(DeviceParams(n_levels=12)).j_values()
+        j14 = labeled_spectrum(DeviceParams(n_levels=14)).j_values()
+        assert j14 == pytest.approx(j12, abs=CONVERGED_J_TOL_KHZ)
+
     def test_labeling_quality(self, report):
         assert report.min_overlap == pytest.approx(0.6488219840962697, abs=1e-6)
         assert report.min_overlap > 0.5
@@ -397,6 +423,85 @@ class TestLabeling:
         # near half a flux quantum the coupler mode crosses the qutrits
         with pytest.raises(LabelingError):
             labeled_spectrum(DeviceParams(flux=0.5))
+
+
+class TestSpectrumCache:
+    """_label_eigenstates diagonalizes each parameter set once per process;
+    labeled_spectrum still builds a fresh report on every call."""
+
+    cache = staticmethod(device_hamiltonian._label_eigenstates)
+
+    def test_repeat_is_a_hit_with_an_equal_report(self):
+        p = DeviceParams(n_levels=6, flux=0.1)
+        first = labeled_spectrum(p)
+        hits = self.cache.cache_info().hits
+        second = labeled_spectrum(p)
+        assert self.cache.cache_info().hits == hits + 1
+        assert second == first
+        assert second is not first
+
+    def test_reports_share_no_mutable_state(self):
+        p = DeviceParams(n_levels=6, flux=0.1)
+        first = labeled_spectrum(p)
+        energies, zz = dict(first.energies), dict(first.zz)
+        first.energies[(1, 1)] = 0.0
+        first.zz["zz"] = 0.0
+        second = labeled_spectrum(p)
+        assert second.energies == energies
+        assert second.zz == zz
+
+    def test_cached_labeling_is_read_only(self):
+        nf, found = self.cache(DeviceParams(n_levels=6, flux=0.1))
+        with pytest.raises(TypeError):
+            found[(0, 0, 0)] = (1.0, 1.0)
+        with pytest.raises(ValueError):
+            nf.u[0, 0] = 0.0
+
+    def test_sweep_stays_within_the_bound(self):
+        self.cache.cache_clear()
+        flux_sweep(DeviceParams(n_levels=6), np.linspace(0.0, 0.3, 13))
+        info = self.cache.cache_info()
+        assert info.misses == 13
+        assert info.maxsize == device_hamiltonian._SPECTRUM_CACHE_SIZE
+        assert info.currsize <= info.maxsize
+
+    def test_errors_raise_on_every_call(self):
+        # FluxRangeError comes from inside the cached call and is not stored;
+        # at half a flux quantum the labeling is stored and labeled_spectrum
+        # rejects its overlaps each time
+        self.cache.cache_clear()
+        for _ in range(2):
+            with pytest.raises(FluxRangeError):
+                labeled_spectrum(DeviceParams(n_levels=6, flux=0.6))
+        assert self.cache.cache_info().currsize == 0
+        for _ in range(2):
+            with pytest.raises(LabelingError):
+                labeled_spectrum(DeviceParams(n_levels=6, flux=0.5))
+
+    def test_forced_failure_is_not_remembered(self, monkeypatch):
+        p = DeviceParams(n_levels=6, flux=0.2)
+        self.cache.cache_clear()
+        reference = labeled_spectrum(p)
+        self.cache.cache_clear()
+        with monkeypatch.context() as patch:
+            def broken(*args, **kwargs):
+                raise LabelingError("forced")
+
+            patch.setattr(device_hamiltonian, "_hamiltonian", broken)
+            with pytest.raises(LabelingError, match="forced"):
+                labeled_spectrum(p)
+        assert labeled_spectrum(p) == reference
+
+    def test_device_sweep_stdout_cold_and_warm_agree(self, capsys):
+        argv = ["device", "sweep", "--from", "0", "--to", "0.3", "--steps", "2"]
+        self.cache.cache_clear()
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        misses = self.cache.cache_info().misses
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert self.cache.cache_info().misses == misses
+        assert cold == warm
 
 
 class TestFluxSweep:
