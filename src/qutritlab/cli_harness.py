@@ -408,11 +408,11 @@ def run_grover(config: ExperimentConfig) -> ResultBundle:
 def run_device_report(config: ExperimentConfig, flux_grid) -> ResultBundle:
     """Flux sweep of the device spectrum, plus the operating point.
 
-    An operating point on the grid reuses that point's report.
+    An operating point on the grid is a spectrum-cache hit unless the sweep
+    has already pushed it out of the cache.
     """
     reports = flux_sweep(config.device, flux_grid)
-    on_grid = [r for r in reports if r.flux == config.device.flux]
-    operating = on_grid[0] if on_grid else labeled_spectrum(config.device)
+    operating = labeled_spectrum(config.device)
     entries = []
     for r in reports:
         entries.append({

@@ -103,6 +103,10 @@ class DeviceParams:
     def coupler_energy(self) -> float:
         """Effective coupler Josephson energy at the current bias."""
         value = self.e_jc * self.squid_cos()
+        # cos(pi / 2) rounds to 6.1e-17 > 0, so the sign at and beyond half a
+        # flux quantum (mod 2) is read from the flux itself
+        if abs(math.remainder(self.flux, 2.0)) >= 0.5:
+            value = min(value, 0.0)
         if value <= 0.0:
             raise FluxRangeError(
                 f"coupler junction energy {value:.3g} GHz at flux {self.flux}; must stay positive"
@@ -359,6 +363,9 @@ def _label_eigenstates(params: DeviceParams):
     _PARITY_TOL_GHZ means the model lost that symmetry and raises.
     """
     nf = normal_mode_transform(params)
+    # from flux ~0.4875 toward 0.5 two modes peak on one node, leaving a node with no mode to label
+    if sorted(nf.mode_to_node) != [0, 1, 2]:
+        raise LabelingError(f"normal modes map onto nodes {nf.mode_to_node}; each node needs its own mode")
     h = _hamiltonian(params, nf)
     h[np.diag_indices_from(h)] -= np.diag(h).mean()
     n = params.n_levels
@@ -483,9 +490,7 @@ def toy_couplings(params: DeviceParams, flux: float | None = None) -> tuple[floa
     spectrum at the same bias.
     """
     p = params if flux is None else params.with_flux(flux)
-    denominator = p.e_jc * p.squid_cos()
-    if denominator <= 0.0:
-        raise FluxRangeError(f"coupler energy nonpositive at flux {p.flux}")
+    denominator = p.coupler_energy()
     if p.e_j1 == 0.0 or p.e_j2 == 0.0:
         # a junctionless transmon is a free mode at zero frequency, so
         # the sqrt(w1 w2) factor kills both rates

@@ -38,7 +38,9 @@ _PULSE_ANCHORS_NS = {
 CPHASE21_NS = 55.9
 CPHASE22_NS = 94.0
 
-KINDS = ("R01", "R12", "VPhase", "CPhaseNative21", "CPhaseNative22")
+# rotation kind -> lower level of the level pair it drives; the kind is "R" + the pair
+_ROTATION_LOWER = {"R01": 0, "R12": 1}
+KINDS = (*_ROTATION_LOWER, "VPhase", "CPhaseNative21", "CPhaseNative22")
 LOGICAL_GATE_NAMES = ("I", "X", "Xsq", "Z", "Zsq", "H", "Hdag")
 
 
@@ -74,10 +76,8 @@ def gate_duration(instruction: "GateInstruction") -> float:
 def _expected_duration(kind: str, targets: tuple[int, ...], params: tuple[float, ...]) -> float:
     if kind == "VPhase":
         return 0.0
-    if kind == "R01":
-        return rotation_duration(targets[0], "01", params[1])
-    if kind == "R12":
-        return rotation_duration(targets[0], "12", params[1])
+    if kind in _ROTATION_LOWER:
+        return rotation_duration(targets[0], kind[1:], params[1])
     if kind == "CPhaseNative21":
         return CPHASE21_NS
     if kind == "CPhaseNative22":
@@ -101,7 +101,7 @@ class GateInstruction:
         params = tuple(float(p) for p in self.params)
         if any(q < 0 for q in targets) or len(set(targets)) != len(targets):
             raise CompileError(f"bad targets {targets}")
-        if self.kind in ("R01", "R12", "VPhase"):
+        if self.kind in _ROTATION_LOWER or self.kind == "VPhase":
             if len(targets) != 1 or len(params) != 2:
                 raise CompileError(f"{self.kind} takes one target and two params")
         else:
@@ -150,11 +150,14 @@ class Circuit:
 
     n_qutrits: int
     moments: tuple[tuple[GateInstruction, ...], ...]
+    # each moment's length in ns; derived, so outside equality, hashing and the text form
+    durations: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_qutrits < 1:
             raise CompileError("a circuit needs at least one qutrit")
         moments = tuple(tuple(m) for m in self.moments)
+        durations = []
         for moment in moments:
             used = []
             for instr in moment:
@@ -165,18 +168,20 @@ class Circuit:
                 used.extend(instr.targets)
             if len(set(used)) != len(used):
                 raise CompileError("instructions within a moment must act on disjoint qutrits")
+            durations.append(max((i.duration for i in moment), default=0.0))
         object.__setattr__(self, "moments", moments)
+        object.__setattr__(self, "durations", tuple(durations))
 
     @property
     def total_duration(self) -> float:
-        return float(sum(max((i.duration for i in m), default=0.0) for m in self.moments))
+        return float(sum(self.durations))
 
     def instructions(self):
         for moment in self.moments:
             yield from moment
 
     def pulse_count(self) -> int:
-        return sum(1 for i in self.instructions() if i.kind in ("R01", "R12"))
+        return sum(1 for i in self.instructions() if i.kind in _ROTATION_LOWER)
 
     def native_two_qutrit_count(self) -> int:
         return sum(1 for i in self.instructions() if i.kind.startswith("CPhaseNative"))
@@ -239,30 +244,17 @@ def merge_streams(n_qutrits: int, streams: dict[int, tuple[GateInstruction, ...]
 # ---------------------------------------------------------------------------
 # Matrices
 
-def r01_matrix(phi: float, theta: float) -> np.ndarray:
+def _rotation_matrix(lower: int, phi: float, theta: float) -> np.ndarray:
+    """Rotation by theta at drive phase phi on the levels (lower, lower + 1)."""
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
-    return np.array(
-        [
-            [c, -np.exp(-1j * phi) * s, 0.0],
-            [np.exp(1j * phi) * s, c, 0.0],
-            [0.0, 0.0, 1.0],
-        ],
-        dtype=complex,
-    )
+    u = np.eye(DIM, dtype=complex)
+    u[lower : lower + 2, lower : lower + 2] = [[c, -np.exp(-1j * phi) * s], [np.exp(1j * phi) * s, c]]
+    return u
 
 
-def r12_matrix(phi: float, theta: float) -> np.ndarray:
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [0.0, c, -np.exp(-1j * phi) * s],
-            [0.0, np.exp(1j * phi) * s, c],
-        ],
-        dtype=complex,
-    )
+r01_matrix = functools.partial(_rotation_matrix, 0)
+r12_matrix = functools.partial(_rotation_matrix, 1)
 
 
 def vphase_matrix(x: float, y: float) -> np.ndarray:
@@ -303,10 +295,8 @@ def cphase_matrix(theta: float, target) -> np.ndarray:
 
 def instruction_matrix(instr: GateInstruction) -> np.ndarray:
     """Unitary of one instruction on its own targets (3x3 or 9x9)."""
-    if instr.kind == "R01":
-        return r01_matrix(*instr.params)
-    if instr.kind == "R12":
-        return r12_matrix(*instr.params)
+    if instr.kind in _ROTATION_LOWER:
+        return _rotation_matrix(_ROTATION_LOWER[instr.kind], *instr.params)
     if instr.kind == "VPhase":
         return vphase_matrix(*instr.params)
     if instr.kind == "CPhaseNative21":
@@ -434,13 +424,13 @@ def single_qutrit_circuit(name: str, qutrit: int, n_qutrits: int) -> Circuit:
 # Forward ladder of full-turn pulses carrying each basis state onto its anchor.
 # Ties between equally long routes resolve toward the |22> native.
 _CPHASE_ROUTES = {
-    (0, 0): ("21", (("01", 0), ("12", 0), ("01", 1))),
-    (0, 1): ("21", (("01", 0), ("12", 0))),
-    (0, 2): ("22", (("01", 0), ("12", 0))),
-    (1, 0): ("21", (("12", 0), ("01", 1))),
-    (1, 1): ("21", (("12", 0),)),
-    (1, 2): ("22", (("12", 0),)),
-    (2, 0): ("21", (("01", 1),)),
+    (0, 0): ("21", (("R01", 0), ("R12", 0), ("R01", 1))),
+    (0, 1): ("21", (("R01", 0), ("R12", 0))),
+    (0, 2): ("22", (("R01", 0), ("R12", 0))),
+    (1, 0): ("21", (("R12", 0), ("R01", 1))),
+    (1, 1): ("21", (("R12", 0),)),
+    (1, 2): ("22", (("R12", 0),)),
+    (2, 0): ("21", (("R01", 1),)),
     (2, 1): ("21", ()),
     (2, 2): ("22", ()),
 }
@@ -458,15 +448,9 @@ def compile_cphase(theta: float, target) -> Circuit:
     if label.n_qutrits != 2:
         raise CompileError("conditional phase compilation targets a two-qutrit state")
     anchor, forward = _CPHASE_ROUTES[tuple(label.digits)]
-    moments = []
-    for transition, q in forward:
-        maker = pulse_r01 if transition == "01" else pulse_r12
-        moments.append((maker(q, 0.0, math.pi),))
-    moments.append((native_cphase(anchor, theta),))
-    for transition, q in reversed(forward):
-        maker = pulse_r01 if transition == "01" else pulse_r12
-        moments.append((maker(q, math.pi, math.pi),))
-    return Circuit(2, tuple(moments))
+    up = [(GateInstruction(kind, (q,), (0.0, math.pi)),) for kind, q in forward]
+    down = [(GateInstruction(kind, (q,), (math.pi, math.pi)),) for kind, q in reversed(forward)]
+    return Circuit(2, (*up, (native_cphase(anchor, theta),), *down))
 
 
 def native_cphase_pulse_model(theta: float) -> float:
@@ -519,12 +503,9 @@ def lower_frames(circuit: Circuit) -> Circuit:
         for instr in moment:
             if instr.kind == "VPhase":
                 frame.advance(instr.targets[0], *instr.params)
-            elif instr.kind == "R01":
-                x, _ = frame.phases(instr.targets[0])
-                kept.append(pulse_r01(instr.targets[0], instr.params[0] - x, instr.params[1]))
-            elif instr.kind == "R12":
-                _, y = frame.phases(instr.targets[0])
-                kept.append(pulse_r12(instr.targets[0], instr.params[0] - y, instr.params[1]))
+            elif instr.kind in _ROTATION_LOWER:
+                advance = frame.phases(instr.targets[0])[_ROTATION_LOWER[instr.kind]]
+                kept.append(GateInstruction(instr.kind, instr.targets, (instr.params[0] - advance, instr.params[1])))
             else:
                 # the natives are diagonal and commute with every frame:
                 kept.append(instr)

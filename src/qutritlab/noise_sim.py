@@ -13,10 +13,11 @@ Work that depends only on the noise model is done once per process.
 `simulate_lindblad`, `circuit_channel` and `evolve_idle` take their
 `LindbladEngine` from one cache slot keyed by (noise model, step_scale),
 the only route to an engine; a run with a new noise model replaces it.
-The engine holds the 81x81 generator plus one propagator and one
-calibration phase per distinct duration, about 1 MB for a tomography run,
-and walks a circuit's moments once for both the state and the channel
-path. Cached arrays are read-only, and reuse changes no output byte.
+The engine holds the 81x81 generator, one propagator per distinct
+duration and, per circuit it has run, the (duration, calibrated unitary)
+steps that both the state and the channel path walk: 0.8 MB of
+propagators and 0.9 MB of steps for the 43 DJ/BV/Grover circuits. Cached
+arrays are read-only, and reuse changes no output byte.
 
 Coherence times are given in microseconds, coupling coefficients in kHz,
 and circuit durations in nanoseconds.
@@ -169,7 +170,7 @@ def lindblad_generator(noise: NoiseModel) -> np.ndarray:
 
 
 class LindbladEngine:
-    """Caches per-duration propagators and calibration phases of a fixed noise model."""
+    """Caches per-duration propagators and per-circuit calibrated steps of a fixed noise model."""
 
     def __init__(self, noise: NoiseModel, step_scale: int = 1):
         if step_scale < 1:
@@ -178,7 +179,7 @@ class LindbladEngine:
         self.step_scale = int(step_scale)
         self.generator = lindblad_generator(noise)
         self._cache: dict[float, np.ndarray] = {}
-        self._phases: dict[float, np.ndarray] = {}
+        self._steps: dict[Circuit, tuple[tuple[float, np.ndarray], ...]] = {}
         self._coupling_diag = np.real(np.diag(idle_hamiltonian(noise)))
         self._coupled = bool(np.any(self._coupling_diag))
 
@@ -205,30 +206,28 @@ class LindbladEngine:
         out = (self.propagator(duration_ns) @ rho.reshape(-1)).reshape(rho.shape)
         return (out + out.conj().T) / 2.0
 
-    def calibrated_moment_unitary(self, moment, duration_ns: float) -> np.ndarray:
-        """Gate unitary of a two-qutrit moment including the tune-up phase null.
+    def moments(self, circuit: Circuit) -> tuple[tuple[float, np.ndarray], ...]:
+        """(duration, calibrated unitary) of each moment of a two-qutrit circuit.
 
         Calibration on hardware makes each gate realize its ideal unitary
         across its own window, so the deterministic phase the always-on
         coupling accrued during the window is undone here; relaxation and
-        dephasing during the window are not.
+        dephasing during the window are not. The steps are built once per
+        circuit and shared; their arrays are read-only.
         """
-        u = moment_unitary(moment, 2)
-        if duration_ns > 0.0 and self._coupled:
-            phase = self._phases.get(duration_ns)
-            if phase is None:
-                phase = np.diag(np.exp(1j * self._coupling_diag * duration_ns * 1e-3))
-                phase.flags.writeable = False
-                self._phases[duration_ns] = phase
-            u = u @ phase
-        return u
-
-    def moments(self, circuit: Circuit) -> list[tuple[float, np.ndarray]]:
-        """(duration, calibrated unitary) of each moment of a two-qutrit circuit."""
-        if circuit.n_qutrits != 2:
-            raise SimulationError("the noise model is calibrated for a two-qutrit register")
-        timed = [(max((i.duration for i in moment), default=0.0), moment) for moment in circuit.moments]
-        return [(duration, self.calibrated_moment_unitary(moment, duration)) for duration, moment in timed]
+        steps = self._steps.get(circuit)
+        if steps is None:
+            if circuit.n_qutrits != 2:
+                raise SimulationError("the noise model is calibrated for a two-qutrit register")
+            built = []
+            for duration, moment in zip(circuit.durations, circuit.moments):
+                u = moment_unitary(moment, 2)
+                if duration > 0.0 and self._coupled:
+                    u = u @ np.diag(np.exp(1j * self._coupling_diag * duration * 1e-3))
+                    u.flags.writeable = False
+                built.append((duration, u))
+            steps = self._steps[circuit] = tuple(built)
+        return steps
 
     def run(self, circuit: Circuit, initial=None) -> np.ndarray:
         """Density matrix after the circuit, from |00> or the given state."""

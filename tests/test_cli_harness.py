@@ -431,21 +431,16 @@ class TestRunnerLookups:
         assert (calls["dj_circuit"], calls["bv_circuit"], calls["grover_circuit"]) == (25, 9, 18)
         assert calls["sample_counts"] == calls["mitigate_counts"] == entries == 52
 
-    def test_device_report_reuses_an_operating_point_on_the_grid(self, monkeypatch):
-        # flux_sweep looks labeled_spectrum up in device_hamiltonian, the
-        # operating point in cli_harness; count both
-        calls = Counter()
-        for module in (cli_harness, device_hamiltonian):
-            def counting(params, _original=module.labeled_spectrum):
-                calls["spectra"] += 1
-                return _original(params)
-            monkeypatch.setattr(module, "labeled_spectrum", counting)
+    def test_device_report_reuses_an_operating_point_on_the_grid(self):
+        # the spectrum cache serves an operating point on the grid, so the
+        # report diagonalizes once per grid point, plus once for one off it
         config = exact_config().replace(device=DeviceParams(n_levels=6))
         direct = labeled_spectrum(config.device)
+        diagonalizations = device_hamiltonian._label_eigenstates
         for grid in ([0.1, 0.185], [0.1, 0.2]):
-            calls.clear()
+            diagonalizations.cache_clear()
             bundle = run_device_report(config, grid)
-            assert calls["spectra"] == len(grid) + (0.185 not in grid)
+            assert diagonalizations.cache_info().misses == len(grid) + (0.185 not in grid)
             assert bundle.summary["operating_w01_q1"] == direct.w01_q1
             assert bundle.summary["operating_w01_q2"] == direct.w01_q2
             assert bundle.summary["operating_j11_khz"] == direct.j11
@@ -461,6 +456,8 @@ class TestMomentCacheBundles:
         config = exact_config()
         if noisy:
             config = config.replace(noisy=True, mitigate=True, shots=2000, seed=11)
+        # a warm engine serves its circuits' steps without asking the moment cache
+        noise_sim._engine.cache_clear()
         _moment_unitary.cache_clear()
         cold = runner(config).to_json()
         assert _moment_unitary.cache_info().currsize > 0
@@ -470,8 +467,8 @@ class TestMomentCacheBundles:
 
 
 class TestNoisyPathReuse:
-    """One Lindblad engine per noise model, one calibration phase per
-    duration and one circuit per spec, with every bundle byte-identical."""
+    """One Lindblad engine per noise model, calibrated steps built once per
+    circuit and one circuit per spec, with every bundle byte-identical."""
 
     @pytest.mark.parametrize("runner", [run_dj, run_bv, run_grover], ids=["dj", "bv", "grover"])
     def test_cold_and_warm_noisy_bundles_agree(self, runner):
@@ -512,34 +509,44 @@ class TestNoisyPathReuse:
         assert halved.step_scale == 2
         assert noise_sim._engine(noise, 1) is not halved
 
-    def test_cached_propagators_and_phases_are_read_only(self):
+    def test_second_run_adds_no_steps(self):
+        noise = ExperimentConfig.default().noise
+        circ = grover_circuit(GroverSpec("12", 2))
+        noise_sim._engine.cache_clear()
+        first = simulate_lindblad(circ, noise)
+        engine = noise_sim._engine(noise, 1)
+        steps = engine._steps[circ]
+        assert len(steps) == len(circ.moments)
+        second = simulate_lindblad(circ, noise)
+        assert list(engine._steps) == [circ]
+        assert engine._steps[circ] is steps
+        assert first.matrix.tobytes() == second.matrix.tobytes()
+
+    def test_cached_propagators_and_steps_are_read_only(self):
         engine = noise_sim._engine(ExperimentConfig.default().noise, 1)
         prop = engine.propagator(40.0)
         assert engine.propagator(40.0) is prop
         with pytest.raises(ValueError):
             prop[0, 0] = 0.0
-        moment = next(m for m in dj_circuit(DJOracle("X", "Z")).moments if m[0].duration > 0.0)
-        duration = max(i.duration for i in moment)
-        engine.calibrated_moment_unitary(moment, duration)
-        phase = engine._phases[duration]
-        engine.calibrated_moment_unitary(moment, duration)
-        assert engine._phases[duration] is phase
-        with pytest.raises(ValueError):
-            phase[0, 0] = 0.0
+        steps = engine.moments(dj_circuit(DJOracle("X", "Z")))
+        assert any(duration > 0.0 for duration, _ in steps)
+        for _, u in steps:
+            with pytest.raises(ValueError):
+                u[0, 0] = 0.0
 
-    def test_cached_phase_gives_the_uncached_bytes(self):
-        # the cached matrix enters through a matmul; a column scaling
+    def test_cached_steps_give_the_uncached_bytes(self):
+        # the calibration phase enters through a matmul; a column scaling
         # u * phase agrees only to rounding and would move the bundles' bytes
         engine = noise_sim._engine(ExperimentConfig.default().noise, 1)
         circuits = ([dj_circuit(o) for o in cli_harness.constant_oracles()]
                     + [dj_circuit(o) for o, _ in cli_harness.balanced_oracle_table()]
                     + [grover_circuit(GroverSpec(BasisLabel.from_index(i, 2), k)) for i in range(9) for k in (1, 2)])
-        for moment in {m for circ in circuits for m in circ.moments}:
-            duration = max(i.duration for i in moment)
-            expected = moment_unitary(moment, 2)
-            if duration > 0.0:
-                expected = expected @ np.diag(np.exp(1j * engine._coupling_diag * duration * 1e-3))
-            assert engine.calibrated_moment_unitary(moment, duration).tobytes() == expected.tobytes()
+        for circ in circuits:
+            steps = engine.moments(circ)
+            assert [duration for duration, _ in steps] == list(circ.durations)
+            for (duration, u), moment in zip(steps, circ.moments):
+                phase = np.diag(np.exp(1j * engine._coupling_diag * duration * 1e-3))
+                assert u.tobytes() == (moment_unitary(moment, 2) @ phase).tobytes()
 
     def test_circuits_built_once_per_spec(self):
         oracle = DJOracle("Z", "Xsq")

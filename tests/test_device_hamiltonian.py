@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,19 @@ class TestParams:
         assert p.with_flux(0.0).coupler_energy() == pytest.approx(1140.0)
         with pytest.raises(FluxRangeError):
             p.with_flux(0.6).coupler_energy()
+
+    @pytest.mark.parametrize("flux", [0.5, -0.5, 1.5])
+    def test_half_flux_quantum_leaves_no_coupler_energy(self, flux):
+        # cos(pi / 2) rounds to 6.1e-17, which must not pass for a positive energy
+        p = DeviceParams(n_levels=6, flux=flux)
+        junctionless = replace(p, e_j1=0.0)
+        for call in (p.coupler_energy, lambda: labeled_spectrum(p), lambda: toy_couplings(junctionless)):
+            with pytest.raises(FluxRangeError):
+                call()
+
+    def test_coupler_energy_repeats_every_two_flux_quanta(self):
+        assert DeviceParams(flux=2.0).coupler_energy() == pytest.approx(1140.0)
+        assert DeviceParams(flux=-1.815).coupler_energy() == pytest.approx(DeviceParams().coupler_energy())
 
 
 class TestCapacitance:
@@ -420,9 +434,22 @@ class TestLabeling:
             )
 
     def test_strong_mixing_rejected(self):
-        # near half a flux quantum the coupler mode crosses the qutrits
-        with pytest.raises(LabelingError):
-            labeled_spectrum(DeviceParams(flux=0.5))
+        # near half a flux quantum the coupler mode crosses the qutrits: two
+        # normal modes peak on one node, and nothing is cached
+        p = DeviceParams(flux=0.49)
+        assert normal_mode_transform(p).mode_to_node == (0, 1, 1)
+        device_hamiltonian._label_eigenstates.cache_clear()
+        for _ in range(2):
+            with pytest.raises(LabelingError, match=r"\(0, 1, 1\)"):
+                labeled_spectrum(p)
+        assert device_hamiltonian._label_eigenstates.cache_info().currsize == 0
+
+    def test_strong_mixing_exits_one_with_json(self, capsys):
+        assert main(["device", "sweep", "--from", "0.49", "--to", "0.49", "--steps", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "LabelingError"
 
 
 class TestSpectrumCache:
@@ -467,7 +494,7 @@ class TestSpectrumCache:
 
     def test_errors_raise_on_every_call(self):
         # FluxRangeError comes from inside the cached call and is not stored;
-        # at half a flux quantum the labeling is stored and labeled_spectrum
+        # with four levels per mode the labeling is stored and labeled_spectrum
         # rejects its overlaps each time
         self.cache.cache_clear()
         for _ in range(2):
@@ -475,8 +502,9 @@ class TestSpectrumCache:
                 labeled_spectrum(DeviceParams(n_levels=6, flux=0.6))
         assert self.cache.cache_info().currsize == 0
         for _ in range(2):
-            with pytest.raises(LabelingError):
-                labeled_spectrum(DeviceParams(n_levels=6, flux=0.5))
+            with pytest.raises(LabelingError, match="overlap"):
+                labeled_spectrum(DeviceParams(n_levels=4))
+        assert self.cache.cache_info().currsize == 1
 
     def test_forced_failure_is_not_remembered(self, monkeypatch):
         p = DeviceParams(n_levels=6, flux=0.2)

@@ -9,6 +9,7 @@ import pytest
 
 from qutritlab.qutrit_core import DIM, BasisLabel, tensor
 from qutritlab.gates_compiler import (
+    BETA,
     CalibrationFitError,
     Circuit,
     CompileError,
@@ -98,6 +99,19 @@ class TestNativeMatrices:
     def test_vphase_general_angles(self):
         m = vphase_matrix(math.pi, math.pi / 2)
         assert np.allclose(np.diag(m), [1.0, -1.0, np.exp(1.5j * math.pi)])
+
+    def test_rotations_match_the_written_out_matrices(self):
+        # both level pairs come from one builder; its bytes are those of the
+        # explicit 3x3 arrays
+        angles = (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, BETA, 2 * math.pi)
+        for phi, theta in itertools.product(angles, angles):
+            c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+            r01 = np.array([[c, -np.exp(-1j * phi) * s, 0.0], [np.exp(1j * phi) * s, c, 0.0], [0.0, 0.0, 1.0]],
+                           dtype=complex)
+            r12 = np.array([[1.0, 0.0, 0.0], [0.0, c, -np.exp(-1j * phi) * s], [0.0, np.exp(1j * phi) * s, c]],
+                           dtype=complex)
+            assert r01_matrix(phi, theta).tobytes() == r01.tobytes()
+            assert r12_matrix(phi, theta).tobytes() == r12.tobytes()
 
     def test_all_native_matrices_unitary(self):
         rng = np.random.default_rng(7)
@@ -287,6 +301,30 @@ class TestCircuitStructure:
         assert len(parsed.moments) == len(circ.moments)
         assert np.allclose(circuit_unitary(parsed), circuit_unitary(circ))
         assert parsed.total_duration == pytest.approx(circ.total_duration)
+
+    def test_durations_one_per_moment(self):
+        circ = compile_cphase(1.234, "01").then(
+            merge_streams(2, {0: decompose_single("H", 0), 1: decompose_single("Z", 1)})
+        )
+        assert circ.durations == tuple(max(i.duration for i in m) for m in circ.moments)
+        assert sum(circ.durations) == circ.total_duration
+        only_phases = Circuit(2, ((pulse_vphase(0, 1.0, 2.0), pulse_vphase(1, 0.5, 0.0)),))
+        assert only_phases.durations == (0.0,)
+
+    def test_durations_carry_through_then_and_text(self):
+        first = compile_cphase(1.234, "01")
+        second = merge_streams(2, {0: decompose_single("H", 0), 1: decompose_single("Xsq", 1)})
+        joined = first.then(second)
+        assert joined.durations == first.durations + second.durations
+        assert Circuit.from_text(joined.to_text()).durations == joined.durations
+
+    def test_durations_take_no_part_in_equality_or_hash(self):
+        circ = compile_cphase(math.pi, "00")
+        twin = Circuit(circ.n_qutrits, circ.moments)
+        object.__setattr__(twin, "durations", ())
+        assert twin == circ
+        assert hash(twin) == hash(circ)
+        assert "durations" not in repr(circ)
 
     def test_from_text_rejects_garbage(self):
         with pytest.raises(CompileError):
