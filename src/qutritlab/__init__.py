@@ -7,7 +7,6 @@ readout-error mitigation, and circuit quantization of the underlying
 device Hamiltonian.
 """
 
-from .cli_harness import PACKAGE_VERSION as __version__
 from .qutrit_core import (
     DIM,
     BasisLabel,
@@ -109,13 +108,35 @@ from .device_hamiltonian import (
     sweep_to_csv,
     toy_couplings,
 )
-from .cli_harness import (
-    ConfigError,
-    ExperimentConfig,
-    ResultBundle,
-    run_bv,
-    run_device_report,
-    run_dj,
-    run_grover,
-    run_process_tomo,
-)
+
+# The command-line layer is imported on first use, so that running it as
+# `python -m qutritlab.cli_harness` does not find it already imported.
+_FROM_CLI_HARNESS = {
+    "__version__": "PACKAGE_VERSION",
+    **{name: name for name in (
+        "ConfigError",
+        "ExperimentConfig",
+        "ResultBundle",
+        "run_bv",
+        "run_device_report",
+        "run_dj",
+        "run_grover",
+        "run_process_tomo",
+    )},
+}
+
+
+def __getattr__(name: str):
+    if name in _FROM_CLI_HARNESS:
+        from . import cli_harness
+
+        return getattr(cli_harness, _FROM_CLI_HARNESS[name])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_FROM_CLI_HARNESS])
+
+
+# a star import brings the lazy names too
+__all__ = [name for name in __dir__() if not name.startswith("_")]

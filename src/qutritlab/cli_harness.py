@@ -39,13 +39,14 @@ from .gates_compiler import (
 )
 from .noise_sim import (
     NoiseModel,
+    ProcessMatrix,
     QutritCoherence,
     chi_matrix,
     chi_of_unitary,
     circuit_channel,
     measure_probs,
     process_fidelity,
-    reduced_qutrit_channel,
+    reduced_qutrit_channel,  # no runner calls it; kept as a name here for wrappers that trace it
     sample_counts,
     simulate_lindblad,
     simulate_pure,
@@ -225,6 +226,12 @@ class ExperimentConfig:
         }
 
     def config_hash(self) -> str:
+        return self._config_hash
+
+    @functools.cached_property
+    def _config_hash(self) -> str:
+        # memoized per instance, not across equal configs: j11 = 0.0 and
+        # -0.0 compare (and hash) equal but write different mappings
         canon = json.dumps(self.to_mapping(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -436,22 +443,36 @@ def run_device_report(config: ExperimentConfig, flux_grid) -> ResultBundle:
     return ResultBundle("device", config.config_hash(), tuple(entries), summary, sweep_to_csv(reports))
 
 
+@functools.lru_cache(maxsize=len(LOGICAL_GATE_NAMES))
+def _gate_reference(gate: str) -> tuple[ProcessMatrix, float, float]:
+    """Ideal chi (read-only), noiseless compiled fidelity and compiled duration of a gate."""
+    ideal_chi = chi_of_unitary(logical_gate(gate))
+    ideal_chi.matrix.flags.writeable = False
+    compiled = single_qutrit_circuit(gate, 0, n_qutrits=1)
+    noiseless_fid = process_fidelity(chi_of_unitary(circuit_unitary(compiled)), ideal_chi)
+    return ideal_chi, noiseless_fid, compiled.total_duration
+
+
+@functools.lru_cache(maxsize=2 * len(LOGICAL_GATE_NAMES))
+def _pair_circuit(gate: str, qidx: int):
+    """The gate compiled on one qutrit of the pair, the other idle."""
+    return merge_streams(2, {qidx: decompose_single(gate, qidx)})
+
+
 def run_process_tomo(config: ExperimentConfig, gate: str, qutrit: int) -> ResultBundle:
-    """Process matrix of a compiled gate, noiseless and under the noise model."""
+    """Process matrix of a compiled gate, noiseless and under the noise model.
+
+    The noiseless references and the pair circuit of each gate are built
+    once per process; only the noisy channel depends on the configuration.
+    """
     if gate not in LOGICAL_GATE_NAMES:
         raise ConfigError(f"unsupported gate {gate!r}; pick one of {', '.join(LOGICAL_GATE_NAMES)}")
     if qutrit not in (1, 2):
         raise ConfigError(f"qutrit must be 1 or 2, got {qutrit}")
     qidx = qutrit - 1
-    ideal_chi = chi_of_unitary(logical_gate(gate))
-
-    compiled = single_qutrit_circuit(gate, 0, n_qutrits=1)
-    noiseless_chi = chi_of_unitary(circuit_unitary(compiled))
-    noiseless_fid = process_fidelity(noiseless_chi, ideal_chi)
-
-    pair = merge_streams(2, {qidx: decompose_single(gate, qidx)})
-    channel = circuit_channel(pair, config.noise, config.step_scale)
-    noisy_chi = chi_matrix(reduced_qutrit_channel(channel, qidx))
+    ideal_chi, noiseless_fid, compiled_duration = _gate_reference(gate)
+    pair = _pair_circuit(gate, qidx)
+    noisy_chi = chi_matrix(circuit_channel(pair, config.noise, config.step_scale, qutrit=qidx))
     noisy_fid = process_fidelity(noisy_chi, ideal_chi)
 
     entries = [
@@ -461,7 +482,7 @@ def run_process_tomo(config: ExperimentConfig, gate: str, qutrit: int) -> Result
     # virtual phase gates take no pulse time, so report duration only
     # when the compiled circuit actually occupies the channel
     if pair.total_duration > 0.0:
-        entries[0]["duration_ns"] = compiled.total_duration
+        entries[0]["duration_ns"] = compiled_duration
         entries[1]["duration_ns"] = pair.total_duration
     entries = tuple(entries)
     summary = {
@@ -470,7 +491,8 @@ def run_process_tomo(config: ExperimentConfig, gate: str, qutrit: int) -> Result
         "noiseless_fidelity": noiseless_fid,
         "noisy_fidelity": noisy_fid,
     }
-    rows = [f"{r},{c},{v.real:.9g},{v.imag:.9g}" for (r, c), v in np.ndenumerate(noisy_chi.matrix)]
+    rows = [f"{r},{c},{v.real:.9g},{v.imag:.9g}"
+            for r, row in enumerate(noisy_chi.matrix.tolist()) for c, v in enumerate(row)]
     return ResultBundle("tomo", config.config_hash(), entries, summary, _csv("row,col,re,im", rows))
 
 
@@ -479,17 +501,13 @@ def compile_report(theta: float, target: str) -> dict:
     if not math.isfinite(theta):
         raise ConfigError(f"theta must be a finite angle, got {theta}")
     circ = compile_cphase(theta, target)
-    pi_pulses = sum(
-        1 for i in circ.instructions()
-        if i.kind in ("R01", "R12") and abs(i.params[1] - math.pi) < 1e-12
-    )
     native = next(i.kind for i in circ.instructions() if i.kind.startswith("CPhaseNative"))
     exact = equal_up_to_global_phase(circuit_unitary(circ), cphase_matrix(theta, target))
     return {
         "target": target,
         "theta": float(theta),
         "pulse_count": circ.pulse_count(),
-        "pi_pulse_count": pi_pulses,
+        "pi_pulse_count": circ.pi_pulse_count(),
         "native_kind": native,
         "duration_ns": circ.total_duration,
         "matches_ideal": bool(exact),

@@ -183,6 +183,10 @@ class Circuit:
     def pulse_count(self) -> int:
         return sum(1 for i in self.instructions() if i.kind in _ROTATION_LOWER)
 
+    def pi_pulse_count(self) -> int:
+        """Rotations by pi (within 1e-12) on either level pair."""
+        return sum(1 for i in self.instructions() if i.kind in _ROTATION_LOWER and abs(i.params[1] - math.pi) < 1e-12)
+
     def native_two_qutrit_count(self) -> int:
         return sum(1 for i in self.instructions() if i.kind.startswith("CPhaseNative"))
 

@@ -9,15 +9,30 @@ gate's own window, so the applied unitary nulls that phase while the
 dissipative part of the window is untouched. The generator is
 exponentiated with a fixed-step fourth-order integrator.
 
+The 81x81 generator is block-diagonal over 25 sectors: |a><b| keeps its
+per-qutrit level differences (a1 - b1, a2 - b2), because the coupling
+Hamiltonian and the dephasing operators are diagonal and each relaxation
+operator lowers ket and bra together. No sector has more than 9 members.
+Each engine checks once that the generator has no entry outside its
+sectors, then forms the integrator step and its power on the stacked,
+zero-padded 9x9 sector blocks and scatters the result into the 81x81
+propagator that the state and channel paths read.
+
 Work that depends only on the noise model is done once per process.
 `simulate_lindblad`, `circuit_channel` and `evolve_idle` take their
 `LindbladEngine` from one cache slot keyed by (noise model, step_scale),
 the only route to an engine; a run with a new noise model replaces it.
-The engine holds the 81x81 generator, one propagator per distinct
-duration and, per circuit it has run, the (duration, calibrated unitary)
-steps that both the state and the channel path walk: 0.8 MB of
-propagators and 0.9 MB of steps for the 43 DJ/BV/Grover circuits. Cached
-arrays are read-only, and reuse changes no output byte.
+The engine holds the generator, one propagator per distinct duration
+and, per circuit it has run, the (duration, calibrated unitary) steps that
+both the state and the channel path walk: 0.8 MB of propagators and
+0.9 MB of steps for the 43 DJ/BV/Grover circuits. Cached arrays are
+read-only, and reuse changes no output byte.
+
+`circuit_channel` pushes a stack of 9x9 inputs through one walk of the
+steps, applying each propagator and then u x u^dag. The full channel
+pushes all 81 matrix units; the single-qutrit channel that tomography
+reads pushes only the nine inputs |k><l| with the other qutrit in |0><0|
+and traces the other qutrit out.
 
 Coherence times are given in microseconds, coupling coefficients in kHz,
 and circuit durations in nanoseconds.
@@ -156,17 +171,54 @@ def idle_hamiltonian(noise: NoiseModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Lindblad propagation
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 9x9 matrices: the same products, as one broadcast outer product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(DIM2 * DIM2, DIM2 * DIM2)
+
+
 def lindblad_generator(noise: NoiseModel) -> np.ndarray:
     """81x81 generator acting on the row-major vectorized density matrix."""
     eye = np.eye(DIM2, dtype=complex)
     h = idle_hamiltonian(noise)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    gen = -1j * (_kron(h, eye) - _kron(eye, h.T))
     for op in build_collapse_ops(noise):
         opc = op.conj()
         herm = op.conj().T @ op
-        gen += np.kron(op, opc)
-        gen -= 0.5 * (np.kron(herm, eye) + np.kron(eye, herm.T))
+        gen += _kron(op, opc)
+        gen -= 0.5 * (_kron(herm, eye) + _kron(eye, herm.T))
     return gen
+
+
+def _sector_tables():
+    """Index tables of the 25 level-difference sectors of |a><b|.
+
+    The row-major index of |a><b| is 9 a + b with a = 3 a1 + a2 and
+    b = 3 b1 + b2; its sector is (a1 - b1, a2 - b2). Each sector lists its
+    members in increasing index order, padded to DIM2 = 9, the size of
+    the largest sector, with index 0 and a False mask entry.
+    """
+    a1, a2, b1, b2 = np.indices((DIM,) * 4).reshape(4, -1)
+    sector = (a1 - b1 + DIM - 1) * (2 * DIM - 1) + (a2 - b2 + DIM - 1)
+    members = [np.flatnonzero(sector == s) for s in range((2 * DIM - 1) ** 2)]
+    index = np.zeros((len(members), DIM2), dtype=np.intp)
+    valid = np.zeros((len(members), DIM2), dtype=bool)
+    for s, m in enumerate(members):
+        index[s, :len(m)] = m
+        valid[s, :len(m)] = True
+    mask = valid[:, :, None] & valid[:, None, :]
+    rows = np.broadcast_to(index[:, :, None], mask.shape)
+    cols = np.broadcast_to(index[:, None, :], mask.shape)
+    off_sector = sector[:, None] != sector[None, :]
+    for table in (rows, cols, mask, off_sector):
+        table.flags.writeable = False
+    return rows, cols, mask, off_sector
+
+
+# rows and columns of each padded 9x9 sector block in the 81x81 generator,
+# the block entries that are real members, and the generator entries that
+# lie outside every sector
+_BLOCK_ROWS, _BLOCK_COLS, _BLOCK_MASK, _OFF_SECTOR = _sector_tables()
+_SCATTER = (_BLOCK_ROWS[_BLOCK_MASK], _BLOCK_COLS[_BLOCK_MASK])
 
 
 class LindbladEngine:
@@ -178,6 +230,9 @@ class LindbladEngine:
         self.noise = noise
         self.step_scale = int(step_scale)
         self.generator = lindblad_generator(noise)
+        if np.any(self.generator[_OFF_SECTOR]):
+            raise SimulationError("the Lindblad generator couples different level-difference sectors")
+        self._blocks = np.where(_BLOCK_MASK, self.generator[_BLOCK_ROWS, _BLOCK_COLS], 0.0)
         self._cache: dict[float, np.ndarray] = {}
         self._steps: dict[Circuit, tuple[tuple[float, np.ndarray], ...]] = {}
         self._coupling_diag = np.real(np.diag(idle_hamiltonian(noise)))
@@ -190,12 +245,13 @@ class LindbladEngine:
             return cached
         n_steps = self.step_scale * max(16, int(math.ceil(duration_ns)))
         h = (duration_ns * 1e-3) / n_steps
-        gen = self.generator
-        eye = np.eye(gen.shape[0], dtype=complex)
+        gen = self._blocks
+        eye = np.eye(DIM2, dtype=complex)
         # fourth-order Taylor step, identical to classic RK4 for a
-        # time-independent linear generator:
+        # time-independent linear generator, on every sector block at once:
         step = eye + h * gen @ (eye + (h / 2.0) * gen @ (eye + (h / 3.0) * gen @ (eye + (h / 4.0) * gen)))
-        prop = np.linalg.matrix_power(step, n_steps)
+        prop = np.zeros_like(self.generator)
+        prop[_SCATTER] = np.linalg.matrix_power(step, n_steps)[_BLOCK_MASK]
         prop.flags.writeable = False
         self._cache[key] = prop
         return prop
@@ -399,27 +455,63 @@ class QuantumChannel:
         return float(np.max(np.abs(traces - np.eye(d))))
 
 
-def circuit_channel(circuit: Circuit, noise: NoiseModel, step_scale: int = 1) -> QuantumChannel:
-    """Full-register channel of a compiled circuit under the noise model."""
-    engine = _engine(noise, step_scale)
-    total = np.eye(DIM2 * DIM2, dtype=complex)
+# the 81 matrix units |a><b| of the pair, unit 9 a + b at index 9 a + b
+_PAIR_UNITS = np.eye(DIM2 * DIM2, dtype=complex).reshape(DIM2 * DIM2, DIM2, DIM2)
+_PAIR_UNITS.flags.writeable = False
+
+
+# per qutrit, the index of the pair unit that is |k><l| on that qutrit and
+# |0><0| on the other, for k l = 00, 01, ..., 22
+_K, _L = np.divmod(np.arange(DIM2), DIM)
+_QUTRIT_UNITS = (DIM2 * DIM * _K + DIM * _L, DIM2 * _K + _L)
+
+
+def _propagate(engine: LindbladEngine, circuit: Circuit, inputs: np.ndarray) -> np.ndarray:
+    """Images of a (k, 9, 9) stack of pair operators after the circuit's moments."""
+    x = inputs
     for duration, u in engine.moments(circuit):
         if duration > 0.0:
-            total = engine.propagator(duration) @ total
-        total = np.kron(u, u.conj()) @ total
-    return QuantumChannel(total, DIM2)
+            x = (x.reshape(len(x), -1) @ engine.propagator(duration).T).reshape(x.shape)
+        x = u @ x @ u.conj().T
+    return x
+
+
+def _qutrit_superop(images: np.ndarray, qutrit: int) -> np.ndarray:
+    """9x9 superoperator from the pair images of the nine inputs of one qutrit.
+
+    The other qutrit's output is traced out; column 3 k + l holds the image
+    of |k><l|.
+    """
+    # axes: input, output ket (q1, q2), output bra (q1, q2)
+    t = images.reshape(DIM2, DIM, DIM, DIM, DIM)
+    traced = np.trace(t, axis1=2, axis2=4) if qutrit == 0 else np.trace(t, axis1=1, axis2=3)
+    return traced.reshape(DIM2, DIM2).T
+
+
+def circuit_channel(circuit: Circuit, noise: NoiseModel, step_scale: int = 1,
+                    qutrit: int | None = None) -> QuantumChannel:
+    """Channel of a compiled circuit under the noise model.
+
+    The full-register channel, or with qutrit 0 or 1 the single-qutrit
+    channel that qutrit sees while the other starts in |0> (the channel
+    reduced_qutrit_channel takes from the full one).
+    """
+    engine = _engine(noise, step_scale)
+    if qutrit is None:
+        images = _propagate(engine, circuit, _PAIR_UNITS)
+        return QuantumChannel(images.reshape(DIM2 * DIM2, DIM2 * DIM2).T, DIM2)
+    if qutrit not in (0, 1):
+        raise ChannelError(f"qutrit must be 0 or 1, got {qutrit}")
+    inputs = _PAIR_UNITS[_QUTRIT_UNITS[qutrit]]
+    return QuantumChannel(_qutrit_superop(_propagate(engine, circuit, inputs), qutrit), DIM)
 
 
 def reduced_qutrit_channel(channel: QuantumChannel, qutrit: int) -> QuantumChannel:
     """Single-qutrit channel seen by one qutrit, the other starting in |0>."""
     if channel.dim != DIM2 or qutrit not in (0, 1):
         raise ChannelError("reduction expects a two-qutrit channel and qutrit 0 or 1")
-    # axes: output ket, output bra, input ket, input bra, each as (q1, q2)
-    s = channel.superop.reshape((DIM,) * 8)
-    if qutrit == 1:
-        s = s.transpose(1, 0, 3, 2, 5, 4, 7, 6)
-    # the other qutrit enters as |0><0| and its output is traced out
-    return QuantumChannel(np.trace(s[..., 0, :, 0], axis1=1, axis2=3).reshape(DIM2, DIM2), DIM)
+    images = channel.superop[:, _QUTRIT_UNITS[qutrit]].T
+    return QuantumChannel(_qutrit_superop(images, qutrit), DIM)
 
 
 def chi_matrix(channel: QuantumChannel, tol: float = 1e-6) -> ProcessMatrix:

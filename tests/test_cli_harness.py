@@ -21,7 +21,15 @@ from qutritlab import algorithms, cli_harness, device_hamiltonian, noise_sim
 from qutritlab.qutrit_core import BasisLabel, QutritLabError
 from qutritlab.algorithms import BVString, DJOracle, GroverSpec, bv_circuit, dj_circuit, grover_circuit
 from qutritlab.device_hamiltonian import DeviceParams, labeled_spectrum
-from qutritlab.gates_compiler import _moment_unitary, moment_unitary
+from qutritlab.gates_compiler import (
+    LOGICAL_GATE_NAMES,
+    _moment_unitary,
+    circuit_unitary,
+    compile_cphase,
+    cphase_matrix,
+    equal_up_to_global_phase,
+    moment_unitary,
+)
 from qutritlab.noise_sim import sample_counts, simulate_lindblad
 from qutritlab.readout_mitigation import save_confusion, synthetic_confusion
 from qutritlab.cli_harness import (
@@ -211,6 +219,34 @@ class TestConfig:
         assert a.config_hash() == b.config_hash() == base.config_hash()
         assert "out_dir" not in a.to_mapping()
 
+    def test_config_hash_memoized_per_instance(self, monkeypatch):
+        calls = Counter()
+        original = ExperimentConfig.to_mapping
+
+        def counting(self):
+            calls["to_mapping"] += 1
+            return original(self)
+        monkeypatch.setattr(ExperimentConfig, "to_mapping", counting)
+        config = ExperimentConfig.default()
+        first = config.config_hash()
+        assert config.config_hash() == first == "046f2ad7d64a62a1"
+        assert calls["to_mapping"] == 1
+        # replace() builds a new instance, which carries no memo over
+        for changed, same in ((config.replace(), True), (config.replace(seed=12), False)):
+            assert "_config_hash" not in vars(changed)
+            assert (changed.config_hash() == first) is same
+        assert calls["to_mapping"] == 3
+
+    def test_signed_zero_coupling_keeps_its_own_hash(self):
+        # equal configs (and equal Python hashes) that write different
+        # mappings: a memo shared across equal instances would merge them
+        base = ExperimentConfig.default()
+        plus = base.replace(noise=dataclasses.replace(base.noise, j11=0.0))
+        minus = base.replace(noise=dataclasses.replace(base.noise, j11=-0.0))
+        assert plus == minus and hash(plus) == hash(minus)
+        assert plus.config_hash() == "f402a01a7b499753"
+        assert minus.config_hash() == "0717d0d9ffcbeac8"
+
     def test_hash_tracks_physics_fields(self):
         base = ExperimentConfig.default()
         assert base.replace(noisy=True).config_hash() != base.config_hash()
@@ -340,6 +376,27 @@ class TestCompileReport:
         assert report["pi_pulse_count"] == 4
         assert report["matches_ideal"] is True
         assert "CPhaseNative" in report["circuit_text"]
+
+    @pytest.mark.parametrize("theta", [math.pi / 3, math.pi, -math.pi / 2])
+    def test_reports_unchanged_with_the_circuit_counting_pi_pulses(self, theta):
+        for target in (str(BasisLabel.from_index(i, 2)) for i in range(9)):
+            circ = compile_cphase(theta, target)
+            # the report as it was assembled before Circuit counted pi pulses
+            pi_pulses = sum(
+                1 for i in circ.instructions()
+                if i.kind in ("R01", "R12") and abs(i.params[1] - math.pi) < 1e-12
+            )
+            assert circ.pi_pulse_count() == pi_pulses
+            assert compile_report(theta, target) == {
+                "target": target,
+                "theta": float(theta),
+                "pulse_count": circ.pulse_count(),
+                "pi_pulse_count": pi_pulses,
+                "native_kind": next(i.kind for i in circ.instructions() if i.kind.startswith("CPhaseNative")),
+                "duration_ns": circ.total_duration,
+                "matches_ideal": bool(equal_up_to_global_phase(circuit_unitary(circ), cphase_matrix(theta, target))),
+                "circuit_text": circ.to_text(),
+            }
 
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
     def test_non_finite_angle_exits_one_with_json(self, capsys, theta):
@@ -574,6 +631,78 @@ class TestNoisyPathReuse:
             outputs.append(done.stdout)
         assert json.loads(outputs[0])["entries"]
         assert outputs[0] == outputs[1]
+
+
+class TestTomographyReuse:
+    """The noiseless references and pair circuit of each gate are built once
+    per process; the bundles do not depend on whether they were cached."""
+
+    def clear(self):
+        for cached in (cli_harness._gate_reference, cli_harness._pair_circuit, noise_sim._engine):
+            cached.cache_clear()
+
+    def test_per_gate_caches_bounded_and_read_only(self):
+        self.clear()
+        for gate in ("CNOT", "H"):
+            with pytest.raises(ConfigError):
+                run_process_tomo(exact_config(), gate, 3 if gate == "H" else 1)
+        assert cli_harness._gate_reference.cache_info().currsize == 0
+        assert cli_harness._pair_circuit.cache_info().currsize == 0
+        for _ in range(2):
+            for gate in LOGICAL_GATE_NAMES:
+                for qutrit in (1, 2):
+                    run_process_tomo(exact_config(), gate, qutrit)
+        n_gates = len(LOGICAL_GATE_NAMES)
+        assert cli_harness._gate_reference.cache_info()[2:] == (n_gates, n_gates)
+        assert cli_harness._pair_circuit.cache_info()[2:] == (2 * n_gates, 2 * n_gates)
+        for gate in LOGICAL_GATE_NAMES:
+            ideal_chi = cli_harness._gate_reference(gate)[0]
+            with pytest.raises(ValueError):
+                ideal_chi.matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("gate", ["H", "Xsq", "Z"])
+    def test_cold_and_warm_bundles_agree(self, gate):
+        for qutrit in (1, 2):
+            self.clear()
+            cold = run_process_tomo(exact_config(), gate, qutrit)
+            warm = run_process_tomo(exact_config(), gate, qutrit)
+            assert cli_harness._gate_reference.cache_info().hits == 1
+            assert cold.to_json() == warm.to_json()
+            assert cold.figure_csv == warm.figure_csv
+
+
+class TestModuleEntryPoint:
+    """The package imports its command-line layer only when asked for it."""
+
+    def run(self, *args):
+        src = str(Path(qutritlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True)
+
+    def test_run_as_module_prints_no_runtime_warning(self):
+        done = self.run("-W", "error::RuntimeWarning", "-m", "qutritlab.cli_harness",
+                        "compile", "cphase", "--theta", "1.0", "--target", "21")
+        assert done.returncode == 0
+        assert done.stderr == b""
+        assert json.loads(done.stdout)["target"] == "21"
+
+    def test_package_names_resolve_on_first_use(self):
+        script = (
+            "import sys, qutritlab\n"
+            "assert 'qutritlab.cli_harness' not in sys.modules\n"
+            "from qutritlab import run_dj, ExperimentConfig\n"
+            "from qutritlab.cli_harness import run_dj as direct\n"
+            "assert run_dj is direct and 'run_dj' in dir(qutritlab)\n"
+            "star = {}\n"
+            "exec('from qutritlab import *', star)\n"
+            "assert star['ExperimentConfig'] is ExperimentConfig and 'DensityMatrix' in star\n"
+            "print(qutritlab.__version__)\n"
+        )
+        done = self.run("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == b"1.0.0\n"
+        with pytest.raises(AttributeError):
+            qutritlab.no_such_name
 
 
 class TestMain:

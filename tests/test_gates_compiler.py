@@ -292,6 +292,14 @@ class TestCircuitStructure:
         with pytest.raises(CompileError):
             Circuit(1, ((pulse_r01(0, 0.0, math.pi), pulse_vphase(0, 1.0, 0.0)),))
 
+    def test_pi_pulse_count_counts_half_turns_only(self):
+        circ = Circuit(1, moments_of((
+            pulse_r01(0, 0.0, math.pi), pulse_r12(0, 0.5, math.pi), pulse_r01(0, 0.0, math.pi / 2),
+            pulse_vphase(0, math.pi, math.pi), pulse_r12(0, 0.0, -math.pi),
+        )))
+        assert circ.pulse_count() == 4
+        assert circ.pi_pulse_count() == pi_pulse_count(circ) == 2
+
     def test_text_round_trip(self):
         circ = compile_cphase(1.234, "01").then(
             merge_streams(2, {0: decompose_single("H", 0), 1: decompose_single("Z", 1)})

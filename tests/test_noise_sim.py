@@ -18,7 +18,9 @@ from qutritlab.qutrit_core import (
     partial_trace,
     tensor,
 )
+from qutritlab import noise_sim
 from qutritlab.gates_compiler import (
+    LOGICAL_GATE_NAMES,
     Circuit,
     compile_cphase,
     circuit_unitary,
@@ -44,6 +46,7 @@ from qutritlab.noise_sim import (
     dephasing_rates,
     evolve_idle,
     idle_hamiltonian,
+    lindblad_generator,
     measure_probs,
     process_fidelity,
     ramsey_coherence_time,
@@ -424,3 +427,85 @@ class TestProcessMatrices:
             channel = circuit_channel(both_h(), ExperimentConfig.default().noise)
         evals = np.linalg.eigvalsh(channel.choi())
         assert np.min(evals) >= -1e-7
+
+
+def correlated_q1_noise() -> NoiseModel:
+    """First qutrit on the correlated-dephasing branch, all four couplings on."""
+    q1 = QutritCoherence(t1_01=30.0, t1_12=20.0, t2r_01=10.0, t2r_12=20.0)
+    gamma_a, gamma_b = dephasing_rates(q1)
+    assert gamma_b < 0.0 <= gamma_a + gamma_b
+    return NoiseModel(q1=q1, q2=ExperimentConfig.default().noise.q2, j11=-30.5, j21=0.6, j12=-2.1, j22=-0.9)
+
+
+def level_difference_sectors() -> np.ndarray:
+    """Sector (a1 - b1, a2 - b2) of each row-major index 9 a + b of |a><b|, as one integer."""
+    a, b = np.divmod(np.arange(DIM**4), DIM * DIM)
+    (a1, a2), (b1, b2) = np.divmod(a, DIM), np.divmod(b, DIM)
+    return 5 * (a1 - b1) + (a2 - b2)
+
+
+def dense_propagator(gen: np.ndarray, duration_ns: float, step_scale: int) -> np.ndarray:
+    """Reference: the fourth-order step formed on the whole 81x81 generator, then its power."""
+    n_steps = step_scale * max(16, int(math.ceil(duration_ns)))
+    h = (duration_ns * 1e-3) / n_steps
+    eye = np.eye(gen.shape[0], dtype=complex)
+    step = eye + h * gen @ (eye + (h / 2.0) * gen @ (eye + (h / 3.0) * gen @ (eye + (h / 4.0) * gen)))
+    return np.linalg.matrix_power(step, n_steps)
+
+
+NOISE_MODELS = {
+    "default": lambda: ExperimentConfig.default().noise,
+    "none": NoiseModel.none,
+    "correlated_q1": correlated_q1_noise,
+}
+
+
+class TestSectorStructure:
+    """The generator is block-diagonal over the level-difference sectors, and
+    the propagators formed per sector match the whole-matrix integrator."""
+
+    @pytest.mark.parametrize("name", NOISE_MODELS)
+    def test_generator_has_no_off_sector_entry(self, name):
+        gen = lindblad_generator(NOISE_MODELS[name]())
+        sector = level_difference_sectors()
+        off = sector[:, None] != sector[None, :]
+        assert np.count_nonzero(gen[off]) == 0
+        sizes = np.unique(sector, return_counts=True)[1]
+        assert len(sizes) == 25 and sizes.max() == 9
+
+    def test_off_sector_entry_rejected(self, monkeypatch):
+        def leaky(noise):
+            gen = lindblad_generator(noise)
+            gen[0, 1] = 1e-12  # |00><00| fed from |00><01|: sectors (0, 0) and (0, -1)
+            return gen
+        monkeypatch.setattr(noise_sim, "lindblad_generator", leaky)
+        with pytest.raises(SimulationError, match="sectors"):
+            LindbladEngine(NoiseModel.none())
+
+    @pytest.mark.parametrize("step_scale", [1, 2])
+    @pytest.mark.parametrize("name", NOISE_MODELS)
+    def test_sector_propagators_match_the_dense_integrator(self, name, step_scale):
+        engine = LindbladEngine(NOISE_MODELS[name](), step_scale)
+        sector = level_difference_sectors()
+        off = sector[:, None] != sector[None, :]
+        for duration in (0.5, 16.0, 40.0, 137.3):
+            prop = engine.propagator(duration)
+            assert prop.shape == (81, 81)
+            assert not prop.flags.writeable
+            assert np.max(np.abs(prop - dense_propagator(engine.generator, duration, step_scale))) < 1e-13
+            assert np.count_nonzero(prop[off]) == 0
+
+    @pytest.mark.parametrize("gate", LOGICAL_GATE_NAMES)
+    def test_nine_input_channel_matches_the_reduced_full_channel(self, gate):
+        noise = ExperimentConfig.default().noise
+        for qutrit in (0, 1):
+            circ = merge_streams(2, {qutrit: decompose_single(gate, qutrit)})
+            direct = circuit_channel(circ, noise, qutrit=qutrit)
+            assert direct.dim == DIM
+            full = circuit_channel(circ, noise)
+            assert np.max(np.abs(direct.superop - reduced_qutrit_channel(full, qutrit).superop)) < 1e-14
+            assert np.max(np.abs(direct.superop - matrix_unit_reduction(full, qutrit))) < 1e-14
+
+    def test_nine_input_channel_needs_qutrit_zero_or_one(self):
+        with pytest.raises(ChannelError):
+            circuit_channel(both_h(), NoiseModel.none(), qutrit=2)
