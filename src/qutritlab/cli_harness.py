@@ -6,6 +6,11 @@ mitigation, emits device spectra and process matrices, and writes every
 result as a machine-readable JSON document plus a flat CSV for plotting.
 Outputs carry no timestamps, so a rerun with the same configuration and
 seed reproduces them byte for byte.
+
+On the command line each subcommand's parser names its handler, and main
+calls it. `sim`, `device sweep` and `tomo process` share `--config`,
+`--out` and one resolve-run-emit step; `compile` and `mitigate` emit one
+JSON document each.
 """
 
 from __future__ import annotations
@@ -248,27 +253,23 @@ class ResultBundle:
 
     def __post_init__(self):
         for entry in self.entries:
-            dist = entry.get("distribution")
-            if dist is not None and abs(sum(dist.values()) - 1.0) > 1e-6:
-                raise QutritLabError(f"unnormalized distribution in entry {entry.get('name')}")
-            mit = entry.get("mitigated_distribution")
-            if mit is not None and abs(sum(mit.values()) - 1.0) > 1e-6:
-                raise QutritLabError(f"unnormalized mitigated distribution in {entry.get('name')}")
+            for key in ("distribution", "mitigated_distribution"):
+                dist = entry.get(key)
+                if dist is not None and abs(sum(dist.values()) - 1.0) > 1e-6:
+                    raise QutritLabError(f"unnormalized {key} in entry {entry.get('name')}")
             dur = entry.get("duration_ns")
             if dur is not None and dur <= 0.0:
                 raise QutritLabError(f"non-positive circuit duration in {entry.get('name')}")
 
-    def to_document(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        doc = {
             "experiment": self.experiment,
             "config_hash": self.config_hash,
             "package_version": PACKAGE_VERSION,
             "entries": list(self.entries),
             "summary": self.summary,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_document(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def save(self, out_dir) -> tuple[Path, Path]:
         return tuple(_write_files(out_dir, {f"{self.experiment}_result.json": self.to_json(),
@@ -298,7 +299,7 @@ def _run_cases(config: ExperimentConfig, cases) -> list[dict]:
     success probability, taken of the exact distribution and, when
     mitigating, of the mitigated one. Sampling uses seed + seed_offset.
     """
-    matrix = synthetic_confusion(DIM * DIM, config.readout_diagonal) if config.mitigate else None
+    matrix = synthetic_confusion(diagonal=config.readout_diagonal) if config.mitigate else None
     entries = []
     for circ, fields, score, seed_offset in cases:
         if config.noisy:
@@ -320,8 +321,12 @@ def _run_cases(config: ExperimentConfig, cases) -> list[dict]:
     return entries
 
 
-def _mean(entries: list[dict], key: str, **where) -> float:
-    return float(np.mean([e[key] for e in entries if all(e[k] == v for k, v in where.items())]))
+def _averages(entries: list[dict], groups: dict, mitigated: bool) -> dict:
+    """Mean sp of the entries that match each named {field: value} filter;
+    with mitigated, also their mean sp_mitigated as "<name>_mitigated"."""
+    suffixes = {"sp": "", "sp_mitigated": "_mitigated"} if mitigated else {"sp": ""}
+    return {name + suffix: float(np.mean([e[key] for e in entries if all(e[k] == v for k, v in where.items())]))
+            for key, suffix in suffixes.items() for name, where in groups.items()}
 
 
 def _csv(header: str, rows) -> str:
@@ -341,16 +346,13 @@ def run_dj(config: ExperimentConfig) -> ResultBundle:
 
     oracles = [(o, "0") for o in constant_oracles()] + list(balanced_oracle_table())
     entries = _run_cases(config, [case(idx, o, note) for idx, (o, note) in enumerate(oracles)])
-    summary = {
-        "constant_avg": _mean(entries, "sp", kind="constant"),
-        "balanced_avg": _mean(entries, "sp", kind="balanced"),
-        "classical_baseline": classical_baselines()["dj"],
-        "n_constant": sum(e["kind"] == "constant" for e in entries),
-        "n_balanced": sum(e["kind"] == "balanced" for e in entries),
-    }
-    if config.mitigate:
-        summary["constant_avg_mitigated"] = _mean(entries, "sp_mitigated", kind="constant")
-        summary["balanced_avg_mitigated"] = _mean(entries, "sp_mitigated", kind="balanced")
+    summary = _averages(entries, {"constant_avg": {"kind": "constant"}, "balanced_avg": {"kind": "balanced"}},
+                        config.mitigate)
+    summary.update(
+        classical_baseline=classical_baselines()["dj"],
+        n_constant=sum(e["kind"] == "constant" for e in entries),
+        n_balanced=sum(e["kind"] == "balanced" for e in entries),
+    )
     rows = [f"{e['name']},{e['kind']},{e['function'].replace(' ', '')},{e['sp']:.9g}" for e in entries]
     return ResultBundle("dj", config.config_hash(), tuple(entries), summary, _csv("oracle,kind,function,sp", rows))
 
@@ -368,13 +370,11 @@ def run_bv(config: ExperimentConfig) -> ResultBundle:
         return bv_circuit(s), fields, lambda dist: dist.prob_of(label), 100 + idx
 
     entries = _run_cases(config, [case(idx) for idx in range(DIM * DIM)])
-    summary = {
-        "average_sp": _mean(entries, "sp"),
-        "classical_baseline": classical_baselines()["bv"],
-        "all_decoded_correctly": all(e["decoded_correctly"] for e in entries),
-    }
-    if config.mitigate:
-        summary["average_sp_mitigated"] = _mean(entries, "sp_mitigated")
+    summary = _averages(entries, {"average_sp": {}}, config.mitigate)
+    summary.update(
+        classical_baseline=classical_baselines()["bv"],
+        all_decoded_correctly=all(e["decoded_correctly"] for e in entries),
+    )
     rows = [f"{e['name']},{e['sp']:.9g},{e['decoded']}" for e in entries]
     return ResultBundle("bv", config.config_hash(), tuple(entries), summary, _csv("string,sp,decoded", rows))
 
@@ -393,23 +393,26 @@ def run_grover(config: ExperimentConfig) -> ResultBundle:
                 lambda dist: dist.prob_of(target), 200 + 9 * rounds + idx)
 
     entries = _run_cases(config, [case(k, idx) for k in (1, 2) for idx in range(DIM * DIM)])
-    round1 = _mean(entries, "sp", rounds=1)
-    round2 = _mean(entries, "sp", rounds=2)
+    summary = _averages(entries, {"round1_avg": {"rounds": 1}, "round2_avg": {"rounds": 2}}, mitigated=False)
     baselines = classical_baselines()
-    summary = {
-        "round1_avg": round1,
-        "round2_avg": round2,
-        "round2_exceeds_round1": round2 > round1,
-        "classical_baseline_round1": baselines["grover1"],
-        "classical_baseline_round2": baselines["grover2"],
-        "round2_duration_ns_22": next(
-            e["duration_ns"] for e in entries if e["rounds"] == 2 and e["target"] == "22"
-        ),
-    }
+    summary.update(
+        round2_exceeds_round1=summary["round2_avg"] > summary["round1_avg"],
+        classical_baseline_round1=baselines["grover1"],
+        classical_baseline_round2=baselines["grover2"],
+        round2_duration_ns_22=next(e["duration_ns"] for e in entries if e["rounds"] == 2 and e["target"] == "22"),
+    )
     rows = [f"{e['rounds']},{e['target']}," + ",".join(f"{e['distribution'][lbl]:.9g}" for lbl in _PAIR_LABELS)
             for e in entries]
     return ResultBundle("grover", config.config_hash(), tuple(entries), summary,
                         _csv("rounds,target," + ",".join(_PAIR_LABELS), rows))
+
+
+# device bundle entry key -> SpectrumReport field
+_DEVICE_ENTRY = {
+    "flux": "flux", "w01_q1": "w01_q1", "w12_q1": "w12_q1", "w01_q2": "w01_q2", "w12_q2": "w12_q2",
+    "j11_khz": "j11", "j21_khz": "j21", "j12_khz": "j12", "j22_khz": "j22",
+    "coupler_ghz": "coupler_ghz", "min_overlap": "min_overlap", "sweet_spot": "sweet_spot",
+}
 
 
 def run_device_report(config: ExperimentConfig, flux_grid) -> ResultBundle:
@@ -420,26 +423,11 @@ def run_device_report(config: ExperimentConfig, flux_grid) -> ResultBundle:
     """
     reports = flux_sweep(config.device, flux_grid)
     operating = labeled_spectrum(config.device)
-    entries = []
-    for r in reports:
-        entries.append({
-            "name": f"flux_{r.flux:.6g}",
-            "flux": r.flux,
-            "w01_q1": r.w01_q1, "w12_q1": r.w12_q1,
-            "w01_q2": r.w01_q2, "w12_q2": r.w12_q2,
-            "j11_khz": r.j11, "j21_khz": r.j21, "j12_khz": r.j12, "j22_khz": r.j22,
-            "coupler_ghz": r.coupler_ghz,
-            "min_overlap": r.min_overlap,
-            "sweet_spot": r.sweet_spot,
-        })
-    summary = {
-        "points": len(reports),
-        "operating_flux": config.device.flux,
-        "operating_w01_q1": operating.w01_q1,
-        "operating_w01_q2": operating.w01_q2,
-        "operating_j11_khz": operating.j11,
-        "operating_coupler_ghz": operating.coupler_ghz,
-    }
+    entries = [{"name": f"flux_{r.flux:.6g}", **{key: getattr(r, field) for key, field in _DEVICE_ENTRY.items()}}
+               for r in reports]
+    summary = {"points": len(reports), "operating_flux": config.device.flux}
+    summary.update({f"operating_{key}": getattr(operating, _DEVICE_ENTRY[key])
+                    for key in ("w01_q1", "w01_q2", "j11_khz", "coupler_ghz")})
     return ResultBundle("device", config.config_hash(), tuple(entries), summary, sweep_to_csv(reports))
 
 
@@ -475,16 +463,12 @@ def run_process_tomo(config: ExperimentConfig, gate: str, qutrit: int) -> Result
     noisy_chi = chi_matrix(circuit_channel(pair, config.noise, config.step_scale, qutrit=qidx))
     noisy_fid = process_fidelity(noisy_chi, ideal_chi)
 
-    entries = [
-        {"name": "noiseless", "fidelity": noiseless_fid},
-        {"name": "noisy", "fidelity": noisy_fid},
-    ]
+    entries = ({"name": "noiseless", "fidelity": noiseless_fid}, {"name": "noisy", "fidelity": noisy_fid})
     # virtual phase gates take no pulse time, so report duration only
     # when the compiled circuit actually occupies the channel
     if pair.total_duration > 0.0:
         entries[0]["duration_ns"] = compiled_duration
         entries[1]["duration_ns"] = pair.total_duration
-    entries = tuple(entries)
     summary = {
         "gate": gate,
         "qutrit": qutrit,
@@ -544,37 +528,46 @@ def _load_counts_file(path) -> np.ndarray:
     return np.array([counts[lbl] for lbl in _PAIR_LABELS])
 
 
+# command-line flag -> the ExperimentConfig field it overrides; a flag not given parses as None
+_FLAG_FIELDS = {"noisy": "noisy", "mitigate": "mitigate", "shots": "shots", "seed": "seed", "out": "out_dir"}
+
+
 def _config_from_args(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        config = ExperimentConfig.from_yaml(args.config)
-    else:
-        config = ExperimentConfig.default()
-    changes = {}
-    if getattr(args, "noisy", False):
-        changes["noisy"] = True
-    if getattr(args, "mitigate", False):
-        changes["mitigate"] = True
-    if getattr(args, "shots", None) is not None:
-        changes["shots"] = args.shots
-    if getattr(args, "seed", None) is not None:
-        changes["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        changes["out_dir"] = args.out
+    """The --config profile, or the packaged one, with every flag given laid over it."""
+    config = ExperimentConfig.from_yaml(args.config) if args.config else ExperimentConfig.default()
+    given = vars(args)
+    # "is not None", not truthiness: --seed 0 overrides the profile's seed
+    changes = {field: given[flag] for flag, field in _FLAG_FIELDS.items() if given.get(flag) is not None}
     return config.replace(**changes) if changes else config
 
 
-def _emit_bundle(bundle: ResultBundle, config: ExperimentConfig) -> None:
-    if config.out_dir:
-        json_path, csv_path = bundle.save(config.out_dir)
-        print(json.dumps({
-            "experiment": bundle.experiment,
-            "config_hash": bundle.config_hash,
-            "summary": bundle.summary,
-            "result_json": str(json_path),
-            "figure_csv": str(csv_path),
-        }, sort_keys=True, indent=2))
-    else:
+def _run_experiment(args) -> None:
+    """Resolve the profile, run the experiment; the bundle, or its files' receipt, on stdout."""
+    config = _config_from_args(args)
+    bundle = args.experiment(config, args)
+    if not config.out_dir:
         sys.stdout.write(bundle.to_json())
+        return
+    json_path, csv_path = bundle.save(config.out_dir)
+    print(json.dumps({
+        "experiment": bundle.experiment,
+        "config_hash": bundle.config_hash,
+        "summary": bundle.summary,
+        "result_json": str(json_path),
+        "figure_csv": str(csv_path),
+    }, sort_keys=True, indent=2))
+
+
+def _sim(config: ExperimentConfig, args) -> ResultBundle:
+    return {"dj": run_dj, "bv": run_bv, "grover": run_grover}[args.algorithm](config)
+
+
+def _sweep(config: ExperimentConfig, args) -> ResultBundle:
+    if not 1 <= args.steps <= _MAX_SWEEP_STEPS:
+        raise ConfigError(f"steps must be between 1 and {_MAX_SWEEP_STEPS}, got {args.steps}")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise ConfigError(f"--from and --to must be finite, got {args.start} and {args.stop}")
+    return run_device_report(config, np.linspace(args.start, args.stop, args.steps))
 
 
 def _emit_document(doc: dict, out_dir, name: str) -> None:
@@ -587,25 +580,41 @@ def _emit_document(doc: dict, out_dir, name: str) -> None:
     print(json.dumps({"written": str(path)}, sort_keys=True))
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--noisy", action="store_true", help="evolve under the coherence tables instead of pure states")
-    parser.add_argument("--shots", type=int, help="sample counts with this many shots")
-    parser.add_argument("--seed", type=int, help="random seed for sampling")
-    parser.add_argument("--mitigate", action="store_true", help="push samples through the readout mitigation pipeline")
-    parser.add_argument("--config", help="YAML configuration file overriding the defaults")
-    parser.add_argument("--out", help="directory for the result JSON and figure CSV")
+def _compile(args) -> None:
+    report = compile_report(args.theta, args.target)
+    _emit_document(report, args.out, f"cphase_{report['target']}_compiled.json")
+
+
+def _mitigate(args) -> None:
+    corrected = mitigate_counts(_load_counts_file(args.counts), load_confusion(args.matrix))
+    _emit_document({"total": float(corrected.sum()), "corrected": _by_label(corrected)}, args.out,
+                   "mitigated_counts.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; each subcommand's parser sets `run`, the handler main calls."""
     parser = argparse.ArgumentParser(
         prog="qutritlab",
         description="Two-qutrit transmon laboratory: algorithms, compiler, noise, device spectra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("sim", help="run a ternary algorithm over all oracles or targets")
+    # the subcommands that run an experiment on a profile; each sets experiment(config, args)
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--config", help="YAML configuration file overriding the defaults")
+    experiment.add_argument("--out", help="directory for the result JSON and figure CSV")
+    experiment.set_defaults(run=_run_experiment)
+
+    sim = sub.add_parser("sim", parents=[experiment], help="run a ternary algorithm over all oracles or targets")
     sim.add_argument("algorithm", choices=("dj", "bv", "grover"))
-    _add_common_flags(sim)
+    # store_true flags default to None, so an absent flag leaves the profile's value
+    sim.add_argument("--noisy", action="store_true", default=None,
+                     help="evolve under the coherence tables instead of pure states")
+    sim.add_argument("--shots", type=int, help="sample counts with this many shots")
+    sim.add_argument("--seed", type=int, help="random seed for sampling")
+    sim.add_argument("--mitigate", action="store_true", default=None,
+                     help="push samples through the readout mitigation pipeline")
+    sim.set_defaults(experiment=_sim)
 
     comp = sub.add_parser("compile", help="compile a gate to native pulses")
     comp_sub = comp.add_subparsers(dest="what", required=True)
@@ -613,73 +622,40 @@ def build_parser() -> argparse.ArgumentParser:
     cph.add_argument("--theta", type=float, required=True, help="phase angle in radians")
     cph.add_argument("--target", required=True, help="two-trit basis label, e.g. 21")
     cph.add_argument("--out", help="directory for the compiled circuit report")
+    cph.set_defaults(run=_compile)
 
     dev = sub.add_parser("device", help="device Hamiltonian spectra")
     dev_sub = dev.add_subparsers(dest="what", required=True)
-    sweep = dev_sub.add_parser("sweep", help="flux sweep of frequencies and couplings")
+    sweep = dev_sub.add_parser("sweep", parents=[experiment], help="flux sweep of frequencies and couplings")
     sweep.add_argument("--from", dest="start", type=float, required=True, help="first flux point")
     sweep.add_argument("--to", dest="stop", type=float, required=True, help="last flux point")
     sweep.add_argument("--steps", type=int, required=True, help="number of grid points")
-    sweep.add_argument("--config", help="YAML configuration file overriding the defaults")
-    sweep.add_argument("--out", help="directory for the result JSON and figure CSV")
+    sweep.set_defaults(experiment=_sweep)
 
     tomo = sub.add_parser("tomo", help="process tomography of compiled gates")
     tomo_sub = tomo.add_subparsers(dest="what", required=True)
-    proc = tomo_sub.add_parser("process", help="chi matrix and process fidelity")
+    proc = tomo_sub.add_parser("process", parents=[experiment], help="chi matrix and process fidelity")
     proc.add_argument("--gate", required=True, help="logical gate name, e.g. H")
     proc.add_argument("--qutrit", type=int, choices=(1, 2), required=True)
-    proc.add_argument("--config", help="YAML configuration file overriding the defaults")
-    proc.add_argument("--out", help="directory for the result JSON and figure CSV")
+    proc.set_defaults(experiment=lambda config, args: run_process_tomo(config, args.gate, args.qutrit))
 
     mit = sub.add_parser("mitigate", help="correct measured counts with a confusion matrix")
     mit.add_argument("--counts", required=True, help="text file of 'label count' lines")
     mit.add_argument("--matrix", required=True, help="confusion matrix file")
     mit.add_argument("--out", help="directory for the corrected counts JSON")
+    mit.set_defaults(run=_mitigate)
 
     return parser
 
 
-def _dispatch(args) -> int:
-    if args.command == "sim":
-        config = _config_from_args(args)
-        runner = {"dj": run_dj, "bv": run_bv, "grover": run_grover}[args.algorithm]
-        _emit_bundle(runner(config), config)
-        return 0
-    if args.command == "compile":
-        report = compile_report(args.theta, args.target)
-        _emit_document(report, args.out, f"cphase_{report['target']}_compiled.json")
-        return 0
-    if args.command == "device":
-        config = _config_from_args(args)
-        if not 1 <= args.steps <= _MAX_SWEEP_STEPS:
-            raise ConfigError(f"steps must be between 1 and {_MAX_SWEEP_STEPS}, got {args.steps}")
-        if not (math.isfinite(args.start) and math.isfinite(args.stop)):
-            raise ConfigError(f"--from and --to must be finite, got {args.start} and {args.stop}")
-        grid = np.linspace(args.start, args.stop, args.steps)
-        _emit_bundle(run_device_report(config, grid), config)
-        return 0
-    if args.command == "tomo":
-        config = _config_from_args(args)
-        _emit_bundle(run_process_tomo(config, args.gate, args.qutrit), config)
-        return 0
-    if args.command == "mitigate":
-        counts = _load_counts_file(args.counts)
-        corrected = mitigate_counts(counts, load_confusion(args.matrix))
-        doc = {"total": float(corrected.sum()), "corrected": _by_label(corrected)}
-        _emit_document(doc, args.out, "mitigated_counts.json")
-        return 0
-    raise ConfigError(f"unknown command {args.command!r}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        args.run(args)
     except QutritLabError as exc:
-        doc = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(doc, sort_keys=True), file=sys.stderr)
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True), file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

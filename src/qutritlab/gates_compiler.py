@@ -101,6 +101,11 @@ class GateInstruction:
         params = tuple(float(p) for p in self.params)
         if any(q < 0 for q in targets) or len(set(targets)) != len(targets):
             raise CompileError(f"bad targets {targets}")
+        # a nan or infinite angle would give a nan or infinite pulse length or unitary
+        if not all(math.isfinite(p) for p in params):
+            raise CompileError(f"{self.kind} params must be finite, got {params}")
+        if math.isnan(self.duration):
+            raise CompileError(f"{self.kind} duration must be a number, got {self.duration}")
         if self.kind in _ROTATION_LOWER or self.kind == "VPhase":
             if len(targets) != 1 or len(params) != 2:
                 raise CompileError(f"{self.kind} takes one target and two params")
@@ -218,9 +223,13 @@ class Circuit:
                 if m is None:
                     raise CompileError(f"cannot parse instruction {part!r}")
                 kind, t, p, d = m.groups()
-                targets = tuple(int(x) for x in t.split(",") if x.strip())
-                params = tuple(float(x) for x in p.split(",") if x.strip())
-                moment.append(GateInstruction(kind, targets, params, float(d)))
+                try:
+                    targets = tuple(int(x) for x in t.split(",") if x.strip())
+                    params = tuple(float(x) for x in p.split(",") if x.strip())
+                    duration = float(d)
+                except ValueError:
+                    raise CompileError(f"bad number in circuit line {line!r}") from None
+                moment.append(GateInstruction(kind, targets, params, duration))
             moments.append(tuple(moment))
         return cls(n, tuple(moments))
 
@@ -485,11 +494,6 @@ class PhaseFrame:
     def phases(self, qutrit: int) -> tuple[float, float]:
         return (float(self._acc[qutrit, 0]), float(self._acc[qutrit, 1]))
 
-    def copy(self) -> "PhaseFrame":
-        f = PhaseFrame(self.n_qutrits)
-        f._acc = self._acc.copy()
-        return f
-
 
 def lower_frames(circuit: Circuit) -> Circuit:
     """Rewrite a circuit so no VPhase instruction is physically executed.
@@ -525,11 +529,11 @@ def lower_frames(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qutrits, tuple(moments))
 
 
-def frame_equivalence_check(circuit: Circuit, tol: float = 1e-10) -> bool:
-    """True when frame lowering reproduces the explicit-VPhase unitary."""
+def frame_equivalence_check(circuit: Circuit) -> bool:
+    """True when frame lowering reproduces the explicit-VPhase unitary (within 1e-10)."""
     u_explicit = circuit_unitary(circuit)
     u_lowered = circuit_unitary(lower_frames(circuit))
-    return equal_up_to_global_phase(u_explicit, u_lowered, tol)
+    return equal_up_to_global_phase(u_explicit, u_lowered)
 
 
 # ---------------------------------------------------------------------------

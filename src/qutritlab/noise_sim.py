@@ -235,6 +235,8 @@ class LindbladEngine:
         self._blocks = np.where(_BLOCK_MASK, self.generator[_BLOCK_ROWS, _BLOCK_COLS], 0.0)
         self._cache: dict[float, np.ndarray] = {}
         self._steps: dict[Circuit, tuple[tuple[float, np.ndarray], ...]] = {}
+        # calibrated unitary per timed moment, shared by every circuit that holds the moment
+        self._calibrated: dict[tuple, np.ndarray] = {}
         self._coupling_diag = np.real(np.diag(idle_hamiltonian(noise)))
         self._coupled = bool(np.any(self._coupling_diag))
 
@@ -269,7 +271,8 @@ class LindbladEngine:
         across its own window, so the deterministic phase the always-on
         coupling accrued during the window is undone here; relaxation and
         dephasing during the window are not. The steps are built once per
-        circuit and shared; their arrays are read-only.
+        circuit, each moment's unitary once per engine; the arrays are
+        read-only.
         """
         steps = self._steps.get(circuit)
         if steps is None:
@@ -277,10 +280,14 @@ class LindbladEngine:
                 raise SimulationError("the noise model is calibrated for a two-qutrit register")
             built = []
             for duration, moment in zip(circuit.durations, circuit.moments):
-                u = moment_unitary(moment, 2)
                 if duration > 0.0 and self._coupled:
-                    u = u @ np.diag(np.exp(1j * self._coupling_diag * duration * 1e-3))
-                    u.flags.writeable = False
+                    u = self._calibrated.get(moment)
+                    if u is None:
+                        u = moment_unitary(moment, 2) @ np.diag(np.exp(1j * self._coupling_diag * duration * 1e-3))
+                        u.flags.writeable = False
+                        self._calibrated[moment] = u
+                else:
+                    u = moment_unitary(moment, 2)
                 built.append((duration, u))
             steps = self._steps[circuit] = tuple(built)
         return steps
@@ -336,12 +343,13 @@ def evolve_idle(noise: NoiseModel, initial, duration_ns: float, step_scale: int 
     return DensityMatrix(engine.evolve(_initial_rho(initial), float(duration_ns)))
 
 
-def ramsey_coherence_time(noise: NoiseModel, qutrit: int, transition: str, delay_us: float = 1.0) -> float:
+def ramsey_coherence_time(noise: NoiseModel, qutrit: int, transition: str) -> float:
     """Extract a Ramsey decay constant (us) from simulated free evolution.
 
-    Prepares an equal superposition on the chosen transition, idles, and
-    reads the surviving coherence magnitude.
+    Prepares an equal superposition on the chosen transition, idles for
+    1 us, and reads the surviving coherence magnitude.
     """
+    delay_us = 1.0
     levels = {"01": (0, 1), "12": (1, 2)}[transition]
     single = np.zeros(DIM, dtype=complex)
     single[levels[0]] = single[levels[1]] = 1.0 / math.sqrt(2.0)
@@ -514,12 +522,13 @@ def reduced_qutrit_channel(channel: QuantumChannel, qutrit: int) -> QuantumChann
     return QuantumChannel(_qutrit_superop(images, qutrit), DIM)
 
 
-def chi_matrix(channel: QuantumChannel, tol: float = 1e-6) -> ProcessMatrix:
+def chi_matrix(channel: QuantumChannel) -> ProcessMatrix:
     """Process matrix chi[(a d + k), (c d + l)] = <a| E(|k><l|) |c>.
 
-    Rejects maps that are not trace preserving or completely positive
-    within tolerance.
+    Rejects maps that are not trace preserving within 1e-6 or not
+    completely positive within 1e-5.
     """
+    tol = 1e-6
     defect = channel.trace_preservation_defect()
     if defect > tol:
         raise ChannelError(f"map is not trace preserving (defect {defect:.3g})")

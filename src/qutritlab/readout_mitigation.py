@@ -59,13 +59,12 @@ class ConfusionMatrix:
         return self._condition
 
 
-def synthetic_confusion(dim: int = DIM * DIM, diagonal: float = 0.85) -> ConfusionMatrix:
-    """Uniform-leakage model: `diagonal` on the diagonal, the rest spread
-    evenly over the other outcomes of each column."""
+def synthetic_confusion(diagonal: float = 0.85) -> ConfusionMatrix:
+    """Uniform-leakage model on the 9 two-qutrit outcomes: `diagonal` on the
+    diagonal, the rest spread evenly over the other outcomes of each column."""
     if not 0.0 < diagonal <= 1.0:
         raise MitigationError("diagonal must be in (0, 1]")
-    if dim < 2:
-        raise MitigationError("need at least two outcomes")
+    dim = DIM * DIM
     off = (1.0 - diagonal) / (dim - 1)
     m = np.full((dim, dim), off)
     np.fill_diagonal(m, diagonal)

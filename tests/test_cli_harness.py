@@ -1,6 +1,7 @@
 """Command-line harness: configuration resolution, experiment bundles,
 subcommand dispatch, on-disk outputs and byte-level determinism."""
 
+import ast
 import copy
 import dataclasses
 import json
@@ -488,6 +489,37 @@ class TestRunnerLookups:
         assert (calls["dj_circuit"], calls["bv_circuit"], calls["grover_circuit"]) == (25, 9, 18)
         assert calls["sample_counts"] == calls["mitigate_counts"] == entries == 52
 
+    def test_every_traced_name_is_looked_up_at_call_time(self, monkeypatch):
+        # the benchmark's tracing wraps these cli_harness names; each wrapper
+        # must see the calls that main makes through every experiment route
+        tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spans = next(ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
+                     if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CH_SPANS")
+        calls = Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        names = [name for attrs in spans.values() for name in attrs]
+        for name in names:
+            monkeypatch.setattr(cli_harness, name, counting(name, getattr(cli_harness, name)))
+        monkeypatch.setattr(ExperimentConfig, "from_mapping", classmethod(
+            counting("from_mapping", vars(ExperimentConfig)["from_mapping"].__func__)))
+        for name in ("__post_init__", "to_json"):
+            monkeypatch.setattr(ResultBundle, name, counting(name, vars(ResultBundle)[name]))
+        for cached in (cli_harness._gate_reference, cli_harness._pair_circuit):
+            cached.cache_clear()
+        for argv in (["sim", "dj", "--noisy", "--mitigate", "--shots", "200", "--seed", "1"], ["sim", "bv"],
+                     ["sim", "grover"], ["tomo", "process", "--gate", "H", "--qutrit", "1"],
+                     ["device", "sweep", "--from", "0.185", "--to", "0.185", "--steps", "1"]):
+            assert main(argv) == 0
+        # no runner calls reduced_qutrit_channel; it stays a name for the wrappers
+        missed = {name for name in [*names, "from_mapping", "__post_init__", "to_json"] if not calls[name]}
+        assert missed == {"reduced_qutrit_channel"}
+
     def test_device_report_reuses_an_operating_point_on_the_grid(self):
         # the spectrum cache serves an operating point on the grid, so the
         # report diagonalizes once per grid point, plus once for one off it
@@ -578,6 +610,22 @@ class TestNoisyPathReuse:
         assert list(engine._steps) == [circ]
         assert engine._steps[circ] is steps
         assert first.matrix.tobytes() == second.matrix.tobytes()
+
+    def test_equal_moments_share_one_calibrated_array(self):
+        # one DJ+BV+Grover cycle: each timed moment is calibrated once per
+        # engine, however many circuits hold it
+        noise_sim._engine.cache_clear()
+        config = exact_config().replace(noisy=True)
+        for runner in (run_dj, run_bv, run_grover):
+            runner(config)
+        engine = noise_sim._engine(config.noise, 1)
+        circuits = list(engine._steps)
+        timed = [u for circ in circuits for duration, u in engine.moments(circ) if duration > 0.0]
+        moments = {m for circ in circuits for d, m in zip(circ.durations, circ.moments) if d > 0.0}
+        assert len(timed) > 10 * len(moments)
+        assert len({id(u) for u in timed}) == len(moments) == len(engine._calibrated) == 21
+        assert all(engine._calibrated[m] is engine.moments(c)[k][1]
+                   for c in circuits for k, m in enumerate(c.moments) if c.durations[k] > 0.0)
 
     def test_cached_propagators_and_steps_are_read_only(self):
         engine = noise_sim._engine(ExperimentConfig.default().noise, 1)
@@ -703,6 +751,107 @@ class TestModuleEntryPoint:
         assert done.stdout == b"1.0.0\n"
         with pytest.raises(AttributeError):
             qutritlab.no_such_name
+
+
+class TestCommandLineRoute:
+    """argparse picks each subcommand's handler; flags given override the profile."""
+
+    def test_seed_zero_reaches_the_config(self, tmp_path, capsys):
+        profile = tmp_path / "run.yaml"
+        profile.write_text("seed: 3\nnoisy: true\n")
+        for flags in ([], ["--config", str(profile)]):
+            args = build_parser().parse_args(["sim", "dj", "--shots", "100", "--seed", "0", *flags])
+            assert cli_harness._config_from_args(args).seed == 0
+        # a flag not given leaves the profile's value
+        config = cli_harness._config_from_args(build_parser().parse_args(["sim", "dj", "--config", str(profile)]))
+        assert (config.seed, config.noisy) == (3, True)
+        assert main(["sim", "dj", "--shots", "100", "--seed", "0"]) == 0
+        printed = capsys.readouterr().out
+        seed0 = ExperimentConfig.default().replace(shots=100, seed=0)
+        assert printed == run_dj(seed0).to_json() != run_dj(seed0.replace(seed=7)).to_json()
+
+    def test_shots_zero_exits_one_with_json(self, capsys):
+        assert main(["sim", "dj", "--shots", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("argv, handler", [
+        (["sim", "dj"], "run_dj"),
+        (["sim", "bv", "--shots", "100", "--seed", "0"], "run_bv"),
+        (["sim", "grover"], "run_grover"),
+        (["device", "sweep", "--from", "0.185", "--to", "0.185", "--steps", "1"], "run_device_report"),
+        (["tomo", "process", "--gate", "Z", "--qutrit", "2"], "run_process_tomo"),
+        (["compile", "cphase", "--theta", "1.0", "--target", "21"], "compile_report"),
+        (["mitigate"], "mitigate_counts"),
+    ], ids=["sim_dj", "sim_bv", "sim_grover", "device_sweep", "tomo_process", "compile_cphase", "mitigate"])
+    def test_every_subcommand_reaches_its_handler(self, tmp_path, capsys, monkeypatch, argv, handler):
+        if argv == ["mitigate"]:
+            save_confusion(synthetic_confusion(), tmp_path / "matrix.txt")
+            (tmp_path / "counts.txt").write_text("".join(f"{lbl} 100\n" for lbl in cli_harness._PAIR_LABELS))
+            argv = [*argv, "--counts", str(tmp_path / "counts.txt"), "--matrix", str(tmp_path / "matrix.txt")]
+        handlers = ("run_dj", "run_bv", "run_grover", "run_device_report", "run_process_tomo",
+                    "compile_report", "mitigate_counts")
+        calls = Counter()
+        for name in handlers:
+            def counting(*args, _name=name, _original=getattr(cli_harness, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(cli_harness, name, counting)
+        assert main(argv) == 0
+        assert calls == {handler: 1}
+        assert json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["sim"],
+        ["sim", "dj", "--shots", "many"],
+        ["sim", "dj", "--gate", "H"],
+        ["compile"],
+        ["compile", "cphase", "--target", "21"],
+        ["device", "sweep", "--from", "0", "--to", "0.3"],
+        ["device", "sweep", "--from", "0", "--to", "0.3", "--steps", "3", "--noisy"],
+        ["tomo", "process", "--gate", "H", "--qutrit", "3"],
+        ["tomo", "process", "--gate", "H", "--qutrit", "1", "--seed", "1"],
+        ["mitigate", "--counts", "c.txt"],
+        ["mitigate", "--counts", "c.txt", "--matrix", "m.txt", "--config", "run.yaml"],
+    ])
+    def test_usage_errors_exit_two_with_usage_text(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: qutritlab")
+
+    @pytest.mark.parametrize("argv, name", [
+        (["sim", "bv", "--noisy", "--mitigate", "--shots", "2000", "--seed", "5"], "bv"),
+        (["device", "sweep", "--from", "0.185", "--to", "0.185", "--steps", "1"], "device"),
+        (["tomo", "process", "--gate", "H", "--qutrit", "2"], "tomo"),
+    ], ids=["sim", "device", "tomo"])
+    def test_bundle_receipt_unchanged(self, tmp_path, capsys, argv, name):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        result, figure = tmp_path / f"{name}_result.json", tmp_path / f"{name}_figure.csv"
+        doc = json.loads(result.read_text())
+        assert out == json.dumps({
+            "experiment": name,
+            "config_hash": doc["config_hash"],
+            "summary": doc["summary"],
+            "result_json": str(result),
+            "figure_csv": str(figure),
+        }, sort_keys=True, indent=2) + "\n"
+        assert sorted(tmp_path.iterdir()) == [figure, result]
+
+    def test_document_receipt_unchanged(self, tmp_path, capsys):
+        argv = ["compile", "cphase", "--theta", "1.0", "--target", "21"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        path = tmp_path / "cphase_21_compiled.json"
+        assert capsys.readouterr().out == '{"written": "' + str(path) + '"}\n'
+        assert path.read_text() == printed == json.dumps(compile_report(1.0, "21"), sort_keys=True, indent=2) + "\n"
 
 
 class TestMain:

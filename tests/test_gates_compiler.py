@@ -3,6 +3,7 @@ virtual phase frames and the duration model."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qutritlab.gates_compiler import (
     CalibrationFitError,
     Circuit,
     CompileError,
+    GateInstruction,
     PhaseFrame,
     PulseShapeError,
     calibrate_frame_phases,
@@ -337,6 +339,38 @@ class TestCircuitStructure:
     def test_from_text_rejects_garbage(self):
         with pytest.raises(CompileError):
             Circuit.from_text("no header\nR01(0; 0, 3.14; 94.98)")
+
+    @pytest.mark.parametrize("line", [
+        "R01(0; abc, 3.14; 94.98)",
+        "R01(x; 0.0, 3.14; 94.98)",
+        "R01(0; 0.0, 3.14; 94.98ns)",
+        "VPhase(1; 0.5, 0.0; 0.0) | R12(0; 0.0, 1e; 41.27)",
+    ], ids=["param", "target", "duration", "second_instruction"])
+    def test_from_text_names_the_line_with_a_bad_number(self, line):
+        with pytest.raises(CompileError, match=re.escape(repr(line))):
+            Circuit.from_text(f"qutrits: 2\n{pulse_r01(0, 0.0, math.pi)._text()}\n{line}\n")
+
+    @pytest.mark.parametrize("kind, targets, params", [
+        ("R01", (0,), (0.0, math.nan)),
+        ("R12", (1,), (0.0, math.inf)),
+        ("R01", (0,), (-math.inf, 1.0)),
+        ("VPhase", (0,), (math.inf, 0.0)),
+        ("VPhase", (1,), (0.0, math.nan)),
+        ("CPhaseNative21", (0, 1), (math.nan,)),
+        ("CPhaseNative22", (0, 1), (math.inf,)),
+    ], ids=["nan_angle", "inf_angle", "inf_drive_phase", "inf_phase", "nan_phase", "nan_native", "inf_native"])
+    def test_non_finite_params_rejected(self, kind, targets, params):
+        with pytest.raises(CompileError, match="finite"):
+            GateInstruction(kind, targets, params)
+        line = f"{kind}({','.join(map(str, targets))}; {', '.join(map(repr, params))}; 0.0)"
+        with pytest.raises(CompileError, match="finite"):
+            Circuit.from_text(f"qutrits: 2\n{line}\n")
+
+    def test_nan_duration_rejected(self):
+        with pytest.raises(CompileError, match="duration"):
+            GateInstruction("R01", (0,), (0.0, math.pi), math.nan)
+        with pytest.raises(CompileError, match="duration"):
+            Circuit.from_text("qutrits: 1\nR01(0; 0.0, 3.14; nan)\n")
 
     def test_moments_of_sequences_one_per_instruction(self):
         seq = decompose_single("H", 0)
