@@ -534,7 +534,8 @@ _FLAG_FIELDS = {"noisy": "noisy", "mitigate": "mitigate", "shots": "shots", "see
 
 def _config_from_args(args) -> ExperimentConfig:
     """The --config profile, or the packaged one, with every flag given laid over it."""
-    config = ExperimentConfig.from_yaml(args.config) if args.config else ExperimentConfig.default()
+    # "is not None": an empty --config path is an unreadable file, not "use the packaged profile"
+    config = ExperimentConfig.from_yaml(args.config) if args.config is not None else ExperimentConfig.default()
     given = vars(args)
     # "is not None", not truthiness: --seed 0 overrides the profile's seed
     changes = {field: given[flag] for flag, field in _FLAG_FIELDS.items() if given.get(flag) is not None}

@@ -121,6 +121,15 @@ class GateInstruction:
             raise CompileError(
                 f"duration {self.duration} disagrees with the calibrated value {expected} for {self.kind}"
             )
+        # the dataclass hash, computed once: moment and circuit lookups hash every instruction
+        object.__setattr__(self, "_hash", hash((self.kind, targets, params, self.duration)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes differ between processes: an unpickled instruction computes its own
+        return GateInstruction, (self.kind, self.targets, self.params, self.duration)
 
     def _text(self) -> str:
         t = ",".join(str(q) for q in self.targets)
@@ -176,6 +185,15 @@ class Circuit:
             durations.append(max((i.duration for i in moment), default=0.0))
         object.__setattr__(self, "moments", moments)
         object.__setattr__(self, "durations", tuple(durations))
+        # the dataclass hash of (n_qutrits, moments), computed once for the engine's per-circuit memo
+        object.__setattr__(self, "_hash", hash((self.n_qutrits, moments)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes differ between processes: an unpickled circuit computes its own
+        return Circuit, (self.n_qutrits, self.moments)
 
     @property
     def total_duration(self) -> float:

@@ -770,6 +770,14 @@ class TestCommandLineRoute:
         seed0 = ExperimentConfig.default().replace(shots=100, seed=0)
         assert printed == run_dj(seed0).to_json() != run_dj(seed0.replace(seed=7)).to_json()
 
+    def test_empty_config_path_exits_one_with_json(self, capsys):
+        # an empty path names no readable file; it does not select the packaged profile
+        assert main(["sim", "bv", "--config", ""]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
+
     def test_shots_zero_exits_one_with_json(self, capsys):
         assert main(["sim", "dj", "--shots", "0"]) == 1
         out, err = capsys.readouterr()

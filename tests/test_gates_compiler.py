@@ -3,11 +3,16 @@ virtual phase frames and the duration model."""
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qutritlab
 from qutritlab.qutrit_core import DIM, BasisLabel, tensor
 from qutritlab.gates_compiler import (
     BETA,
@@ -335,6 +340,32 @@ class TestCircuitStructure:
         assert twin == circ
         assert hash(twin) == hash(circ)
         assert "durations" not in repr(circ)
+
+    def test_hash_is_the_dataclass_hash(self):
+        circ = compile_cphase(1.234, "01")
+        instr = circ.moments[0][0]
+        assert hash(instr) == hash((instr.kind, instr.targets, instr.params, instr.duration))
+        assert hash(circ) == hash((circ.n_qutrits, circ.moments))
+
+    def test_unpickled_hash_follows_the_receiving_process(self):
+        # str hashes are salted per process, so a hash cached by the sender must not travel
+        build = "from qutritlab.gates_compiler import compile_cphase; circ = compile_cphase(1.234, '01'); "
+        send = build + ("import pickle, sys; instr = circ.moments[0][0]; "
+                        "sys.stdout.buffer.write(pickle.dumps((circ, instr, hash(circ), hash(instr))))")
+        receive = build + (
+            "import pickle, sys; got, instr, sent, sent_instr = pickle.loads(sys.stdin.buffer.read()); "
+            "fresh = circ.moments[0][0]; "
+            "assert (hash(got), hash(instr)) != (sent, sent_instr); "
+            "assert got == circ and hash(got) == hash(circ) and {circ: 1}[got] == 1; "
+            "assert got.durations == circ.durations; "
+            "assert instr == fresh and hash(instr) == hash(fresh) and {fresh: 1}[instr] == 1")
+        src = str(Path(qutritlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        sent = subprocess.run([sys.executable, "-c", send], env=dict(env, PYTHONHASHSEED="1"),
+                              capture_output=True, check=True).stdout
+        done = subprocess.run([sys.executable, "-c", receive], env=dict(env, PYTHONHASHSEED="2"),
+                              input=sent, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
 
     def test_from_text_rejects_garbage(self):
         with pytest.raises(CompileError):

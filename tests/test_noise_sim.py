@@ -55,7 +55,15 @@ from qutritlab.noise_sim import (
     simulate_lindblad,
     simulate_pure,
 )
-from qutritlab.algorithms import DJOracle, GroverSpec, dj_circuit, grover_circuit
+from qutritlab.algorithms import (
+    DJOracle,
+    GroverSpec,
+    balanced_oracle_table,
+    bv_circuit,
+    constant_oracles,
+    dj_circuit,
+    grover_circuit,
+)
 
 TABLE_T2R = {(0, "01"): 4.5, (0, "12"): 2.0, (1, "01"): 3.2, (1, "12"): 2.4}
 
@@ -314,16 +322,15 @@ class TestLindbladBackend:
             simulate_lindblad(dj_circuit(DJOracle("Z", "X")), NoiseModel.none())
 
     def test_state_and_channel_paths_agree(self):
-        # both walk the same moments: the channel applied to |00><00| is the evolved state
-        circ = dj_circuit(DJOracle("X", "Z"))
+        # the channel applied to |00><00| is the evolved state
+        ground = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
+        ground[0, 0] = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            noise = ExperimentConfig.default().noise
-            rho = simulate_lindblad(circ, noise).matrix
-            ground = np.zeros((9, 9), dtype=complex)
-            ground[0, 0] = 1.0
-            via_channel = circuit_channel(circ, noise).apply(ground)
-        assert np.max(np.abs(rho - via_channel)) < 1e-12
+            for noise in (ExperimentConfig.default().noise, NoiseModel.none()):
+                for circ in algorithm_circuits():
+                    rho = simulate_lindblad(circ, noise).matrix
+                    assert np.max(np.abs(rho - circuit_channel(circ, noise).apply(ground))) < 1e-13
 
 
 def matrix_unit_reduction(channel, qutrit: int) -> np.ndarray:
@@ -509,3 +516,77 @@ class TestSectorStructure:
     def test_nine_input_channel_needs_qutrit_zero_or_one(self):
         with pytest.raises(ChannelError):
             circuit_channel(both_h(), NoiseModel.none(), qutrit=2)
+
+
+def algorithm_circuits() -> list[Circuit]:
+    """The distinct circuits of one DJ+BV+Grover cycle (some BV circuits are DJ ones)."""
+    circuits = ([dj_circuit(o) for o in constant_oracles()]
+                + [dj_circuit(o) for o, _ in balanced_oracle_table()]
+                + [bv_circuit(divmod(i, DIM)) for i in range(DIM * DIM)]
+                + [grover_circuit(GroverSpec(BasisLabel.from_index(i, 2), k)) for i in range(DIM * DIM) for k in (1, 2)])
+    return list(dict.fromkeys(circuits))
+
+
+def stepwise_state(engine: LindbladEngine, circuit: Circuit, rho: np.ndarray) -> np.ndarray:
+    """Reference state walk: per moment the propagator, a hermitization, then u rho u^dag."""
+    for duration, u in engine.moments(circuit):
+        if duration > 0.0:
+            rho = (engine.propagator(duration) @ rho.reshape(-1)).reshape(rho.shape)
+            rho = (rho + rho.conj().T) / 2.0
+        rho = u @ rho @ u.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / np.trace(rho).real
+
+
+class TestStateWalk:
+    """The state path walks one precomposed map per moment and gives the
+    state of the stepwise walk."""
+
+    @pytest.fixture(autouse=True)
+    def quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            yield
+
+    @pytest.mark.parametrize("step_scale", [1, 2])
+    @pytest.mark.parametrize("name", ["default", "none"])
+    def test_matches_the_stepwise_walk(self, name, step_scale):
+        noise = NOISE_MODELS[name]()
+        circuits = algorithm_circuits()
+        assert len(circuits) == 43
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=DIM * DIM) + 1j * rng.normal(size=DIM * DIM)
+        excited = PureState(psi / np.linalg.norm(psi))
+        ground = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
+        ground[0, 0] = 1.0
+        for circ in circuits:
+            for initial, rho0 in ((None, ground), (excited, excited.density().matrix)):
+                rho = simulate_lindblad(circ, noise, initial, step_scale=step_scale).matrix
+                engine = noise_sim._engine(noise, step_scale)
+                assert np.max(np.abs(rho - stepwise_state(engine, circ, rho0))) < 1e-13
+
+    def test_one_cycle_holds_one_map_per_timed_moment(self):
+        noise = ExperimentConfig.default().noise
+        noise_sim._engine.cache_clear()
+        circuits = algorithm_circuits()
+        for circ in circuits:
+            simulate_lindblad(circ, noise)
+        engine = noise_sim._engine(noise, 1)
+        assert list(engine._walks) == circuits
+        maps = list(engine._superops.values())
+        assert sum(s.shape == (81, 81) for s in maps) == 21
+        assert all(s.shape == (81,) for s in maps if s.ndim != 2)
+        assert not any(s.flags.writeable for s in maps)
+        shared = {id(s) for s in maps}
+        assert all(id(s) in shared for walk in engine._walks.values() for s in walk)
+
+    def test_zero_duration_maps(self):
+        engine = LindbladEngine(NoiseModel.none())
+        u = np.diag(np.exp(1j * np.arange(DIM * DIM)))
+        diagonal = engine._superop(("diagonal",), 0.0, u)
+        assert diagonal.shape == (81,)
+        assert np.array_equal(diagonal, np.diag(np.kron(u, u.conj())))
+        # a zero-duration moment that mixes levels gets the full map
+        u = embed_operator(logical_gate("H"), (0,), 2)
+        full = engine._superop(("mixing",), 0.0, u)
+        assert np.max(np.abs(full - np.kron(u, u.conj()))) < 1e-15
