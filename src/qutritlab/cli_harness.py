@@ -475,8 +475,10 @@ def run_process_tomo(config: ExperimentConfig, gate: str, qutrit: int) -> Result
         "noiseless_fidelity": noiseless_fid,
         "noisy_fidelity": noisy_fid,
     }
-    rows = [f"{r},{c},{v.real:.9g},{v.imag:.9g}"
-            for r, row in enumerate(noisy_chi.matrix.tolist()) for c, v in enumerate(row)]
+    chi = noisy_chi.matrix.copy()
+    chi.real[np.abs(chi.real) < 1e-12] = 0.0  # rounding noise prints as 0, not as nine noisy digits
+    chi.imag[np.abs(chi.imag) < 1e-12] = 0.0
+    rows = [f"{r},{c},{v.real:.9g},{v.imag:.9g}" for r, row in enumerate(chi.tolist()) for c, v in enumerate(row)]
     return ResultBundle("tomo", config.config_hash(), entries, summary, _csv("row,col,re,im", rows))
 
 

@@ -70,19 +70,15 @@ def rotation_duration(qutrit: int, transition: str, theta: float) -> float:
 
 def gate_duration(instruction: "GateInstruction") -> float:
     """Duration in ns implied by an instruction's kind, targets and params."""
-    return _expected_duration(instruction.kind, instruction.targets, instruction.params)
+    return instruction.duration
 
 
-def _expected_duration(kind: str, targets: tuple[int, ...], params: tuple[float, ...]) -> float:
+def _calibrated_duration(kind: str, targets: tuple[int, ...], params: tuple[float, ...]) -> float:
     if kind == "VPhase":
         return 0.0
     if kind in _ROTATION_LOWER:
         return rotation_duration(targets[0], kind[1:], params[1])
-    if kind == "CPhaseNative21":
-        return CPHASE21_NS
-    if kind == "CPhaseNative22":
-        return CPHASE22_NS
-    raise CompileError(f"unknown instruction kind {kind!r}")
+    return CPHASE21_NS if kind == "CPhaseNative21" else CPHASE22_NS
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,8 @@ class GateInstruction:
     kind: str
     targets: tuple[int, ...]
     params: tuple[float, ...]
-    duration: float = field(default=-1.0)
+    # the calibrated pulse length, fixed by kind, targets and params
+    duration: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -104,8 +101,6 @@ class GateInstruction:
         # a nan or infinite angle would give a nan or infinite pulse length or unitary
         if not all(math.isfinite(p) for p in params):
             raise CompileError(f"{self.kind} params must be finite, got {params}")
-        if math.isnan(self.duration):
-            raise CompileError(f"{self.kind} duration must be a number, got {self.duration}")
         if self.kind in _ROTATION_LOWER or self.kind == "VPhase":
             if len(targets) != 1 or len(params) != 2:
                 raise CompileError(f"{self.kind} takes one target and two params")
@@ -114,13 +109,7 @@ class GateInstruction:
                 raise CompileError(f"{self.kind} is calibrated on the pair (0, 1) and takes one param")
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "params", params)
-        expected = _expected_duration(self.kind, targets, params)
-        if self.duration < 0:
-            object.__setattr__(self, "duration", expected)
-        elif abs(self.duration - expected) > 1e-6:
-            raise CompileError(
-                f"duration {self.duration} disagrees with the calibrated value {expected} for {self.kind}"
-            )
+        object.__setattr__(self, "duration", _calibrated_duration(self.kind, targets, params))
         # the dataclass hash, computed once: moment and circuit lookups hash every instruction
         object.__setattr__(self, "_hash", hash((self.kind, targets, params, self.duration)))
 
@@ -129,7 +118,7 @@ class GateInstruction:
 
     def __reduce__(self):
         # str hashes differ between processes: an unpickled instruction computes its own
-        return GateInstruction, (self.kind, self.targets, self.params, self.duration)
+        return GateInstruction, (self.kind, self.targets, self.params)
 
     def _text(self) -> str:
         t = ",".join(str(q) for q in self.targets)
@@ -247,7 +236,13 @@ class Circuit:
                     duration = float(d)
                 except ValueError:
                     raise CompileError(f"bad number in circuit line {line!r}") from None
-                moment.append(GateInstruction(kind, targets, params, duration))
+                instr = GateInstruction(kind, targets, params)
+                # the text carries a duration the instruction already implies; a nan fails the test
+                if not abs(duration - instr.duration) <= 1e-6:
+                    raise CompileError(
+                        f"duration {duration} disagrees with the calibrated value {instr.duration} for {kind}"
+                    )
+                moment.append(instr)
             moments.append(tuple(moment))
         return cls(n, tuple(moments))
 

@@ -23,9 +23,9 @@ Work that depends only on the noise model is done once per process.
 `LindbladEngine` from one cache slot keyed by (noise model, step_scale),
 the only route to an engine; a run with a new noise model replaces it.
 The engine holds the generator, one propagator per distinct duration,
-one calibrated unitary per timed moment and, per circuit it has run, the
-(duration, calibrated unitary) steps. Cached arrays are read-only, and
-reuse changes no output byte.
+one map per moment and, per circuit it has run, the sequence of those
+maps; a moment's calibrated unitary is formed only to build its map or for
+a channel walk. Cached arrays are read-only; reuse changes no output byte.
 
 The state path (`simulate_lindblad`) walks one linear map per moment on
 the vectorized density matrix: kron(u, conj(u)) @ propagator, composed
@@ -231,7 +231,7 @@ _SCATTER = (_BLOCK_ROWS[_BLOCK_MASK], _BLOCK_COLS[_BLOCK_MASK])
 
 
 class LindbladEngine:
-    """Caches the propagators, calibrated steps and step maps of a fixed noise model.
+    """Caches the propagators and step maps of a fixed noise model.
 
     The state path (`run`) applies one precomposed map per moment. The
     channel path (`_propagate`) keeps its own stepwise walk on purpose: a
@@ -249,10 +249,7 @@ class LindbladEngine:
             raise SimulationError("the Lindblad generator couples different level-difference sectors")
         self._blocks = np.where(_BLOCK_MASK, self.generator[_BLOCK_ROWS, _BLOCK_COLS], 0.0)
         self._cache: dict[float, np.ndarray] = {}
-        self._steps: dict[Circuit, tuple[tuple[float, np.ndarray], ...]] = {}
-        # calibrated unitary per timed moment, shared by every circuit that holds the moment
-        self._calibrated: dict[tuple, np.ndarray] = {}
-        # map of one moment on the vectorized density matrix, shared the same way
+        # map of one moment on the vectorized density matrix, shared by every circuit that holds the moment
         self._superops: dict[tuple, np.ndarray] = {}
         # per circuit, the maps `run` applies in order
         self._walks: dict[Circuit, tuple[np.ndarray, ...]] = {}
@@ -277,50 +274,41 @@ class LindbladEngine:
         self._cache[key] = prop
         return prop
 
-    def evolve(self, rho: np.ndarray, duration_ns: float) -> np.ndarray:
-        if duration_ns <= 0.0:
-            return rho
-        out = (self.propagator(duration_ns) @ rho.reshape(-1)).reshape(rho.shape)
-        return (out + out.conj().T) / 2.0
+    @staticmethod
+    def _timed(circuit: Circuit):
+        """(moment, duration) pairs of a two-qutrit circuit."""
+        if circuit.n_qutrits != 2:
+            raise SimulationError("the noise model is calibrated for a two-qutrit register")
+        return zip(circuit.moments, circuit.durations)
 
-    def moments(self, circuit: Circuit) -> tuple[tuple[float, np.ndarray], ...]:
-        """(duration, calibrated unitary) of each moment of a two-qutrit circuit.
+    def _calibrated_unitary(self, moment: tuple, duration: float) -> np.ndarray:
+        """Unitary of one moment, with the coupling phase accrued over its window undone.
 
         Calibration on hardware makes each gate realize its ideal unitary
         across its own window, so the deterministic phase the always-on
         coupling accrued during the window is undone here; relaxation and
-        dephasing during the window are not. The steps are built once per
-        circuit, each moment's unitary once per engine; the arrays are
-        read-only.
+        dephasing during the window are not.
         """
-        steps = self._steps.get(circuit)
-        if steps is None:
-            if circuit.n_qutrits != 2:
-                raise SimulationError("the noise model is calibrated for a two-qutrit register")
-            built = []
-            for duration, moment in zip(circuit.durations, circuit.moments):
-                if duration > 0.0 and self._coupled:
-                    u = self._calibrated.get(moment)
-                    if u is None:
-                        u = moment_unitary(moment, 2) @ np.diag(np.exp(1j * self._coupling_diag * duration * 1e-3))
-                        u.flags.writeable = False
-                        self._calibrated[moment] = u
-                else:
-                    u = moment_unitary(moment, 2)
-                built.append((duration, u))
-            steps = self._steps[circuit] = tuple(built)
-        return steps
+        u = moment_unitary(moment, 2)
+        if duration > 0.0 and self._coupled:
+            # a matmul, not a column scaling: the scaling rounds differently
+            u = u @ np.diag(np.exp(1j * self._coupling_diag * duration * 1e-3))
+        return u
 
-    def _superop(self, moment: tuple, duration: float, u: np.ndarray) -> np.ndarray:
-        """Map of one step (evolve, then apply u) on the row-major vectorized density matrix.
+    def moments(self, circuit: Circuit) -> list[tuple[float, np.ndarray]]:
+        """(duration, calibrated unitary) of each moment of a two-qutrit circuit, built fresh."""
+        return [(duration, self._calibrated_unitary(m, duration)) for m, duration in self._timed(circuit)]
 
-        vec(u rho u^dag) = kron(u, conj(u)) vec(rho). A zero-duration moment
-        of virtual phases is diagonal, so its map is kept as the 81-vector
-        d x conj(d) and applied elementwise.
+    def _superop(self, moment: tuple, duration: float) -> np.ndarray:
+        """Map of one moment (evolve, then apply its calibrated unitary u) on the vectorized density matrix.
+
+        vec(u rho u^dag) = kron(u, conj(u)) vec(rho). Pulses last at least
+        10 ns, so a zero-duration moment holds only virtual phases: its u is
+        diagonal, and its map is kept as the 81-vector d x conj(d).
         """
         s = self._superops.get(moment)
         if s is None:
-            d = np.diagonal(u)
+            u = self._calibrated_unitary(moment, duration)
             if duration > 0.0:
                 # kron(u, conj(u)) @ propagator, formed as the images u x u^dag
                 # of the propagator's columns x: only 9x9 products, because an
@@ -329,10 +317,9 @@ class LindbladEngine:
                 # a Fortran-order matrix rounds differently at 1 and 2 threads.
                 images = u @ self.propagator(duration).T.reshape(DIM2 * DIM2, DIM2, DIM2) @ u.conj().T
                 s = np.ascontiguousarray(images.reshape(DIM2 * DIM2, DIM2 * DIM2).T)
-            elif np.array_equal(u, np.diag(d)):
-                s = np.outer(d, d.conj()).reshape(-1)
             else:
-                s = _kron(u, u.conj())
+                d = np.diagonal(u)
+                s = np.outer(d, d.conj()).reshape(-1)
             s.flags.writeable = False
             self._superops[moment] = s
         return s
@@ -341,8 +328,7 @@ class LindbladEngine:
         """Density matrix after the circuit, from |00> or the given state."""
         walk = self._walks.get(circuit)
         if walk is None:
-            steps = zip(circuit.moments, self.moments(circuit))
-            walk = self._walks[circuit] = tuple(self._superop(m, d, u) for m, (d, u) in steps)
+            walk = self._walks[circuit] = tuple(self._superop(m, d) for m, d in self._timed(circuit))
         v = _initial_rho(initial).reshape(-1)
         for s in walk:
             v = s @ v if s.ndim == 2 else s * v
@@ -385,19 +371,28 @@ def simulate_lindblad(circuit: Circuit, noise: NoiseModel, initial=None, step_sc
 
 
 def evolve_idle(noise: NoiseModel, initial, duration_ns: float, step_scale: int = 1) -> DensityMatrix:
-    """Free evolution of the pair for a fixed time, no pulses."""
+    """Free evolution of the pair for a finite, nonnegative time, no pulses."""
+    duration_ns = float(duration_ns)
+    if not 0.0 <= duration_ns < math.inf:
+        raise SimulationError(f"idle duration must be finite and nonnegative, got {duration_ns} ns")
     engine = _engine(noise, step_scale)
-    return DensityMatrix(engine.evolve(_initial_rho(initial), float(duration_ns)))
+    rho = _initial_rho(initial)
+    if duration_ns > 0.0:
+        out = (engine.propagator(duration_ns) @ rho.reshape(-1)).reshape(rho.shape)
+        rho = (out + out.conj().T) / 2.0
+    return DensityMatrix(rho)
 
 
 def ramsey_coherence_time(noise: NoiseModel, qutrit: int, transition: str) -> float:
     """Extract a Ramsey decay constant (us) from simulated free evolution.
 
-    Prepares an equal superposition on the chosen transition, idles for
-    1 us, and reads the surviving coherence magnitude.
+    Prepares an equal superposition on transition "01" or "12" of qutrit 0
+    or 1, idles for 1 us, and reads the surviving coherence magnitude.
     """
+    levels = {"01": (0, 1), "12": (1, 2)}.get(transition)
+    if qutrit not in (0, 1) or levels is None:
+        raise SimulationError(f"need qutrit 0 or 1 and transition '01' or '12', got {qutrit!r} and {transition!r}")
     delay_us = 1.0
-    levels = {"01": (0, 1), "12": (1, 2)}[transition]
     single = np.zeros(DIM, dtype=complex)
     single[levels[0]] = single[levels[1]] = 1.0 / math.sqrt(2.0)
     ground = np.zeros(DIM, dtype=complex)

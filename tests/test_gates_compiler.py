@@ -399,9 +399,20 @@ class TestCircuitStructure:
 
     def test_nan_duration_rejected(self):
         with pytest.raises(CompileError, match="duration"):
-            GateInstruction("R01", (0,), (0.0, math.pi), math.nan)
-        with pytest.raises(CompileError, match="duration"):
             Circuit.from_text("qutrits: 1\nR01(0; 0.0, 3.14; nan)\n")
+
+    @pytest.mark.parametrize("duration", ["94.0", "-1.0", "inf", "0.0"])
+    def test_from_text_rejects_a_duration_the_instruction_does_not_imply(self, duration):
+        with pytest.raises(CompileError, match="disagrees with the calibrated value"):
+            Circuit.from_text(f"qutrits: 1\nR01(0; 0.0, 3.141592653589793; {duration})\n")
+
+    def test_duration_is_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            GateInstruction("R01", (0,), (0.0, math.pi), 94.98)
+        instr = GateInstruction("R12", (1,), (0.0, math.pi / 2.0))
+        assert instr.duration == rotation_duration(1, "12", math.pi / 2.0)
+        assert GateInstruction("VPhase", (0,), (1.0, 2.0)).duration == 0.0
+        assert Circuit.from_text(f"qutrits: 2\n{instr._text()}\n").moments == ((instr,),)
 
     def test_moments_of_sequences_one_per_instruction(self):
         seq = decompose_single("H", 0)

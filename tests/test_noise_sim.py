@@ -29,7 +29,9 @@ from qutritlab.gates_compiler import (
     logical_gate,
     merge_streams,
     moments_of,
+    moment_unitary,
     pulse_r01,
+    pulse_vphase,
     single_qutrit_circuit,
 )
 from qutritlab.cli_harness import ExperimentConfig
@@ -125,6 +127,20 @@ class TestRamseyConstants:
             warnings.simplefilter("ignore")
             t2r = ramsey_coherence_time(ExperimentConfig.default().noise, qutrit, transition)
         assert t2r == pytest.approx(expected, rel=0.02)
+
+    @pytest.mark.parametrize("qutrit, transition", [(5, "01"), (-1, "12"), (2, "01"), (0, "02"), (1, "10")])
+    def test_unknown_qutrit_or_transition_rejected(self, qutrit, transition):
+        with pytest.raises(SimulationError, match="qutrit 0 or 1 and transition"):
+            ramsey_coherence_time(ExperimentConfig.default().noise, qutrit, transition)
+
+    @pytest.mark.parametrize("duration", [-50.0, -1e-9, math.nan, math.inf, -math.inf])
+    def test_idle_duration_must_be_finite_and_nonnegative(self, duration):
+        with pytest.raises(SimulationError, match="idle duration"):
+            evolve_idle(ExperimentConfig.default().noise, None, duration)
+
+    def test_zero_idle_returns_the_initial_state(self):
+        rho = PureState.basis("12").density()
+        assert evolve_idle(ExperimentConfig.default().noise, rho, 0.0).matrix.tobytes() == rho.matrix.tobytes()
 
     def test_idle_coherence_follows_exponential(self):
         # superposition on the first qutrit decays with its 01 constant
@@ -580,13 +596,23 @@ class TestStateWalk:
         shared = {id(s) for s in maps}
         assert all(id(s) in shared for walk in engine._walks.values() for s in walk)
 
+    def test_calibrated_unitary_formed_only_on_a_map_miss(self, monkeypatch):
+        engine = LindbladEngine(ExperimentConfig.default().noise)
+        formed = []
+        calibrated = engine._calibrated_unitary
+        monkeypatch.setattr(engine, "_calibrated_unitary", lambda m, d: formed.append(m) or calibrated(m, d))
+        for _ in range(2):
+            for circ in algorithm_circuits():
+                engine.run(circ)
+        assert len(formed) == len(set(formed)) == len(engine._superops)
+
     def test_zero_duration_maps(self):
-        engine = LindbladEngine(NoiseModel.none())
-        u = np.diag(np.exp(1j * np.arange(DIM * DIM)))
-        diagonal = engine._superop(("diagonal",), 0.0, u)
+        engine = LindbladEngine(ExperimentConfig.default().noise)
+        moment = (pulse_vphase(0, 1.0, 2.0), pulse_vphase(1, -0.5, 3.0))
+        assert Circuit(2, (moment,)).durations == (0.0,)
+        diagonal = engine._superop(moment, 0.0)
         assert diagonal.shape == (81,)
+        assert not diagonal.flags.writeable
+        u = moment_unitary(moment, 2)
         assert np.array_equal(diagonal, np.diag(np.kron(u, u.conj())))
-        # a zero-duration moment that mixes levels gets the full map
-        u = embed_operator(logical_gate("H"), (0,), 2)
-        full = engine._superop(("mixing",), 0.0, u)
-        assert np.max(np.abs(full - np.kron(u, u.conj()))) < 1e-15
+        assert engine._superop(moment, 0.0) is diagonal
