@@ -432,13 +432,13 @@ def run_device_report(config: ExperimentConfig, flux_grid) -> ResultBundle:
 
 
 @functools.lru_cache(maxsize=len(LOGICAL_GATE_NAMES))
-def _gate_reference(gate: str) -> tuple[ProcessMatrix, float, float]:
-    """Ideal chi (read-only), noiseless compiled fidelity and compiled duration of a gate."""
+def _gate_reference(gate: str) -> tuple[ProcessMatrix, float]:
+    """Ideal chi (read-only) and noiseless compiled fidelity of a gate."""
     ideal_chi = chi_of_unitary(logical_gate(gate))
     ideal_chi.matrix.flags.writeable = False
     compiled = single_qutrit_circuit(gate, 0, n_qutrits=1)
     noiseless_fid = process_fidelity(chi_of_unitary(circuit_unitary(compiled)), ideal_chi)
-    return ideal_chi, noiseless_fid, compiled.total_duration
+    return ideal_chi, noiseless_fid
 
 
 @functools.lru_cache(maxsize=2 * len(LOGICAL_GATE_NAMES))
@@ -458,7 +458,7 @@ def run_process_tomo(config: ExperimentConfig, gate: str, qutrit: int) -> Result
     if qutrit not in (1, 2):
         raise ConfigError(f"qutrit must be 1 or 2, got {qutrit}")
     qidx = qutrit - 1
-    ideal_chi, noiseless_fid, compiled_duration = _gate_reference(gate)
+    ideal_chi, noiseless_fid = _gate_reference(gate)
     pair = _pair_circuit(gate, qidx)
     noisy_chi = chi_matrix(circuit_channel(pair, config.noise, config.step_scale, qutrit=qidx))
     noisy_fid = process_fidelity(noisy_chi, ideal_chi)
@@ -467,8 +467,8 @@ def run_process_tomo(config: ExperimentConfig, gate: str, qutrit: int) -> Result
     # virtual phase gates take no pulse time, so report duration only
     # when the compiled circuit actually occupies the channel
     if pair.total_duration > 0.0:
-        entries[0]["duration_ns"] = compiled_duration
-        entries[1]["duration_ns"] = pair.total_duration
+        for entry in entries:
+            entry["duration_ns"] = pair.total_duration
     summary = {
         "gate": gate,
         "qutrit": qutrit,

@@ -464,7 +464,7 @@ def labeled_spectrum(params: DeviceParams) -> SpectrumReport:
         zz=zz,
         coupler_ghz=float(nf.mode_freqs[coupler_mode]),
         min_overlap=min_overlap,
-        sweet_spot=(params.flux == 0.0),
+        sweet_spot=(math.remainder(params.flux, 2.0) == 0.0),
     )
 
 

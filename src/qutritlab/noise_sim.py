@@ -13,10 +13,10 @@ The 81x81 generator is block-diagonal over 25 sectors: |a><b| keeps its
 per-qutrit level differences (a1 - b1, a2 - b2), because the coupling
 Hamiltonian and the dephasing operators are diagonal and each relaxation
 operator lowers ket and bra together. No sector has more than 9 members.
-Each engine checks once that the generator has no entry outside its
-sectors, then forms the integrator step and its power on the stacked,
-zero-padded 9x9 sector blocks and scatters the result into the 81x81
-propagator that the state and channel paths read.
+The generator is formed only inside its sectors, 361 of its 6561 entries;
+each engine stacks those into zero-padded 9x9 sector blocks, forms the
+integrator step and its power on the stack and scatters the result into
+the 81x81 propagator that the state and channel paths read.
 
 Work that depends only on the noise model is done once per process.
 `simulate_lindblad`, `circuit_channel` and `evolve_idle` take their
@@ -110,6 +110,11 @@ class NoiseModel:
     j12: float = 0.0
     j22: float = 0.0
 
+    def __post_init__(self):
+        for name in ("j11", "j21", "j12", "j22"):
+            if not math.isfinite(getattr(self, name)):
+                raise StateValidationError(f"{name} must be finite, got {getattr(self, name)}")
+
     @classmethod
     def none(cls) -> "NoiseModel":
         inf = math.inf
@@ -180,54 +185,47 @@ def idle_hamiltonian(noise: NoiseModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Lindblad propagation
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two 9x9 matrices: the same products, as one broadcast outer product."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(DIM2 * DIM2, DIM2 * DIM2)
-
-
-def lindblad_generator(noise: NoiseModel) -> np.ndarray:
-    """81x81 generator acting on the row-major vectorized density matrix."""
-    eye = np.eye(DIM2, dtype=complex)
-    h = idle_hamiltonian(noise)
-    gen = -1j * (_kron(h, eye) - _kron(eye, h.T))
-    for op in build_collapse_ops(noise):
-        opc = op.conj()
-        herm = op.conj().T @ op
-        gen += _kron(op, opc)
-        gen -= 0.5 * (_kron(herm, eye) + _kron(eye, herm.T))
-    return gen
-
-
 def _sector_tables():
-    """Index tables of the 25 level-difference sectors of |a><b|.
+    """The entries of the 81x81 generator that lie inside a level-difference sector.
 
     The row-major index of |a><b| is 9 a + b with a = 3 a1 + a2 and
-    b = 3 b1 + b2; its sector is (a1 - b1, a2 - b2). Each sector lists its
-    members in increasing index order, padded to DIM2 = 9, the size of
-    the largest sector, with index 0 and a False mask entry.
+    b = 3 b1 + b2; its sector is (a1 - b1, a2 - b2). Returns the (row, col)
+    of each of the 361 in-sector entries and its place (sector, rank of the
+    row among the sector's members, rank of the column) in the stacked 9x9
+    sector blocks, whose members come in increasing index order.
     """
     a1, a2, b1, b2 = np.indices((DIM,) * 4).reshape(4, -1)
     sector = (a1 - b1 + DIM - 1) * (2 * DIM - 1) + (a2 - b2 + DIM - 1)
-    members = [np.flatnonzero(sector == s) for s in range((2 * DIM - 1) ** 2)]
-    index = np.zeros((len(members), DIM2), dtype=np.intp)
-    valid = np.zeros((len(members), DIM2), dtype=bool)
-    for s, m in enumerate(members):
-        index[s, :len(m)] = m
-        valid[s, :len(m)] = True
-    mask = valid[:, :, None] & valid[:, None, :]
-    rows = np.broadcast_to(index[:, :, None], mask.shape)
-    cols = np.broadcast_to(index[:, None, :], mask.shape)
-    off_sector = sector[:, None] != sector[None, :]
-    for table in (rows, cols, mask, off_sector):
-        table.flags.writeable = False
-    return rows, cols, mask, off_sector
+    same = sector[:, None] == sector[None, :]
+    rank = np.count_nonzero(np.tril(same, -1), axis=1)  # earlier members of each index's sector
+    entries = np.stack(np.nonzero(same))
+    slots = np.stack((sector[entries[0]], rank[entries[0]], rank[entries[1]]))
+    entries.flags.writeable = slots.flags.writeable = False
+    return tuple(entries), tuple(slots)
 
 
-# rows and columns of each padded 9x9 sector block in the 81x81 generator,
-# the block entries that are real members, and the generator entries that
-# lie outside every sector
-_BLOCK_ROWS, _BLOCK_COLS, _BLOCK_MASK, _OFF_SECTOR = _sector_tables()
-_SCATTER = (_BLOCK_ROWS[_BLOCK_MASK], _BLOCK_COLS[_BLOCK_MASK])
+# (row, col) of each in-sector generator entry, and its (sector, row, col) in the sector blocks
+_ENTRIES, _SLOTS = _sector_tables()
+_N_SECTORS = (2 * DIM - 1) ** 2
+
+
+def lindblad_generator(noise: NoiseModel) -> np.ndarray:
+    """81x81 generator acting on the row-major vectorized density matrix.
+
+    Only the entries inside a level-difference sector are formed; the rest
+    are zero. Entry (9 a + b, 9 c + d) of a term x (x) y is x[a, c] * y[b, d].
+    """
+    (a, c), (b, d) = np.divmod(_ENTRIES, DIM2)
+    eye = np.eye(DIM2, dtype=complex)
+    h = idle_hamiltonian(noise)
+    values = -1j * (h[a, c] * eye[b, d] - eye[a, c] * h.T[b, d])
+    for op in build_collapse_ops(noise):
+        herm = op.conj().T @ op
+        values += op[a, c] * op.conj()[b, d]
+        values -= 0.5 * (herm[a, c] * eye[b, d] + eye[a, c] * herm.T[b, d])
+    gen = np.zeros((DIM2 * DIM2, DIM2 * DIM2), dtype=complex)
+    gen[_ENTRIES] = values
+    return gen
 
 
 class LindbladEngine:
@@ -245,9 +243,8 @@ class LindbladEngine:
         self.noise = noise
         self.step_scale = int(step_scale)
         self.generator = lindblad_generator(noise)
-        if np.any(self.generator[_OFF_SECTOR]):
-            raise SimulationError("the Lindblad generator couples different level-difference sectors")
-        self._blocks = np.where(_BLOCK_MASK, self.generator[_BLOCK_ROWS, _BLOCK_COLS], 0.0)
+        self._blocks = np.zeros((_N_SECTORS, DIM2, DIM2), dtype=complex)
+        self._blocks[_SLOTS] = self.generator[_ENTRIES]
         self._cache: dict[float, np.ndarray] = {}
         # map of one moment on the vectorized density matrix, shared by every circuit that holds the moment
         self._superops: dict[tuple, np.ndarray] = {}
@@ -269,7 +266,7 @@ class LindbladEngine:
         # time-independent linear generator, on every sector block at once:
         step = eye + h * gen @ (eye + (h / 2.0) * gen @ (eye + (h / 3.0) * gen @ (eye + (h / 4.0) * gen)))
         prop = np.zeros_like(self.generator)
-        prop[_SCATTER] = np.linalg.matrix_power(step, n_steps)[_BLOCK_MASK]
+        prop[_ENTRIES] = np.linalg.matrix_power(step, n_steps)[_SLOTS]
         prop.flags.writeable = False
         self._cache[key] = prop
         return prop
@@ -462,7 +459,7 @@ class ProcessMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ChannelError("process matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > 1e-7:
+        if not np.max(np.abs(m - m.conj().T)) <= 1e-7:
             raise ChannelError("process matrix must be Hermitian")
         object.__setattr__(self, "matrix", (m + m.conj().T) / 2.0)
 
@@ -572,7 +569,7 @@ def chi_matrix(channel: QuantumChannel) -> ProcessMatrix:
     """
     tol = 1e-6
     defect = channel.trace_preservation_defect()
-    if defect > tol:
+    if not defect <= tol:
         raise ChannelError(f"map is not trace preserving (defect {defect:.3g})")
     choi = channel.choi()
     choi_min = float(np.min(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)))

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -28,7 +29,9 @@ from qutritlab.gates_compiler import (
     circuit_unitary,
     compile_cphase,
     cphase_matrix,
+    decompose_single,
     equal_up_to_global_phase,
+    merge_streams,
     moment_unitary,
 )
 from qutritlab.noise_sim import chi_matrix, circuit_channel, sample_counts, simulate_lindblad
@@ -344,6 +347,14 @@ class TestRunners:
         lines = bundle.figure_csv.strip().split("\n")
         assert lines[0] == "row,col,re,im"
         assert len(lines) == 82
+
+    @pytest.mark.parametrize("qutrit", [1, 2])
+    @pytest.mark.parametrize("gate", LOGICAL_GATE_NAMES)
+    def test_tomo_entries_report_the_pair_circuit_duration(self, gate, qutrit):
+        duration = merge_streams(2, {qutrit - 1: decompose_single(gate, qutrit - 1)}).total_duration
+        want = duration if duration > 0.0 else None
+        bundle = run_process_tomo(exact_config(), gate, qutrit)
+        assert [e.get("duration_ns") for e in bundle.entries] == [want, want]
 
     def test_tomo_virtual_gate_reports_no_duration(self):
         bundle = run_process_tomo(exact_config(), "Z", 2)
@@ -980,6 +991,19 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "message" in err
+
+    def test_nonfinite_channel_exits_one_with_json(self, tmp_path, capsys):
+        # a vanishing T1 passes the loader, but its rates overflow the integrator
+        config = tmp_path / "tiny_t1.yaml"
+        config.write_text("coherence:\n  q1:\n    t1_01: 1.0e-300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["tomo", "process", "--gate", "H", "--qutrit", "1", "--config", str(config)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ChannelError"
 
     def test_compile_bad_target_exits_one(self, capsys):
         code = main(["compile", "cphase", "--theta", "3.14", "--target", "55"])

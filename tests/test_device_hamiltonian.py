@@ -541,6 +541,12 @@ class TestFluxSweep:
         assert sweep[0].sweet_spot is True
         assert all(not r.sweet_spot for r in sweep[1:])
 
+    @pytest.mark.parametrize("flux", [2.0, -2.0])
+    def test_sweet_spot_follows_the_flux_period(self, flux):
+        shifted = labeled_spectrum(DeviceParams().with_flux(flux))
+        assert shifted.sweet_spot is True
+        assert shifted.w01_q1 == labeled_spectrum(DeviceParams().with_flux(0.0)).w01_q1
+
     def test_single_point_matches_direct_call(self):
         direct = labeled_spectrum(DeviceParams())
         swept = flux_sweep(DeviceParams(), [0.185])[0]

@@ -3,6 +3,7 @@ pure-state limit, sampling and process matrices."""
 
 import math
 import warnings
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from qutritlab.noise_sim import (
     ChannelError,
     LindbladEngine,
     NoiseModel,
+    ProcessMatrix,
+    QuantumChannel,
     QutritCoherence,
     SimulationError,
     build_collapse_ops,
@@ -90,6 +93,13 @@ class TestNoiseModel:
         assert (nm.q2.t1_01, nm.q2.t1_12) == (35.1, 3.9)
         assert (nm.q2.t2r_01, nm.q2.t2r_12) == (3.2, 2.4)
         assert (nm.j11, nm.j21, nm.j12, nm.j22) == (-304.3, 37.8, 23.6, 5.4)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["j11", "j21", "j12", "j22"])
+    def test_nonfinite_coupling_rejected(self, name, value):
+        nm = ExperimentConfig.default().noise
+        with pytest.raises(StateValidationError, match=name):
+            NoiseModel(q1=nm.q1, q2=nm.q2, **{name: value})
 
     def test_nonpositive_times_rejected(self):
         with pytest.raises(StateValidationError):
@@ -378,6 +388,14 @@ class TestProcessMatrices:
         with pytest.raises(ChannelError):
             reduced_qutrit_channel(circuit_channel(both_h(), NoiseModel.none()), 2)
 
+    def test_nonfinite_process_matrix_rejected(self):
+        with pytest.raises(ChannelError, match="Hermitian"):
+            ProcessMatrix(np.full((9, 9), np.nan))
+
+    def test_nonfinite_channel_rejected(self):
+        with pytest.raises(ChannelError, match="trace preserving"):
+            chi_matrix(QuantumChannel(np.full((9, 9), np.nan), DIM))
+
     def test_identity_channel_rank_one(self):
         chi = chi_of_unitary(np.eye(3))
         evals = np.linalg.eigvalsh(chi.matrix)
@@ -467,6 +485,26 @@ def level_difference_sectors() -> np.ndarray:
     return 5 * (a1 - b1) + (a2 - b2)
 
 
+def dense_generator(noise: NoiseModel) -> np.ndarray:
+    """Reference: the textbook generator from whole 81x81 krons, in the same term order."""
+    eye = np.eye(DIM * DIM, dtype=complex)
+    h = idle_hamiltonian(noise)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op in build_collapse_ops(noise):
+        herm = op.conj().T @ op
+        gen += np.kron(op, op.conj())
+        gen -= 0.5 * (np.kron(herm, eye) + np.kron(eye, herm.T))
+    return gen
+
+
+def scaled_noise(seed: int) -> NoiseModel:
+    """The default model with each coherence time scaled within +-25%."""
+    rng = np.random.default_rng(seed)
+    nm = ExperimentConfig.default().noise
+    q1, q2 = (QutritCoherence(*(t * rng.uniform(0.75, 1.25) for t in astuple(q))) for q in (nm.q1, nm.q2))
+    return replace(nm, q1=q1, q2=q2)
+
+
 def dense_propagator(gen: np.ndarray, duration_ns: float, step_scale: int) -> np.ndarray:
     """Reference: the fourth-order step formed on the whole 81x81 generator, then its power."""
     n_steps = step_scale * max(16, int(math.ceil(duration_ns)))
@@ -489,33 +527,33 @@ class TestSectorStructure:
 
     @pytest.mark.parametrize("name", NOISE_MODELS)
     def test_generator_has_no_off_sector_entry(self, name):
-        gen = lindblad_generator(NOISE_MODELS[name]())
+        gen = dense_generator(NOISE_MODELS[name]())
         sector = level_difference_sectors()
         off = sector[:, None] != sector[None, :]
         assert np.count_nonzero(gen[off]) == 0
         sizes = np.unique(sector, return_counts=True)[1]
         assert len(sizes) == 25 and sizes.max() == 9
 
-    def test_off_sector_entry_rejected(self, monkeypatch):
-        def leaky(noise):
-            gen = lindblad_generator(noise)
-            gen[0, 1] = 1e-12  # |00><00| fed from |00><01|: sectors (0, 0) and (0, -1)
-            return gen
-        monkeypatch.setattr(noise_sim, "lindblad_generator", leaky)
-        with pytest.raises(SimulationError, match="sectors"):
-            LindbladEngine(NoiseModel.none())
+    @pytest.mark.parametrize("noise", [make() for make in NOISE_MODELS.values()] + [scaled_noise(s) for s in range(20)],
+                             ids=[*NOISE_MODELS, *(f"scaled{s}" for s in range(20))])
+    def test_generator_matches_the_dense_kron_reference(self, noise):
+        gen = lindblad_generator(noise)
+        assert gen.shape == (81, 81)
+        assert np.array_equal(gen, dense_generator(noise))
 
     @pytest.mark.parametrize("step_scale", [1, 2])
     @pytest.mark.parametrize("name", NOISE_MODELS)
     def test_sector_propagators_match_the_dense_integrator(self, name, step_scale):
-        engine = LindbladEngine(NOISE_MODELS[name](), step_scale)
+        noise = NOISE_MODELS[name]()
+        engine = LindbladEngine(noise, step_scale)
+        gen = dense_generator(noise)
         sector = level_difference_sectors()
         off = sector[:, None] != sector[None, :]
         for duration in (0.5, 16.0, 40.0, 137.3):
             prop = engine.propagator(duration)
             assert prop.shape == (81, 81)
             assert not prop.flags.writeable
-            assert np.max(np.abs(prop - dense_propagator(engine.generator, duration, step_scale))) < 1e-13
+            assert np.max(np.abs(prop - dense_propagator(gen, duration, step_scale))) < 1e-13
             assert np.count_nonzero(prop[off]) == 0
 
     @pytest.mark.parametrize("gate", LOGICAL_GATE_NAMES)
