@@ -19,13 +19,14 @@ integrator step and its power on the stack and scatters the result into
 the 81x81 propagator that the state and channel paths read.
 
 Work that depends only on the noise model is done once per process.
-`simulate_lindblad`, `circuit_channel` and `evolve_idle` take their
-`LindbladEngine` from one cache slot keyed by (noise model, step_scale),
-the only route to an engine; a run with a new noise model replaces it.
-The engine holds the generator, one propagator per distinct duration,
-one map per moment and, per circuit it has run, the sequence of those
-maps; a moment's calibrated unitary is formed only to build its map or for
-a channel walk. Cached arrays are read-only; reuse changes no output byte.
+`simulate_lindblad`, `evolve_idle` and the full-register `circuit_channel`
+take their `LindbladEngine` from one cache slot keyed by (noise model,
+step_scale), the only route to a pair engine; a run with a new noise
+model replaces it. The engine holds the generator, one propagator per
+distinct duration, one map per moment and, per circuit it has run, the
+sequence of those maps; a moment's calibrated unitary is formed only to
+build its map or for a channel walk. Cached arrays are read-only; reuse
+changes no output byte.
 
 The state path (`simulate_lindblad`) walks one linear map per moment on
 the vectorized density matrix: kron(u, conj(u)) @ propagator, composed
@@ -34,14 +35,20 @@ which holds only virtual phases, the diagonal d x conj(d) as an 81-vector
 applied elementwise. The 43 DJ/BV/Grover circuits hold 21 timed moments,
 so their maps take 2.2 MB next to 0.8 MB of propagators.
 
-`circuit_channel` pushes a stack of 9x9 inputs through one walk of the
-steps, applying each propagator and then u x u^dag; it composes no maps,
-because a tomography engine serves one noise profile, whose 20 timed steps
-hold 12 distinct moments, and composing a map (about 0.14 ms) would cost
-more than it saves there. The full channel
-pushes all 81 matrix units; the single-qutrit channel that tomography
-reads pushes only the nine inputs |k><l| with the other qutrit in |0><0|
-and traces the other qutrit out.
+The full channel pushes all 81 matrix units through one walk of the
+steps, applying each propagator and then u x u^dag; it composes no 81x81
+maps, as each costs about 0.14 ms and a channel is formed once. The
+single-qutrit channel that tomography reads, of a pair circuit that acts
+on the measured qutrit alone, is exactly a one-qutrit problem: the
+partner's collapse operators annihilate |0> and the coupling carries a
+factor m*n, so the nine operators |k><l| (x) |0><0| map only among
+themselves. `QutritEngine` forms that 9x9 generator (5 sector blocks of
+at most 3) from the qutrit's own collapse operators, and the channel is
+the product of 9x9 maps, kron(u, conj(u)) after each window's
+propagator; at that size composing the maps is the cheap way. Its
+engines come from a two-slot cache keyed by (coherence, step_scale), one
+per qutrit, and the per-moment kron(u, conj(u)) from a cache of its own.
+Any other single-qutrit channel is reduced from the full one.
 
 Coherence times are given in microseconds, coupling coefficients in kHz,
 and circuit durations in nanoseconds.
@@ -51,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -65,7 +73,7 @@ from .qutrit_core import (
     StateValidationError,
     _coerce_state,
 )
-from .gates_compiler import Circuit, moment_unitary
+from .gates_compiler import Circuit, instruction_matrix, moment_unitary
 
 DIM2 = DIM * DIM
 
@@ -185,17 +193,19 @@ def idle_hamiltonian(noise: NoiseModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Lindblad propagation
 
-def _sector_tables():
-    """The entries of the 81x81 generator that lie inside a level-difference sector.
+def _sector_tables(n_qutrits: int):
+    """The entries of an n-qutrit generator that lie inside a level-difference sector.
 
-    The row-major index of |a><b| is 9 a + b with a = 3 a1 + a2 and
-    b = 3 b1 + b2; its sector is (a1 - b1, a2 - b2). Returns the (row, col)
-    of each of the 361 in-sector entries and its place (sector, rank of the
-    row among the sector's members, rank of the column) in the stacked 9x9
-    sector blocks, whose members come in increasing index order.
+    The row-major index of |a><b| is D a + b, D = 3**n, with the digits of
+    a and b the qutrit levels; its sector is the tuple of per-qutrit level
+    differences. Returns the (row, col) of each in-sector entry and its
+    place (sector, rank of the row among the sector's members, rank of the
+    column) in the stacked sector blocks, whose members come in increasing
+    index order: 361 entries in 25 blocks of at most 9 for the pair, 19 in 5
+    blocks of at most 3 for one qutrit.
     """
-    a1, a2, b1, b2 = np.indices((DIM,) * 4).reshape(4, -1)
-    sector = (a1 - b1 + DIM - 1) * (2 * DIM - 1) + (a2 - b2 + DIM - 1)
+    digits = np.indices((DIM,) * 2 * n_qutrits).reshape(2 * n_qutrits, -1)
+    sector = np.ravel_multi_index(digits[:n_qutrits] - digits[n_qutrits:] + DIM - 1, (2 * DIM - 1,) * n_qutrits)
     same = sector[:, None] == sector[None, :]
     rank = np.count_nonzero(np.tril(same, -1), axis=1)  # earlier members of each index's sector
     entries = np.stack(np.nonzero(same))
@@ -204,54 +214,75 @@ def _sector_tables():
     return tuple(entries), tuple(slots)
 
 
-# (row, col) of each in-sector generator entry, and its (sector, row, col) in the sector blocks
-_ENTRIES, _SLOTS = _sector_tables()
-_N_SECTORS = (2 * DIM - 1) ** 2
+# per register size (1, 2): the (row, col) of each in-sector generator entry,
+# and its (sector, row, col) in the sector blocks
+_SECTORS = {n: _sector_tables(n) for n in (1, 2)}
 
 
-def lindblad_generator(noise: NoiseModel) -> np.ndarray:
-    """81x81 generator acting on the row-major vectorized density matrix.
+def _generator(n_qutrits: int, ops: list[np.ndarray], h: np.ndarray | None = None) -> np.ndarray:
+    """Generator on the row-major vectorized density matrix of an n-qutrit register.
 
     Only the entries inside a level-difference sector are formed; the rest
-    are zero. Entry (9 a + b, 9 c + d) of a term x (x) y is x[a, c] * y[b, d].
+    are zero. Entry (D a + b, D c + d) of a term x (x) y is x[a, c] * y[b, d].
     """
-    (a, c), (b, d) = np.divmod(_ENTRIES, DIM2)
-    eye = np.eye(DIM2, dtype=complex)
-    h = idle_hamiltonian(noise)
-    values = -1j * (h[a, c] * eye[b, d] - eye[a, c] * h.T[b, d])
-    for op in build_collapse_ops(noise):
+    entries = _SECTORS[n_qutrits][0]
+    dim = DIM**n_qutrits
+    (a, c), (b, d) = np.divmod(entries, dim)
+    eye = np.eye(dim, dtype=complex)
+    values = np.zeros(len(a), dtype=complex) if h is None else -1j * (h[a, c] * eye[b, d] - eye[a, c] * h.T[b, d])
+    for op in ops:
         herm = op.conj().T @ op
         values += op[a, c] * op.conj()[b, d]
         values -= 0.5 * (herm[a, c] * eye[b, d] + eye[a, c] * herm.T[b, d])
-    gen = np.zeros((DIM2 * DIM2, DIM2 * DIM2), dtype=complex)
-    gen[_ENTRIES] = values
+    gen = np.zeros((dim * dim, dim * dim), dtype=complex)
+    gen[entries] = values
     return gen
+
+
+def lindblad_generator(noise: NoiseModel) -> np.ndarray:
+    """81x81 generator of the pair, formed inside its 25 level-difference sectors."""
+    return _generator(2, build_collapse_ops(noise), idle_hamiltonian(noise))
+
+
+def _whole_number(name: str, value, minimum: int, error: type[QutritLabError]) -> int:
+    """`value` as an int; `error` for a bool, a non-integral or non-finite value, or one below `minimum`."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer())
+    if isinstance(value, bool) or not whole or value < minimum:
+        raise error(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
 
 
 class LindbladEngine:
     """Caches the propagators and step maps of a fixed noise model.
 
     The state path (`run`) applies one precomposed map per moment. The
-    channel path (`_propagate`) keeps its own stepwise walk on purpose: a
-    tomography engine is used once, and composing its maps would cost more
-    than they save.
+    full-register channel path (`circuit_channel`) keeps its own stepwise
+    walk on purpose: it is used once per engine, and composing its 81x81
+    maps would cost more than they save.
     """
 
+    n_qutrits = 2  # the register the generator acts on
+
     def __init__(self, noise: NoiseModel, step_scale: int = 1):
-        if step_scale < 1:
-            raise SimulationError("step_scale must be a positive integer")
+        self._set_generator(lindblad_generator(noise), step_scale)
         self.noise = noise
-        self.step_scale = int(step_scale)
-        self.generator = lindblad_generator(noise)
-        self._blocks = np.zeros((_N_SECTORS, DIM2, DIM2), dtype=complex)
-        self._blocks[_SLOTS] = self.generator[_ENTRIES]
-        self._cache: dict[float, np.ndarray] = {}
         # map of one moment on the vectorized density matrix, shared by every circuit that holds the moment
         self._superops: dict[tuple, np.ndarray] = {}
         # per circuit, the maps `run` applies in order
         self._walks: dict[Circuit, tuple[np.ndarray, ...]] = {}
         self._coupling_diag = np.real(np.diag(idle_hamiltonian(noise)))
         self._coupled = bool(np.any(self._coupling_diag))
+
+    def _set_generator(self, generator: np.ndarray, step_scale) -> None:
+        """Keep the generator, its stacked sector blocks and the step count factor."""
+        self.step_scale = _whole_number("step_scale", step_scale, 1, SimulationError)
+        self.generator = generator
+        size = DIM**self.n_qutrits
+        self._blocks = np.zeros(((2 * DIM - 1) ** self.n_qutrits, size, size), dtype=complex)
+        entries, slots = _SECTORS[self.n_qutrits]
+        self._blocks[slots] = generator[entries]
+        self._cache: dict[float, np.ndarray] = {}
 
     def propagator(self, duration_ns: float) -> np.ndarray:
         key = round(float(duration_ns), 9)
@@ -261,12 +292,13 @@ class LindbladEngine:
         n_steps = self.step_scale * max(16, int(math.ceil(duration_ns)))
         h = (duration_ns * 1e-3) / n_steps
         gen = self._blocks
-        eye = np.eye(DIM2, dtype=complex)
+        eye = np.eye(gen.shape[-1], dtype=complex)
         # fourth-order Taylor step, identical to classic RK4 for a
         # time-independent linear generator, on every sector block at once:
         step = eye + h * gen @ (eye + (h / 2.0) * gen @ (eye + (h / 3.0) * gen @ (eye + (h / 4.0) * gen)))
+        entries, slots = _SECTORS[self.n_qutrits]
         prop = np.zeros_like(self.generator)
-        prop[_ENTRIES] = np.linalg.matrix_power(step, n_steps)[_SLOTS]
+        prop[entries] = np.linalg.matrix_power(step, n_steps)[slots]
         prop.flags.writeable = False
         self._cache[key] = prop
         return prop
@@ -332,10 +364,63 @@ class LindbladEngine:
         return v.reshape(DIM2, DIM2)
 
 
-@functools.lru_cache(maxsize=1)
+class QutritEngine(LindbladEngine):
+    """Propagators and channels of one qutrit under its own relaxation and dephasing.
+
+    Every collapse operator of the partner annihilates |0>, and the coupling
+    polynomial carries a factor m*n, so the pair generator maps the nine
+    operators |k><l| (x) |0><0| only among themselves. On them it is this
+    engine's 9x9 generator, formed from the qutrit's collapse operators
+    with no Hamiltonian, and the coupling phase that calibration undoes is
+    1. The engine serves `channel` alone; the pair paths of the base class
+    do not apply to it.
+    """
+
+    n_qutrits = 1
+
+    def __init__(self, coherence: QutritCoherence, step_scale: int = 1):
+        self._set_generator(_generator(1, _single_qutrit_collapse_ops(coherence)), step_scale)
+        self.coherence = coherence
+
+    def channel(self, circuit: Circuit) -> np.ndarray:
+        """9x9 superoperator of a pair circuit that acts on this qutrit alone, the partner in |0>.
+
+        Per moment the propagator of its window, then kron(u, conj(u)).
+        """
+        s = np.eye(DIM2, dtype=complex)
+        for moment, duration in zip(circuit.moments, circuit.durations):
+            if duration > 0.0:
+                s = self.propagator(duration) @ s
+            s = _qutrit_moment_map(moment) @ s
+        return s
+
+
+@functools.lru_cache(maxsize=256)
+def _qutrit_moment_map(moment: tuple) -> np.ndarray:
+    """kron(u, conj(u)), read-only, for the 3x3 unitary u of a moment on one qutrit.
+
+    Cached per moment, as it does not depend on the noise, and formed as a
+    broadcast outer product, which costs a fraction of np.kron.
+    """
+    u = np.eye(DIM, dtype=complex)
+    for instr in moment:
+        u = instruction_matrix(instr) @ u
+    m = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(DIM2, DIM2)
+    m.flags.writeable = False
+    return m
+
+
+# typed, as is the cache below: True and 1.0 equal 1 as keys, and the engine must see True to reject it
+@functools.lru_cache(maxsize=1, typed=True)
 def _engine(noise: NoiseModel, step_scale: int) -> LindbladEngine:
     """The shared engine of the last noise model asked for; one slot, as a run uses one noise model."""
     return LindbladEngine(noise, step_scale)
+
+
+@functools.lru_cache(maxsize=2, typed=True)
+def _qutrit_engine(coherence: QutritCoherence, step_scale: int) -> QutritEngine:
+    """The one-qutrit engines of the last two coherences asked for: tomography alternates the qutrits."""
+    return QutritEngine(coherence, step_scale)
 
 
 def _initial_rho(initial) -> np.ndarray:
@@ -434,16 +519,16 @@ def measure_probs(state) -> ProbDist:
 def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     """Multinomial counts from a distribution; the seed fixes the draw."""
     p = probs.probs if isinstance(probs, ProbDist) else np.asarray(probs, dtype=float)
-    if shots < 0:
-        raise StateValidationError("shots must be nonnegative")
+    shots = _whole_number("shots", shots, 0, StateValidationError)
     if seed is None:
         raise StateValidationError("sampling requires an explicit seed")
+    seed = _whole_number("seed", seed, 0, StateValidationError)
     if np.min(p) < -1e-9 or abs(p.sum() - 1.0) > 1e-6:
         raise StateValidationError("not a probability distribution")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
-    rng = np.random.default_rng(int(seed))
-    return rng.multinomial(int(shots), p)
+    rng = np.random.default_rng(seed)
+    return rng.multinomial(shots, p)
 
 
 # ---------------------------------------------------------------------------
@@ -513,52 +598,46 @@ _K, _L = np.divmod(np.arange(DIM2), DIM)
 _QUTRIT_UNITS = (DIM2 * DIM * _K + DIM * _L, DIM2 * _K + _L)
 
 
-def _propagate(engine: LindbladEngine, circuit: Circuit, inputs: np.ndarray) -> np.ndarray:
-    """Images of a (k, 9, 9) stack of pair operators after the circuit's moments."""
-    x = inputs
-    for duration, u in engine.moments(circuit):
-        if duration > 0.0:
-            x = (x.reshape(len(x), -1) @ engine.propagator(duration).T).reshape(x.shape)
-        x = u @ x @ u.conj().T
-    return x
-
-
-def _qutrit_superop(images: np.ndarray, qutrit: int) -> np.ndarray:
-    """9x9 superoperator from the pair images of the nine inputs of one qutrit.
-
-    The other qutrit's output is traced out; column 3 k + l holds the image
-    of |k><l|.
-    """
-    # axes: input, output ket (q1, q2), output bra (q1, q2)
-    t = images.reshape(DIM2, DIM, DIM, DIM, DIM)
-    traced = np.trace(t, axis1=2, axis2=4) if qutrit == 0 else np.trace(t, axis1=1, axis2=3)
-    return traced.reshape(DIM2, DIM2).T
-
-
 def circuit_channel(circuit: Circuit, noise: NoiseModel, step_scale: int = 1,
                     qutrit: int | None = None) -> QuantumChannel:
     """Channel of a compiled circuit under the noise model.
 
     The full-register channel, or with qutrit 0 or 1 the single-qutrit
     channel that qutrit sees while the other starts in |0> (the channel
-    reduced_qutrit_channel takes from the full one).
+    reduced_qutrit_channel takes from the full one). For a two-qutrit
+    circuit whose every instruction targets that qutrit alone, as in
+    single-qutrit tomography, it is formed on the qutrit's own 9x9
+    generator (QutritEngine), so the other qutrit's coherence and the
+    coupling do not enter; any other circuit's is reduced from the full
+    channel.
     """
+    if qutrit is not None:
+        if qutrit not in (0, 1):
+            raise ChannelError(f"qutrit must be 0 or 1, got {qutrit}")
+        if circuit.n_qutrits == 2 and all(i.targets == (qutrit,) for i in circuit.instructions()):
+            engine = _qutrit_engine(noise.q2 if qutrit else noise.q1, step_scale)
+            return QuantumChannel(engine.channel(circuit), DIM)
+        return reduced_qutrit_channel(circuit_channel(circuit, noise, step_scale), qutrit)
     engine = _engine(noise, step_scale)
-    if qutrit is None:
-        images = _propagate(engine, circuit, _PAIR_UNITS)
-        return QuantumChannel(images.reshape(DIM2 * DIM2, DIM2 * DIM2).T, DIM2)
-    if qutrit not in (0, 1):
-        raise ChannelError(f"qutrit must be 0 or 1, got {qutrit}")
-    inputs = _PAIR_UNITS[_QUTRIT_UNITS[qutrit]]
-    return QuantumChannel(_qutrit_superop(_propagate(engine, circuit, inputs), qutrit), DIM)
+    x = _PAIR_UNITS
+    for duration, u in engine.moments(circuit):
+        if duration > 0.0:
+            x = (x.reshape(len(x), -1) @ engine.propagator(duration).T).reshape(x.shape)
+        x = u @ x @ u.conj().T
+    return QuantumChannel(x.reshape(DIM2 * DIM2, DIM2 * DIM2).T, DIM2)
 
 
 def reduced_qutrit_channel(channel: QuantumChannel, qutrit: int) -> QuantumChannel:
-    """Single-qutrit channel seen by one qutrit, the other starting in |0>."""
+    """Single-qutrit channel seen by one qutrit, the other starting in |0>.
+
+    Column 3 k + l holds the image of |k><l| with the other qutrit traced out.
+    """
     if channel.dim != DIM2 or qutrit not in (0, 1):
         raise ChannelError("reduction expects a two-qutrit channel and qutrit 0 or 1")
-    images = channel.superop[:, _QUTRIT_UNITS[qutrit]].T
-    return QuantumChannel(_qutrit_superop(images, qutrit), DIM)
+    # axes: input, output ket (q1, q2), output bra (q1, q2)
+    t = channel.superop[:, _QUTRIT_UNITS[qutrit]].T.reshape(DIM2, DIM, DIM, DIM, DIM)
+    traced = np.trace(t, axis1=2, axis2=4) if qutrit == 0 else np.trace(t, axis1=1, axis2=3)
+    return QuantumChannel(traced.reshape(DIM2, DIM2).T, DIM)
 
 
 def chi_matrix(channel: QuantumChannel) -> ProcessMatrix:

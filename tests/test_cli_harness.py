@@ -1005,6 +1005,32 @@ class TestMain:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "ChannelError"
 
+    def test_partner_tiny_t1_leaves_qutrit_two_tomography_unchanged(self, tmp_path, capsys):
+        # the channel of a gate on qutrit 2 is formed from qutrit 2's own
+        # generator, so qutrit 1's overflowing rate never enters it
+        config = tmp_path / "tiny_t1.yaml"
+        config.write_text("coherence:\n  q1:\n    t1_01: 1.0e-300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for name, extra in (("tiny", ["--config", str(config)]), ("default", [])):
+                args = ["tomo", "process", "--gate", "H", "--qutrit", "2", "--out", str(tmp_path / name)]
+                assert main(args + extra) == 0
+        capsys.readouterr()
+        tiny, default = (json.loads((tmp_path / name / "tomo_result.json").read_text()) for name in ("tiny", "default"))
+        assert tiny["summary"] == default["summary"]
+        assert tiny["config_hash"] != default["config_hash"]
+        assert (tmp_path / "tiny" / "tomo_figure.csv").read_bytes() == (tmp_path / "default" / "tomo_figure.csv").read_bytes()
+
+    @pytest.mark.parametrize("qutrit, warned", [(1, False), (2, True)])
+    def test_tomo_warns_only_of_the_measured_qutrits_dephasing(self, capsys, qutrit, warned):
+        # at the default profile only qutrit 2 needs the correlated dephasing operator
+        noise_sim._qutrit_engine.cache_clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["tomo", "process", "--gate", "H", "--qutrit", str(qutrit)]) == 0
+        capsys.readouterr()
+        assert any("negative 12 dephasing rate" in str(w.message) for w in caught) == warned
+
     def test_compile_bad_target_exits_one(self, capsys):
         code = main(["compile", "cphase", "--theta", "3.14", "--target", "55"])
         assert code == 1

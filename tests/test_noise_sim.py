@@ -43,6 +43,7 @@ from qutritlab.noise_sim import (
     ProcessMatrix,
     QuantumChannel,
     QutritCoherence,
+    QutritEngine,
     SimulationError,
     build_collapse_ops,
     chi_matrix,
@@ -272,6 +273,22 @@ class TestMeasureAndSample:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("value", [10.5, True, math.nan, math.inf, -1], ids=["half", "bool", "nan", "inf", "neg"])
+    def test_shots_must_be_a_nonnegative_integer(self, value):
+        with pytest.raises(StateValidationError, match="shots"):
+            sample_counts(measure_probs(uniform_pair()), value, seed=1)
+
+    @pytest.mark.parametrize("value", [1.7, True, math.nan, math.inf, -1], ids=["fraction", "bool", "nan", "inf", "neg"])
+    def test_seed_must_be_a_nonnegative_integer(self, value):
+        with pytest.raises(StateValidationError, match="seed"):
+            sample_counts(measure_probs(uniform_pair()), 100, seed=value)
+
+    def test_whole_floats_and_numpy_integers_accepted(self):
+        probs = measure_probs(uniform_pair())
+        want = sample_counts(probs, 100, seed=7)
+        assert np.array_equal(sample_counts(probs, 100.0, seed=np.int64(7)), want)
+        assert np.array_equal(sample_counts(probs, np.int32(100), seed=7.0), want)
+
 
 class TestLindbladBackend:
     def test_zero_noise_matches_pure_backend(self):
@@ -296,6 +313,26 @@ class TestLindbladBackend:
             rho1 = simulate_lindblad(circ, ExperimentConfig.default().noise, step_scale=1)
             rho2 = simulate_lindblad(circ, ExperimentConfig.default().noise, step_scale=2)
         assert fidelity(rho1, rho2) >= 1.0 - 1e-6
+
+    @pytest.mark.parametrize("value", [1.5, True, math.nan, math.inf, 0], ids=["half", "bool", "nan", "inf", "zero"])
+    def test_step_scale_must_be_a_positive_integer(self, value):
+        noise = NoiseModel.none()
+        circ = dj_circuit(DJOracle("Z", "X"))
+        pair_h = merge_streams(2, {0: decompose_single("H", 0)})
+        calls = [lambda: LindbladEngine(noise, value), lambda: QutritEngine(noise.q1, value),
+                 lambda: simulate_lindblad(circ, noise, step_scale=value),
+                 lambda: evolve_idle(noise, uniform_pair(), 10.0, step_scale=value),
+                 lambda: circuit_channel(circ, noise, value), lambda: circuit_channel(pair_h, noise, value, qutrit=0)]
+        # warm the cached engines of step_scale 1: True and 1.0 equal 1 as keys
+        simulate_lindblad(circ, noise)
+        circuit_channel(pair_h, noise, qutrit=0)
+        for call in calls:
+            with pytest.raises(SimulationError, match="step_scale"):
+                call()
+
+    def test_whole_float_step_scale_accepted(self):
+        engine = LindbladEngine(NoiseModel.none(), 2.0)
+        assert engine.step_scale == 2 and type(engine.step_scale) is int
 
     def test_more_dephasing_never_helps_search(self):
         # scale both Ramsey times down: 1x, 2x and 4x the base dephasing
@@ -556,20 +593,106 @@ class TestSectorStructure:
             assert np.max(np.abs(prop - dense_propagator(gen, duration, step_scale))) < 1e-13
             assert np.count_nonzero(prop[off]) == 0
 
+
+
+def partner_ground_indices(qutrit: int) -> np.ndarray:
+    """Row-major indices of |k><l| on `qutrit` with the other qutrit in |0><0|, for k l = 00, 01, ..., 22."""
+    k, l = np.divmod(np.arange(DIM * DIM), DIM)
+    return 27 * k + 3 * l if qutrit == 0 else 9 * k + l
+
+
+def coherence_of(noise: NoiseModel, qutrit: int) -> QutritCoherence:
+    return noise.q2 if qutrit else noise.q1
+
+
+class TestQutritChannel:
+    """A pair circuit on one qutrit, the other in |0>, has the channel of that
+    qutrit's own 9x9 generator: the partner's noise and the coupling drop out."""
+
+    @pytest.mark.parametrize("name", NOISE_MODELS)
+    def test_generator_keeps_the_partner_ground_block(self, name):
+        noise = NOISE_MODELS[name]()
+        gen = lindblad_generator(noise)
+        for qutrit in (0, 1):
+            idx = partner_ground_indices(qutrit)
+            outside = np.setdiff1d(np.arange(DIM**4), idx)
+            assert np.count_nonzero(gen[np.ix_(outside, idx)]) == 0
+            # the one-qutrit engine's generator is that block, value for value
+            engine = QutritEngine(coherence_of(noise, qutrit))
+            assert engine.generator.shape == (9, 9)
+            assert np.array_equal(engine.generator, gen[np.ix_(idx, idx)])
+
+    @pytest.mark.parametrize("step_scale", [1, 2])
+    @pytest.mark.parametrize("name", NOISE_MODELS)
+    def test_propagators_are_the_pair_propagators_block(self, name, step_scale):
+        noise = NOISE_MODELS[name]()
+        pair = LindbladEngine(noise, step_scale)
+        for qutrit in (0, 1):
+            idx = partner_ground_indices(qutrit)
+            engine = QutritEngine(coherence_of(noise, qutrit), step_scale)
+            assert isinstance(engine, LindbladEngine) and engine.step_scale == step_scale
+            for duration in (0.5, 16.0, 40.0, 137.3):
+                prop = engine.propagator(duration)
+                assert prop.shape == (9, 9)
+                assert not prop.flags.writeable
+                assert np.max(np.abs(prop - pair.propagator(duration)[np.ix_(idx, idx)])) < 1e-15
+
+    @pytest.mark.parametrize("step_scale", [1, 2])
+    @pytest.mark.parametrize("name", NOISE_MODELS)
     @pytest.mark.parametrize("gate", LOGICAL_GATE_NAMES)
-    def test_nine_input_channel_matches_the_reduced_full_channel(self, gate):
-        noise = ExperimentConfig.default().noise
+    def test_matches_the_reduced_full_channel(self, gate, name, step_scale):
+        noise = NOISE_MODELS[name]()
         for qutrit in (0, 1):
             circ = merge_streams(2, {qutrit: decompose_single(gate, qutrit)})
-            direct = circuit_channel(circ, noise, qutrit=qutrit)
+            direct = circuit_channel(circ, noise, step_scale, qutrit=qutrit)
             assert direct.dim == DIM
-            full = circuit_channel(circ, noise)
+            full = circuit_channel(circ, noise, step_scale)
             assert np.max(np.abs(direct.superop - reduced_qutrit_channel(full, qutrit).superop)) < 1e-14
             assert np.max(np.abs(direct.superop - matrix_unit_reduction(full, qutrit))) < 1e-14
+            if not circ.moments:
+                assert np.array_equal(direct.superop, np.eye(DIM * DIM))
 
-    def test_nine_input_channel_needs_qutrit_zero_or_one(self):
+    def test_builds_no_pair_engine(self):
+        noise = ExperimentConfig.default().noise
+        noise_sim._engine.cache_clear()
+        noise_sim._qutrit_engine.cache_clear()
+        for gate in LOGICAL_GATE_NAMES:
+            for qutrit in (0, 1):
+                circuit_channel(merge_streams(2, {qutrit: decompose_single(gate, qutrit)}), noise, qutrit=qutrit)
+        assert noise_sim._engine.cache_info().misses == 0
+        # two slots, one per qutrit: alternating qutrits builds each engine once
+        assert noise_sim._qutrit_engine.cache_info().misses == 2
+        engines = [noise_sim._qutrit_engine(coherence_of(noise, q), 1) for q in (0, 1)]
+        assert noise_sim._qutrit_engine.cache_info().misses == 2
+        assert all(p.shape == (9, 9) for e in engines for p in e._cache.values())
+
+    def test_partner_noise_does_not_enter(self):
+        noise = ExperimentConfig.default().noise
+        other = replace(correlated_q1_noise(), q2=noise.q2)
+        for gate in ("H", "X", "Zsq"):
+            circ = merge_streams(2, {1: decompose_single(gate, 1)})
+            want = circuit_channel(circ, noise, qutrit=1).superop
+            assert np.array_equal(circuit_channel(circ, other, qutrit=1).superop, want)
+            assert np.array_equal(circuit_channel(circ, replace(other, q1=QutritCoherence(1e-300, 1.0, 1.0, 1.0)),
+                                                  qutrit=1).superop, want)
+
+    @pytest.mark.parametrize("name", NOISE_MODELS)
+    def test_other_circuits_reduce_the_full_channel(self, name):
+        noise = NOISE_MODELS[name]()
+        h_on_0 = decompose_single("H", 0)
+        for circ in (compile_cphase(1.0, "21"), both_h(), merge_streams(2, {0: h_on_0, 1: decompose_single("X", 1)})):
+            full = circuit_channel(circ, noise)
+            for qutrit in (0, 1):
+                reduced = reduced_qutrit_channel(full, qutrit).superop
+                assert np.array_equal(circuit_channel(circ, noise, qutrit=qutrit).superop, reduced)
+
+    def test_needs_qutrit_zero_or_one_and_a_pair_circuit(self):
         with pytest.raises(ChannelError):
             circuit_channel(both_h(), NoiseModel.none(), qutrit=2)
+        one = Circuit(1, moments_of((pulse_r01(0, 0.0, math.pi),)))
+        for qutrit in (None, 0):
+            with pytest.raises(SimulationError):
+                circuit_channel(one, NoiseModel.none(), qutrit=qutrit)
 
 
 def algorithm_circuits() -> list[Circuit]:
