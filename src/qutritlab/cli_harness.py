@@ -149,6 +149,11 @@ def _merge_over(base: dict, override: dict, prefix: str = "") -> dict:
     return merged
 
 
+# the ExperimentConfig fields that hold one profile value each, and that value's path in the profile
+_LEAF_FIELDS = {"shots": "shots", "seed": "seed", "noisy": "noisy", "mitigate": "mitigate",
+                "step_scale": "step_scale", "readout_diagonal": "readout.diagonal"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved run profile: noise tables, device circuit values, sampling."""
@@ -164,9 +169,13 @@ class ExperimentConfig:
     out_dir: str | None
 
     def __post_init__(self):
-        if self.shots is not None and int(self.shots) < 1:
+        # the loader's type rules also hold for values set directly, as by replace
+        for name, path in _LEAF_FIELDS.items():
+            default = functools.reduce(dict.__getitem__, path.split("."), _defaults())
+            object.__setattr__(self, name, _check_leaf(getattr(self, name), default, path))
+        if self.shots is not None and self.shots < 1:
             raise ConfigError(f"shots must be positive, got {self.shots}")
-        if self.shots is not None and int(self.shots) > _MAX_SHOTS:
+        if self.shots is not None and self.shots > _MAX_SHOTS:
             raise ConfigError(f"shots must be at most 2**63 - 1, got {self.shots}")
         if self.mitigate:
             if self.shots is None or self.shots < (DIM * DIM) ** 2:
@@ -177,7 +186,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.readout_diagonal <= 1.0:
             raise ConfigError("readout diagonal must lie in (0, 1]")
-        if int(self.step_scale) < 1:
+        if self.step_scale < 1:
             raise ConfigError("step_scale must be a positive integer")
 
     @classmethod

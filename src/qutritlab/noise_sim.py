@@ -23,32 +23,31 @@ Work that depends only on the noise model is done once per process.
 take their `LindbladEngine` from one cache slot keyed by (noise model,
 step_scale), the only route to a pair engine; a run with a new noise
 model replaces it. The engine holds the generator, one propagator per
-distinct duration, one map per moment and, per circuit it has run, the
-sequence of those maps; a moment's calibrated unitary is formed only to
-build its map or for a channel walk. Cached arrays are read-only; reuse
-changes no output byte.
+distinct duration, one map per moment and, per circuit it has run or
+formed the channel of, the sequence of those maps; a moment's calibrated
+unitary is formed only to build its map. Cached arrays are read-only;
+reuse changes no output byte.
 
-The state path (`simulate_lindblad`) walks one linear map per moment on
-the vectorized density matrix: kron(u, conj(u)) @ propagator, composed
-once per engine for each timed moment, and for a zero-duration moment,
-which holds only virtual phases, the diagonal d x conj(d) as an 81-vector
-applied elementwise. The 43 DJ/BV/Grover circuits hold 21 timed moments,
-so their maps take 2.2 MB next to 0.8 MB of propagators.
+There is one walk of a circuit: one linear map per moment on the
+vectorized density matrix, kron(u, conj(u)) @ propagator, composed once
+per engine for each timed moment, and for a zero-duration moment, which
+holds only virtual phases, the diagonal d x conj(d) as an 81-vector
+applied elementwise. The state path (`simulate_lindblad`) applies the
+maps to the state in order; the full channel is their product. The 43
+DJ/BV/Grover circuits hold 21 timed moments, so their maps take 2.2 MB
+next to 0.8 MB of propagators.
 
-The full channel pushes all 81 matrix units through one walk of the
-steps, applying each propagator and then u x u^dag; it composes no 81x81
-maps, as each costs about 0.14 ms and a channel is formed once. The
-single-qutrit channel that tomography reads, of a pair circuit that acts
-on the measured qutrit alone, is exactly a one-qutrit problem: the
+The single-qutrit channel that tomography reads, of a pair circuit that
+acts on the measured qutrit alone, is exactly a one-qutrit problem: the
 partner's collapse operators annihilate |0> and the coupling carries a
 factor m*n, so the nine operators |k><l| (x) |0><0| map only among
 themselves. `QutritEngine` forms that 9x9 generator (5 sector blocks of
 at most 3) from the qutrit's own collapse operators, and the channel is
 the product of 9x9 maps, kron(u, conj(u)) after each window's
-propagator; at that size composing the maps is the cheap way. Its
-engines come from a two-slot cache keyed by (coherence, step_scale), one
-per qutrit, and the per-moment kron(u, conj(u)) from a cache of its own.
-Any other single-qutrit channel is reduced from the full one.
+propagator. Its engines come from a two-slot cache keyed by (coherence,
+step_scale), one per qutrit, and the per-moment kron(u, conj(u)) from a
+cache of its own. Any other single-qutrit channel is reduced from the
+full one.
 
 Coherence times are given in microseconds, coupling coefficients in kHz,
 and circuit durations in nanoseconds.
@@ -254,12 +253,10 @@ def _whole_number(name: str, value, minimum: int, error: type[QutritLabError]) -
 
 
 class LindbladEngine:
-    """Caches the propagators and step maps of a fixed noise model.
+    """Caches the propagators and moment maps of a fixed noise model.
 
-    The state path (`run`) applies one precomposed map per moment. The
-    full-register channel path (`circuit_channel`) keeps its own stepwise
-    walk on purpose: it is used once per engine, and composing its 81x81
-    maps would cost more than they save.
+    A circuit's walk is its sequence of moment maps, built once per
+    circuit: `run` applies it to a state and `channel` multiplies it out.
     """
 
     n_qutrits = 2  # the register the generator acts on
@@ -324,10 +321,6 @@ class LindbladEngine:
             u = u @ np.diag(np.exp(1j * self._coupling_diag * duration * 1e-3))
         return u
 
-    def moments(self, circuit: Circuit) -> list[tuple[float, np.ndarray]]:
-        """(duration, calibrated unitary) of each moment of a two-qutrit circuit, built fresh."""
-        return [(duration, self._calibrated_unitary(m, duration)) for m, duration in self._timed(circuit)]
-
     def _superop(self, moment: tuple, duration: float) -> np.ndarray:
         """Map of one moment (evolve, then apply its calibrated unitary u) on the vectorized density matrix.
 
@@ -353,15 +346,26 @@ class LindbladEngine:
             self._superops[moment] = s
         return s
 
-    def run(self, circuit: Circuit, initial=None) -> np.ndarray:
-        """Density matrix after the circuit, from |00> or the given state."""
+    def _walk(self, circuit: Circuit) -> tuple[np.ndarray, ...]:
+        """The maps of the circuit's moments, in order."""
         walk = self._walks.get(circuit)
         if walk is None:
             walk = self._walks[circuit] = tuple(self._superop(m, d) for m, d in self._timed(circuit))
+        return walk
+
+    def run(self, circuit: Circuit, initial=None) -> np.ndarray:
+        """Density matrix after the circuit, from |00> or the given state."""
         v = _initial_rho(initial).reshape(-1)
-        for s in walk:
+        for s in self._walk(circuit):
             v = s @ v if s.ndim == 2 else s * v
         return v.reshape(DIM2, DIM2)
+
+    def channel(self, circuit: Circuit) -> np.ndarray:
+        """81x81 superoperator of a two-qutrit circuit: the product of its moment maps."""
+        x = np.eye(DIM2 * DIM2, dtype=complex)
+        for s in self._walk(circuit):
+            x = s @ x if s.ndim == 2 else s[:, None] * x
+        return x
 
 
 class QutritEngine(LindbladEngine):
@@ -372,8 +376,8 @@ class QutritEngine(LindbladEngine):
     operators |k><l| (x) |0><0| only among themselves. On them it is this
     engine's 9x9 generator, formed from the qutrit's collapse operators
     with no Hamiltonian, and the coupling phase that calibration undoes is
-    1. The engine serves `channel` alone; the pair paths of the base class
-    do not apply to it.
+    1. The engine serves its own `channel` alone; `run` does not apply to
+    it.
     """
 
     n_qutrits = 1
@@ -523,7 +527,7 @@ def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     if seed is None:
         raise StateValidationError("sampling requires an explicit seed")
     seed = _whole_number("seed", seed, 0, StateValidationError)
-    if np.min(p) < -1e-9 or abs(p.sum() - 1.0) > 1e-6:
+    if np.min(p) < -1e-9 or not abs(p.sum() - 1.0) <= 1e-6:  # the sum of a nan or inf entry fails too
         raise StateValidationError("not a probability distribution")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
@@ -587,11 +591,6 @@ class QuantumChannel:
         return float(np.max(np.abs(traces - np.eye(d))))
 
 
-# the 81 matrix units |a><b| of the pair, unit 9 a + b at index 9 a + b
-_PAIR_UNITS = np.eye(DIM2 * DIM2, dtype=complex).reshape(DIM2 * DIM2, DIM2, DIM2)
-_PAIR_UNITS.flags.writeable = False
-
-
 # per qutrit, the index of the pair unit that is |k><l| on that qutrit and
 # |0><0| on the other, for k l = 00, 01, ..., 22
 _K, _L = np.divmod(np.arange(DIM2), DIM)
@@ -609,7 +608,9 @@ def circuit_channel(circuit: Circuit, noise: NoiseModel, step_scale: int = 1,
     single-qutrit tomography, it is formed on the qutrit's own 9x9
     generator (QutritEngine), so the other qutrit's coherence and the
     coupling do not enter; any other circuit's is reduced from the full
-    channel.
+    channel. The full channel is the product of the moment maps of the
+    pair engine that `simulate_lindblad` uses, so forming it leaves the
+    circuit's maps in that engine's cache, and a later run reuses them.
     """
     if qutrit is not None:
         if qutrit not in (0, 1):
@@ -618,13 +619,7 @@ def circuit_channel(circuit: Circuit, noise: NoiseModel, step_scale: int = 1,
             engine = _qutrit_engine(noise.q2 if qutrit else noise.q1, step_scale)
             return QuantumChannel(engine.channel(circuit), DIM)
         return reduced_qutrit_channel(circuit_channel(circuit, noise, step_scale), qutrit)
-    engine = _engine(noise, step_scale)
-    x = _PAIR_UNITS
-    for duration, u in engine.moments(circuit):
-        if duration > 0.0:
-            x = (x.reshape(len(x), -1) @ engine.propagator(duration).T).reshape(x.shape)
-        x = u @ x @ u.conj().T
-    return QuantumChannel(x.reshape(DIM2 * DIM2, DIM2 * DIM2).T, DIM2)
+    return QuantumChannel(_engine(noise, step_scale).channel(circuit), DIM2)
 
 
 def reduced_qutrit_channel(channel: QuantumChannel, qutrit: int) -> QuantumChannel:

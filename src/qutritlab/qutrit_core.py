@@ -176,7 +176,7 @@ class ProbDist:
             raise StateValidationError(f"negative probability {np.min(p)}")
         p = np.clip(p, 0.0, None)
         s = float(p.sum())
-        if abs(s - 1.0) > 1e-6:
+        if not abs(s - 1.0) <= 1e-6:  # also false for a nan or inf entry, which makes the sum nan or inf
             raise StateValidationError(f"probabilities sum to {s}, not 1 within 1e-6")
         object.__setattr__(self, "probs", p)
 

@@ -82,8 +82,10 @@ class SignedCounts:
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 1:
             raise MitigationError("counts must form a vector")
-        if self.shots <= 0:
-            raise MitigationError("total shots must be positive")
+        if not np.all(np.isfinite(q)):
+            raise MitigationError("counts must be finite")
+        if not 0 < self.shots < math.inf:
+            raise MitigationError("total shots must be positive and finite")
         if abs(q.sum() - self.shots) > 1e-6 * max(1.0, self.shots):
             raise MitigationError(f"counts sum to {q.sum()}, expected {self.shots}")
         object.__setattr__(self, "q", q)
@@ -106,6 +108,8 @@ def invert_confusion(measured_counts, matrix: ConfusionMatrix) -> SignedCounts:
     counts = np.asarray(measured_counts, dtype=float)
     if counts.shape[0] != matrix.dim:
         raise MitigationError("counts size does not match the matrix")
+    if not np.all(np.isfinite(counts)):
+        raise MitigationError("counts must be finite")
     cond = matrix.condition_number()
     if not math.isfinite(cond) or cond > 1e6:
         raise IllConditionedError(f"condition number {cond:.3g} exceeds 1e6")

@@ -102,6 +102,10 @@ class TestConfig:
     def test_device_field_defaults_match_packaged_yaml(self):
         assert DeviceParams() == ExperimentConfig.default().device
 
+    def test_confusion_default_matches_packaged_yaml(self):
+        packaged = synthetic_confusion(ExperimentConfig.default().readout_diagonal)
+        assert np.array_equal(synthetic_confusion().m, packaged.m)
+
     def test_packaged_defaults_parsed_once_and_never_mutated(self):
         before = copy.deepcopy(cli_harness._defaults())
         ExperimentConfig.from_mapping({"coherence": {"q1": {"t1_01": 1.0}}, "device": {"flux": 0.2}})
@@ -204,6 +208,18 @@ class TestConfig:
             base.replace(readout_diagonal=0.0)
         with pytest.raises(ConfigError):
             base.replace(step_scale=0)
+        # the loader's type rules: no truncation, no bool for a number or a number for a bool
+        for changes in ({"step_scale": 1.5}, {"shots": 100.5, "seed": 3}, {"shots": True, "seed": 1},
+                        {"seed": 1.7}, {"noisy": 1}, {"readout_diagonal": True}, {"readout_diagonal": math.nan}):
+            with pytest.raises(ConfigError):
+                base.replace(**changes)
+
+    def test_replace_converts_like_the_loader(self):
+        base = ExperimentConfig.default()
+        direct = base.replace(readout_diagonal=1, shots=np.int64(500), step_scale=np.int64(2))
+        loaded = ExperimentConfig.from_mapping({"readout": {"diagonal": 1}, "shots": 500, "step_scale": 2})
+        assert type(direct.readout_diagonal) is float and type(direct.shots) is type(direct.step_scale) is int
+        assert direct.config_hash() == loaded.config_hash()
 
     def test_exact_mode_needs_no_seed(self):
         c = exact_config()
@@ -660,10 +676,9 @@ class TestNoisyPathReuse:
                     + [dj_circuit(o) for o, _ in cli_harness.balanced_oracle_table()]
                     + [grover_circuit(GroverSpec(BasisLabel.from_index(i, 2), k)) for i in range(9) for k in (1, 2)])
         for circ in circuits:
-            steps = engine.moments(circ)
-            assert [duration for duration, _ in steps] == list(circ.durations)
-            for (duration, u), moment in zip(steps, circ.moments):
+            for moment, duration in zip(circ.moments, circ.durations):
                 phase = np.diag(np.exp(1j * engine._coupling_diag * duration * 1e-3))
+                u = engine._calibrated_unitary(moment, duration)
                 assert u.tobytes() == (moment_unitary(moment, 2) @ phase).tobytes()
 
     def test_circuits_built_once_per_spec(self):

@@ -283,6 +283,12 @@ class TestMeasureAndSample:
         with pytest.raises(StateValidationError, match="seed"):
             sample_counts(measure_probs(uniform_pair()), 100, seed=value)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_probabilities_rejected(self, bad):
+        for p in (np.full(9, bad), np.array([bad, 1.0] + [0.0] * 7)):
+            with pytest.raises(StateValidationError, match="probability distribution"):
+                sample_counts(p, 100, seed=1)
+
     def test_whole_floats_and_numpy_integers_accepted(self):
         probs = measure_probs(uniform_pair())
         want = sample_counts(probs, 100, seed=7)
@@ -384,16 +390,28 @@ class TestLindbladBackend:
         with pytest.raises(SimulationError):
             simulate_lindblad(dj_circuit(DJOracle("Z", "X")), NoiseModel.none())
 
-    def test_state_and_channel_paths_agree(self):
-        # the channel applied to |00><00| is the evolved state
-        ground = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
-        ground[0, 0] = 1.0
+    def test_channel_matches_the_stepwise_channel(self):
+        circuits = algorithm_circuits() + [compile_cphase(theta, BasisLabel.from_index(i, 2))
+                                           for theta in (0.7, 2.0) for i in range(DIM * DIM)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for noise in (ExperimentConfig.default().noise, NoiseModel.none()):
-                for circ in algorithm_circuits():
-                    rho = simulate_lindblad(circ, noise).matrix
-                    assert np.max(np.abs(rho - circuit_channel(circ, noise).apply(ground))) < 1e-13
+            for noise in (model() for model in NOISE_MODELS.values()):
+                for step_scale in (1, 2):
+                    engine = noise_sim._engine(noise, step_scale)
+                    for circ in circuits:
+                        channel = circuit_channel(circ, noise, step_scale).superop
+                        assert np.max(np.abs(channel - stepwise_channel(engine, circ))) < 1e-13
+
+    def test_channel_of_a_warm_engine_gives_the_cold_bytes(self):
+        noise = ExperimentConfig.default().noise
+        for circ in (grover_circuit(GroverSpec("12", 2)), compile_cphase(1.0, "21")):
+            noise_sim._engine.cache_clear()
+            cold = circuit_channel(circ, noise).superop
+            noise_sim._engine.cache_clear()
+            simulate_lindblad(circ, noise)
+            walk = noise_sim._engine(noise, 1)._walks[circ]
+            assert circuit_channel(circ, noise).superop.tobytes() == cold.tobytes()
+            assert noise_sim._engine(noise, 1)._walks[circ] is walk
 
 
 def matrix_unit_reduction(channel, qutrit: int) -> np.ndarray:
@@ -704,15 +722,35 @@ def algorithm_circuits() -> list[Circuit]:
     return list(dict.fromkeys(circuits))
 
 
+def calibrated_steps(engine: LindbladEngine, circuit: Circuit):
+    """(duration, calibrated unitary) of each moment: its unitary after undoing the window's coupling phase."""
+    for moment, duration in zip(circuit.moments, circuit.durations):
+        u = moment_unitary(moment, 2)
+        if duration > 0.0:
+            u = u @ np.diag(np.exp(1j * engine._coupling_diag * duration * 1e-3))
+        yield duration, u
+
+
 def stepwise_state(engine: LindbladEngine, circuit: Circuit, rho: np.ndarray) -> np.ndarray:
     """Reference state walk: per moment the propagator, a hermitization, then u rho u^dag."""
-    for duration, u in engine.moments(circuit):
+    for duration, u in calibrated_steps(engine, circuit):
         if duration > 0.0:
             rho = (engine.propagator(duration) @ rho.reshape(-1)).reshape(rho.shape)
             rho = (rho + rho.conj().T) / 2.0
         rho = u @ rho @ u.conj().T
     rho = (rho + rho.conj().T) / 2.0
     return rho / np.trace(rho).real
+
+
+def stepwise_channel(engine: LindbladEngine, circuit: Circuit) -> np.ndarray:
+    """Reference full channel: the 81 matrix units pushed through each propagator, then u x u^dag."""
+    n = DIM**4
+    x = np.eye(n, dtype=complex).reshape(n, DIM * DIM, DIM * DIM)
+    for duration, u in calibrated_steps(engine, circuit):
+        if duration > 0.0:
+            x = (x.reshape(n, n) @ engine.propagator(duration).T).reshape(x.shape)
+        x = u @ x @ u.conj().T
+    return x.reshape(n, n).T
 
 
 class TestStateWalk:

@@ -75,6 +75,12 @@ class TestStateValidation:
         with pytest.raises(StateValidationError):
             ProbDist(np.array([1.2, -0.2, 0.0] + [0.0] * 6))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_prob_dist_rejects_nonfinite_entries(self, bad):
+        for p in (np.full(9, bad), np.array([bad, 1.0] + [0.0] * 7)):
+            with pytest.raises(StateValidationError):
+                ProbDist(p)
+
     def test_prob_dist_requires_power_of_three_length(self):
         with pytest.raises(DimensionMismatchError):
             ProbDist(np.array([0.5, 0.5]))

@@ -104,6 +104,13 @@ class TestInversion:
         assert np.allclose(recovered.q, true_counts, atol=1e-8)
         assert recovered.shots == pytest.approx(true_counts.sum())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_counts_rejected(self, bad):
+        counts = np.array([bad] + [1000.0] * 8)
+        for call in (invert_confusion, mitigate_counts):
+            with pytest.raises(MitigationError, match="counts must be finite"):
+                call(counts, synthetic_confusion())
+
     def test_singular_matrix_rejected(self):
         # all columns identical: nothing to invert
         flat = ConfusionMatrix(np.full((9, 9), 1.0 / 9.0))
@@ -158,6 +165,15 @@ class TestSignedCounts:
     def test_sum_must_match_shots(self):
         with pytest.raises(MitigationError):
             SignedCounts(np.array([10.0, 20.0]), 50.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_counts_and_totals_rejected(self, bad):
+        with pytest.raises(MitigationError, match="finite"):
+            SignedCounts(np.full(9, bad), bad)
+        with pytest.raises(MitigationError, match="counts must be finite"):
+            SignedCounts(np.array([bad, 100.0]), 100.0)
+        with pytest.raises(MitigationError, match="shots must be positive and finite"):
+            SignedCounts(np.array([50.0, 50.0]), bad)
 
     def test_negative_entries_allowed(self):
         signed = SignedCounts(np.array([-5.0, 105.0]), 100.0)
