@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -173,6 +174,9 @@ class ExperimentConfig:
         for name, path in _LEAF_FIELDS.items():
             default = functools.reduce(dict.__getitem__, path.split("."), _defaults())
             object.__setattr__(self, name, _check_leaf(getattr(self, name), default, path))
+        for name, kind in (("noise", NoiseModel), ("device", DeviceParams), ("out_dir", (str, os.PathLike, type(None)))):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} cannot be {getattr(self, name)!r}")
         if self.shots is not None and self.shots < 1:
             raise ConfigError(f"shots must be positive, got {self.shots}")
         if self.shots is not None and self.shots > _MAX_SHOTS:

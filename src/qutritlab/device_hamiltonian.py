@@ -10,9 +10,10 @@ energy is tuned by the external flux as E_Jc cos(pi Phi_ext / Phi0).
 Quantization proceeds in normal modes: the quadratic form is brought to
 Sum_k (n_k**2 + D_k phi_k**2), each mode is truncated to a Fock ladder,
 and the full junction cosines are reinserted via spectral decomposition
-of the dressed flux operators. Dressed eigenstates are labeled by their
-dominant bare-product component, which gives transition frequencies and
-the dispersive (cross-Kerr) shifts between the two qutrits.
+of the dressed flux operators. H is a sum of single-mode factor products,
+contracted one total-Fock-parity block at a time. Dressed eigenstates are
+labeled by their dominant bare-product component, which gives transition
+frequencies and the dispersive (cross-Kerr) shifts between the two qutrits.
 
 Units: capacitances in fF, energies and frequencies in GHz (h = 1),
 cross-Kerr coefficients in kHz, flux in units of the flux quantum.
@@ -33,9 +34,8 @@ from .qutrit_core import QutritLabError
 K_C = 1.602176634e-19**2 / (2.0 * 6.62607015e-34) * 1e15 * 1e-9
 
 _REQUIRED_LABELS = [(m, n) for m in range(3) for n in range(3)] + [(3, 0), (3, 1)]
-# H's cross-parity block measures at most 9.1e-13 GHz (n_levels 6 to 10,
-# flux 0 to 0.3, max|H| up to 1154 GHz); a thousand times that means the
-# model lost the symmetry
+# the factors bound H's cross-parity entries by 1.7e-12 GHz at most (n_levels 6 to 10,
+# flux 0 to 0.3, max|H| up to 1154 GHz); ~600 times that means the model lost the symmetry
 _PARITY_TOL_GHZ = 1e-9
 # labelings _label_eigenstates keeps: each truncation's operating point stays warm
 _SPECTRUM_CACHE_SIZE = 8
@@ -191,75 +191,52 @@ def normal_mode_transform(params: DeviceParams, decoupled: bool = False) -> Norm
     return NormalForm(u=u, c_tilde=np.ones(3), d_tilde=lam, orthogonal=orth, mode_to_node=mode_to_node)
 
 
-def _add_on_mode(h: np.ndarray, k: int, op: np.ndarray) -> None:
-    """h += op on mode k, identity on the other two modes, in place."""
-    n = op.shape[0]
-    j, l = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    others = [j, l]
-    index = tuple(others[:k] + [slice(None)] + others[k:])
-    h.reshape((n,) * 6)[index + index] += op
+def _factors(params: DeviceParams, nf: NormalForm, linearize: bool = False):
+    """H as Sum_t A_t (x) B_t, A_t on modes (0, 1) and B_t on mode 2, stacked.
 
-
-def _mode_operators(nf: NormalForm, n_levels: int):
-    """Per-mode flux operators and the summed charging term."""
-    n = n_levels
-    ladder = np.diag(np.sqrt(np.arange(1.0, n)), 1)
-    phis = []
-    charging = np.zeros((n**3, n**3))
-    for k in range(3):
-        lam = nf.d_tilde[k]
-        phis.append(lam**-0.25 / math.sqrt(2.0) * (ladder + ladder.T))
-        # n_tilde = i lam^(1/4) (a_dag - a)/sqrt(2), so n**2 is real:
-        _add_on_mode(charging, k, -math.sqrt(lam) / 2.0 * (ladder.T - ladder) @ (ladder.T - ladder))
-    return phis, charging
-
-
-def _cosine_of(weights: np.ndarray, phis: list[np.ndarray], energy: float) -> np.ndarray:
-    """energy * cos(sum_k w_k phi_k) via single-mode spectral exponentials.
-
-    Each E_k = exp(i w_k phi_k) is complex symmetric because phi_k is real
-    symmetric, so the Hermitian part of E0 (x) E1 (x) E2 is its real part,
-    Re E01 (x) Re E2 - Im E01 (x) Im E2 with E01 = E0 (x) E1. That is one
-    real two-term contraction instead of a complex Kronecker product; its
-    axes come out as (E01 row, E01 column, E2 row, E2 column).
+    In term order: each mode's charging term; with linearize each
+    d_k phi_k**2; else per junction E cos(sum_k w_k phi_k), the real part
+    E (Re E01 (x) Re E2 - Im E01 (x) Im E2) with E01 = E0 (x) E1 of the
+    complex symmetric E_k = exp(i w_k phi_k). Every factor is symmetric.
     """
-    exps = []
-    for k in range(3):
-        ev, evec = np.linalg.eigh(weights[k] * phis[k])
-        exps.append((evec * np.exp(1j * ev)) @ evec.conj().T)
-    e01 = np.kron(exps[0], exps[1])
-    cos = np.tensordot([e01.real, -e01.imag], [exps[2].real, exps[2].imag], axes=(0, 0))
-    cos *= energy
-    return cos
-
-
-def _hamiltonian(params: DeviceParams, nf: NormalForm, linearize: bool = False) -> np.ndarray:
-    """build_full_hamiltonian on a normal form the caller already has."""
     if params.n_levels < 4:
         raise TruncationError(f"n_levels = {params.n_levels} is too small (need at least 4)")
     n = params.n_levels
-    phis, h = _mode_operators(nf, n)
+    eye = np.eye(n)
+    ladder = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    phis = [lam**-0.25 / math.sqrt(2.0) * (ladder + ladder.T) for lam in nf.d_tilde]
+    # n_tilde = i lam^(1/4) (a_dag - a)/sqrt(2), so n**2 is real:
+    mode_terms = [[-math.sqrt(lam) / 2.0 * (ladder.T - ladder) @ (ladder.T - ladder) for lam in nf.d_tilde]]
     if linearize:
-        for k in range(3):
-            _add_on_mode(h, k, nf.d_tilde[k] * (phis[k] @ phis[k]))
-        return _symmetrized(h)
-    u = nf.u
-    junctions = [
-        (params.e_j1, u[0, :] - u[2, :]),
-        (params.e_j2, u[1, :] - u[2, :]),
-        (params.coupler_energy(), u[2, :]),
-    ]
-    # (E01 row, E2 row, E01 column, E2 column) view of h
-    h4 = h.reshape(n * n, n, n * n, n)
-    for energy, weights in junctions:
-        h4 -= _cosine_of(weights, phis, energy).transpose(0, 2, 1, 3)
-    return _symmetrized(h)
+        mode_terms.append([lam * (phi @ phi) for lam, phi in zip(nf.d_tilde, phis)])
+    pairs = []
+    for c0, c1, c2 in mode_terms:
+        pairs += [(np.kron(c0, eye), eye), (np.kron(eye, c1), eye), (np.eye(n * n), c2)]
+    if not linearize:
+        u = nf.u
+        for energy, weights in ((params.e_j1, u[0] - u[2]), (params.e_j2, u[1] - u[2]), (params.coupler_energy(), u[2])):
+            exps = []
+            for w, phi in zip(weights, phis):
+                ev, evec = np.linalg.eigh(w * phi)
+                e = (evec * np.exp(1j * ev)) @ evec.T
+                exps.append((e + e.T) / 2.0)  # exactly symmetric, whatever the rounding of the product
+            e01 = np.kron(exps[0], exps[1])
+            pairs += [(-energy * e01.real, exps[2].real), (energy * e01.imag, exps[2].imag)]
+    a, b = zip(*pairs)
+    return np.array(a), np.array(b)
 
 
-def _symmetrized(h: np.ndarray) -> np.ndarray:
-    """(h + h.T) / 2, in place."""
-    h += h.T
-    h *= 0.5
+def _contract(factors, grid) -> np.ndarray:
+    """Sum_t A_t (x) B_t on the product sets (modes-01 indices, mode-2
+    indices) of grid, rows and columns in grid order: one real contraction
+    over t per pair of sets, written through a (01, 2, 01, 2) view."""
+    a, b = factors
+    edges = np.cumsum([0] + [i01.size * i2.size for i01, i2 in grid])
+    h = np.empty((edges[-1], edges[-1]))
+    for (r01, r2), r0, r1 in zip(grid, edges, edges[1:]):
+        for (c01, c2), c0, c1 in zip(grid, edges, edges[1:]):
+            block = np.tensordot(a[:, r01][:, :, c01], b[:, r2][:, :, c2], axes=(0, 0))
+            h[r0:r1, c0:c1].reshape(r01.size, r2.size, c01.size, c2.size)[...] = block.transpose(0, 2, 1, 3)
     return h
 
 
@@ -271,7 +248,8 @@ def build_full_hamiltonian(params: DeviceParams, linearize: bool = False) -> np.
     the reference limit for the nonlinearity. Literally zero Josephson
     energies leave free modes with no normal form and raise instead.
     """
-    return _hamiltonian(params, normal_mode_transform(params), linearize)
+    n = params.n_levels
+    return _contract(_factors(params, normal_mode_transform(params), linearize), [(np.arange(n * n), np.arange(n))])
 
 
 _ZZ_DEFS = {
@@ -330,10 +308,29 @@ class SpectrumReport:
         return ",".join(f"{x:.9g}" for x in cells)
 
 
-def _parity_sectors(n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the even and odd total Fock parity (-1)**(n1 + n2 + n3)."""
-    parity = np.indices((n_levels,) * 3).sum(axis=0).ravel() % 2
-    return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
+def _sector_tables(n_levels: int):
+    """Total Fock parity tables, read-only: the masks of opposite-parity
+    index pairs on modes (0, 1) and on mode 2, and per total parity s the
+    grid [(01 indices of parity a, mode-2 indices of parity s ^ a) for
+    a = 0, 1] with each member's full-space index, in grid order."""
+    n = n_levels
+    p01, p2 = np.add.outer(np.arange(n), np.arange(n)).ravel() % 2, np.arange(n) % 2
+    odd = (p01[:, None] != p01, p2[:, None] != p2)
+    grids = [[(np.flatnonzero(p01 == a), np.flatnonzero(p2 == s ^ a)) for a in (0, 1)] for s in (0, 1)]
+    sectors = [(grid, np.concatenate([np.add.outer(i01 * n, i2).ravel() for i01, i2 in grid])) for grid in grids]
+    for array in [*odd, *(x for grid, members in sectors for x in (members, *grid[0], *grid[1]))]:
+        array.flags.writeable = False
+    return odd, sectors
+
+
+def _parity_leak(factors, odd) -> float:
+    """Sum_t max|A_t odd| max|B_t even| + max|A_t even| max|B_t odd| >= |H|
+    between the parity sectors; a factor's odd part joins opposite parities."""
+    (a_odd, a_even), (b_odd, b_even) = (
+        [(np.abs(x) * part).max(axis=(1, 2)) for part in (mask, ~mask)] for x, mask in zip(factors, odd)
+    )
+    return float(a_odd @ b_even + a_even @ b_odd)
 
 
 @functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
@@ -350,35 +347,39 @@ def _label_eigenstates(params: DeviceParams):
     form's arrays are read-only, so every labeled_spectrum call builds a
     fresh report from the shared result. Failures raise and are not cached.
 
-    H is first shifted by the mean of its diagonal, in place. The shift
-    is exact for every energy difference, but it cuts the norm that
-    eigh's rounding scales with from ~967 GHz to ~72 GHz at the default
-    operating point. Cross-Kerr coefficients then agree between BLAS
-    thread counts to about 6e-7 kHz instead of 4e-6 kHz.
-
     The charging term and every junction cosine are even under
     phi -> -phi, so H commutes with the total Fock parity and is
     diagonalized one parity block at a time (two eigh of half the size,
-    as in symmetry-reduced bases of scqubits). A cross-parity entry above
-    _PARITY_TOL_GHZ means the model lost that symmetry and raises.
+    as in symmetry-reduced bases of scqubits), each block contracted from
+    the factors of H, never from the full matrix. A factor bound on the
+    cross-parity entries above _PARITY_TOL_GHZ means the model lost that
+    symmetry and raises.
+
+    Each block is shifted by the mean of H's diagonal (from the factors'
+    traces). The shift is exact for every energy difference, but it cuts
+    the norm that eigh's rounding scales with from ~967 GHz to ~72 GHz at
+    the default operating point, so cross-Kerr coefficients agree between
+    BLAS thread counts to below 1e-6 kHz instead of 4e-6 kHz.
     """
     nf = normal_mode_transform(params)
     # from flux ~0.4875 toward 0.5 two modes peak on one node, leaving a node with no mode to label
     if sorted(nf.mode_to_node) != [0, 1, 2]:
         raise LabelingError(f"normal modes map onto nodes {nf.mode_to_node}; each node needs its own mode")
-    h = _hamiltonian(params, nf)
-    h[np.diag_indices_from(h)] -= np.diag(h).mean()
+    factors = _factors(params, nf)
     n = params.n_levels
-    even, odd = _parity_sectors(n)
-    mixing = float(np.max(np.abs(h[np.ix_(even, odd)])))
-    if mixing > _PARITY_TOL_GHZ:
-        raise DeviceModelError(f"H couples the Fock parity sectors by {mixing:.3g} GHz")
+    odd, sectors = _sector_tables(n)
+    leak = _parity_leak(factors, odd)
+    if leak > _PARITY_TOL_GHZ:
+        raise DeviceModelError(f"H couples the Fock parity sectors by up to {leak:.3g} GHz")
+    shift = np.einsum("tii,tjj->", *factors) / n**3
     parts = []
-    for sector in (even, odd):
-        vals, vecs = np.linalg.eigh(h[np.ix_(sector, sector)])
+    for grid, members in sectors:
+        h = _contract(factors, grid)
+        h[np.diag_indices_from(h)] -= shift
+        vals, vecs = np.linalg.eigh(h)
         weights = vecs**2
         rows = np.argmax(weights, axis=0)
-        parts.append((vals, sector[rows], weights[rows, np.arange(rows.size)]))
+        parts.append((vals, members[rows], weights[rows, np.arange(rows.size)]))
     evals, dominant, overlaps = (np.concatenate(x) for x in zip(*parts))
     modes = np.unravel_index(dominant, (n, n, n))
     occ = np.zeros((3, evals.size), dtype=int)
@@ -403,11 +404,11 @@ def labeled_spectrum(params: DeviceParams) -> SpectrumReport:
     required |m n 0> label with dominant weight under 0.5 is reported as
     an error.
 
-    H is shifted by the mean of its diagonal before eigh (see
-    _label_eigenstates), so the energies are exact differences of the
-    eigenvalues of build_full_hamiltonian. Their numerical floor: the
-    cross-Kerr values lie within 4e-7 kHz of extended-precision
-    eigenvalues of the same H, and the frequencies within 2e-13 GHz,
+    The parity blocks of H are shifted by the mean of its diagonal before
+    eigh (see _label_eigenstates), so the energies are exact differences
+    of the eigenvalues of build_full_hamiltonian. Their numerical floor:
+    the cross-Kerr values lie within 7e-7 kHz of extended-precision
+    eigenvalues of the same H, and the frequencies within 1.5e-13 GHz,
     for 1 or 2 BLAS threads and n_levels 6 to 10. Rounding in the
     assembly of H itself moves J by up to ~2e-6 kHz.
     """
@@ -495,10 +496,10 @@ def toy_couplings(params: DeviceParams, flux: float | None = None) -> tuple[floa
         # a junctionless transmon is a free mode at zero frequency, so
         # the sqrt(w1 w2) factor kills both rates
         return (0.0, 0.0)
+    if p.c_q12 <= 0.0:
+        raise DeviceModelError("capacitive rate needs a positive bridge capacitance")
     report = labeled_spectrum(p)
     w_product = math.sqrt(report.w01_q1 * report.w01_q2)
     g1_ghz = math.sqrt(p.e_j1 * p.e_j2) / (2.0 * denominator) * w_product
-    if p.c_q12 <= 0.0:
-        raise DeviceModelError("capacitive rate needs a positive bridge capacitance")
     g2_ghz = math.sqrt(p.c_q1 * p.c_q2) / (2.0 * p.c_q12) * w_product
     return (g1_ghz * 1e3, g2_ghz * 1e3)

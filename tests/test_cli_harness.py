@@ -214,6 +214,17 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 base.replace(**changes)
 
+    @pytest.mark.parametrize("changes", [{"noise": None}, {"device": "x"}, {"out_dir": 5}],
+                             ids=["noise", "device", "out_dir"])
+    def test_object_fields_checked_at_construction(self, changes):
+        # a wrong noise or device would otherwise fail later, in config_hash
+        with pytest.raises(ConfigError, match=next(iter(changes))):
+            ExperimentConfig.default().replace(**changes)
+
+    def test_out_dir_takes_a_path(self, tmp_path):
+        base = ExperimentConfig.default()
+        assert base.replace(out_dir=tmp_path).config_hash() == base.replace(out_dir=str(tmp_path)).config_hash()
+
     def test_replace_converts_like_the_loader(self):
         base = ExperimentConfig.default()
         direct = base.replace(readout_diagonal=1, shots=np.int64(500), step_scale=np.int64(2))

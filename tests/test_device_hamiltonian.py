@@ -225,7 +225,7 @@ def kron_hamiltonian(p: DeviceParams, linearize: bool = False) -> np.ndarray:
 
 
 class TestHamiltonianAssembly:
-    """build_full_hamiltonian adds single-mode terms in place and takes the
+    """build_full_hamiltonian contracts single-mode factors and takes the
     cosines as real parts; the dense Kronecker form is the reference."""
 
     def test_linearized_equals_kron_form_exactly(self):
@@ -266,8 +266,57 @@ def full_matrix_labels(params: DeviceParams):
     return nf, found
 
 
+def factors_of(p: DeviceParams, linearize: bool = False):
+    return device_hamiltonian._factors(p, normal_mode_transform(p), linearize)
+
+
 class TestParitySectors:
-    """labeled_spectrum diagonalizes H one total-Fock-parity block at a time."""
+    """labeled_spectrum diagonalizes H one total-Fock-parity block at a time,
+    each contracted from the factors of H without the full matrix."""
+
+    @pytest.mark.parametrize("n_levels", [5, 6, 8, 10])
+    @pytest.mark.parametrize("flux", [0.0, 0.185, 0.3])
+    @pytest.mark.parametrize("linearize", [False, True], ids=["cosine", "linearized"])
+    def test_sector_blocks_match_full_matrix(self, n_levels, flux, linearize):
+        p = DeviceParams(n_levels=n_levels, flux=flux)
+        h = build_full_hamiltonian(p, linearize=linearize)
+        parity = parity_of(n_levels)
+        _, sectors = device_hamiltonian._sector_tables(n_levels)
+        assert np.array_equal(np.sort(np.concatenate([m for _, m in sectors])), np.arange(n_levels**3))
+        for s, (grid, members) in enumerate(sectors):
+            assert np.all(parity[members] == s)
+            block = device_hamiltonian._contract(factors_of(p, linearize), grid)
+            assert np.max(np.abs(block - h[np.ix_(members, members)])) <= 1e-12
+
+    def test_labeling_never_builds_the_full_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the spectrum path formed the full matrix")
+
+        device_hamiltonian._label_eigenstates.cache_clear()
+        monkeypatch.setattr(device_hamiltonian, "build_full_hamiltonian", refuse)
+        report = labeled_spectrum(DeviceParams(n_levels=6, flux=0.15))
+        assert device_hamiltonian._label_eigenstates.cache_info().misses == 1
+        assert report.w12_q1 < report.w01_q1
+
+    @pytest.mark.parametrize("n_levels", [6, 10])
+    @pytest.mark.parametrize("flux", [0.0, 0.185, 0.3])
+    def test_factor_parities(self, n_levels, flux):
+        # charging terms, then per junction (-E Re E01, Re E2) and (E Im E01, Im E2):
+        # Re E_k = cos(w_k phi_k) keeps the Fock parity and Im E_k = sin(w_k phi_k) flips it
+        p = DeviceParams(n_levels=n_levels, flux=flux)
+        factors = factors_of(p)
+        odd, _ = device_hamiltonian._sector_tables(n_levels)
+        for x, mask in zip(factors, odd):
+            assert len(x) == 9
+            assert not np.any(x[:3] * mask)
+            for t, flips in zip(range(3, 9), [False, True] * 3):
+                kept = mask if flips else ~mask
+                assert np.max(np.abs(x[t] * ~kept)) <= 1e-13 * np.max(np.abs(x[t]))
+        # the guard's bound covers every cross-parity entry of H
+        h = build_full_hamiltonian(p)
+        parity = parity_of(n_levels)
+        cross = np.max(np.abs(h[np.ix_(parity == 0, parity == 1)]))
+        assert cross <= device_hamiltonian._parity_leak(factors, odd) <= 1e-9
 
     @pytest.mark.parametrize("n_levels", [6, 8, 10])
     @pytest.mark.parametrize("flux", [0.0, 0.185, 0.3])
@@ -299,17 +348,18 @@ class TestParitySectors:
             assert sectors.min_overlap == pytest.approx(full.min_overlap, abs=1e-9)
 
     def test_broken_parity_symmetry_raises(self, monkeypatch):
-        original = device_hamiltonian._hamiltonian
+        original = device_hamiltonian._factors
 
         def mixed(*args, **kwargs):
-            h = original(*args, **kwargs)
-            # basis states 0 = |000> and 1 = |001> have opposite parity
-            h[0, 1] = h[1, 0] = 1e-6
-            return h
+            a, b = original(*args, **kwargs)
+            # factor 2 is (identity, mode-2 charging term); mode-2 levels 0 and
+            # 1 have opposite parity, so H mixes |000> and |001> by 1e-6
+            b[2, 0, 1] = b[2, 1, 0] = 1e-6
+            return a, b
 
         # a cached labeling of the same params would skip the guard
         device_hamiltonian._label_eigenstates.cache_clear()
-        monkeypatch.setattr(device_hamiltonian, "_hamiltonian", mixed)
+        monkeypatch.setattr(device_hamiltonian, "_factors", mixed)
         with pytest.raises(DeviceModelError, match="parity"):
             labeled_spectrum(DeviceParams(n_levels=6))
 
@@ -327,6 +377,11 @@ J_TOL_KHZ = 1e-5
 # 0.002 kHz (1 and 2 BLAS threads agree to 1e-6 kHz); the bound sits ~1.5x
 # above the largest
 CONVERGED_J_TOL_KHZ = 0.15
+# README floor between 1 and 2 OpenBLAS threads over n_levels 6/8/10 and a
+# 13-point flux sweep: J at most 8.5e-7 kHz and frequencies 1.7e-13 GHz
+# apart as measured (x86-64, OpenBLAS 0.3.31), held to about twice that
+THREADS_J_KHZ = 2e-6
+THREADS_GHZ = 4e-13
 
 
 @pytest.fixture(scope="module")
@@ -358,10 +413,14 @@ class TestOperatingPoint:
 
     def test_cross_kerr_independent_of_blas_threads(self):
         # the thread count must be set before numpy is imported, so each
-        # setting gets its own interpreter
+        # setting gets its own interpreter; it prints the operating point's J,
+        # then J and the frequencies of a flux sweep at n_levels 6, 8 and 10
         script = (
-            "import json; from qutritlab.device_hamiltonian import DeviceParams, labeled_spectrum; "
-            "print(json.dumps(labeled_spectrum(DeviceParams()).j_values()))"
+            "import json; import numpy as np; "
+            "from qutritlab.device_hamiltonian import DeviceParams, flux_sweep, labeled_spectrum; "
+            "sweep = [r for n in (6, 8, 10) for r in flux_sweep(DeviceParams(n_levels=n), np.linspace(0, 0.3, 13))]; "
+            "print(json.dumps([labeled_spectrum(DeviceParams()).j_values(), "
+            "[r.j_values() for r in sweep], [(r.w01_q1, r.w12_q1, r.w01_q2, r.w12_q2) for r in sweep]]))"
         )
         src = str(Path(qutritlab.__file__).resolve().parents[1])
         runs = []
@@ -372,9 +431,12 @@ class TestOperatingPoint:
                 [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
             )
             runs.append(json.loads(done.stdout))
-        assert runs[0] == pytest.approx(runs[1], abs=J_TOL_KHZ)
-        for values in runs:
+        (point_1, j_1, w_1), (point_2, j_2, w_2) = runs
+        assert point_1 == pytest.approx(point_2, abs=J_TOL_KHZ)
+        for values in (point_1, point_2):
             assert values == pytest.approx(REFERENCE_J, abs=J_TOL_KHZ)
+        assert np.max(np.abs(np.subtract(j_1, j_2))) <= THREADS_J_KHZ
+        assert np.max(np.abs(np.subtract(w_1, w_2))) <= THREADS_GHZ
 
     def test_zz_shift_consistent_with_fit(self, report):
         assert report.zz["zz"] == pytest.approx(REFERENCE_ZZ, abs=J_TOL_KHZ)
@@ -515,7 +577,7 @@ class TestSpectrumCache:
             def broken(*args, **kwargs):
                 raise LabelingError("forced")
 
-            patch.setattr(device_hamiltonian, "_hamiltonian", broken)
+            patch.setattr(device_hamiltonian, "_factors", broken)
             with pytest.raises(LabelingError, match="forced"):
                 labeled_spectrum(p)
         assert labeled_spectrum(p) == reference
@@ -580,6 +642,12 @@ class TestToyCouplings:
 
     def test_missing_junction_kills_both_rates(self):
         assert toy_couplings(DeviceParams(e_j1=0.0)) == (0.0, 0.0)
+
+    def test_zero_bridge_capacitance_rejected_before_diagonalizing(self):
+        misses = device_hamiltonian._label_eigenstates.cache_info().misses
+        with pytest.raises(DeviceModelError, match="bridge capacitance"):
+            toy_couplings(DeviceParams(c_q12=0.0))
+        assert device_hamiltonian._label_eigenstates.cache_info().misses == misses
 
     def test_negative_coupler_energy_rejected(self):
         with pytest.raises(FluxRangeError):
