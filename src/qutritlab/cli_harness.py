@@ -106,12 +106,22 @@ _MAX_SHOTS = 2**63 - 1
 _MAX_SWEEP_STEPS = 10_000
 
 
-def _check_leaf(value, default, path: str):
-    """An override converted to the type of the packaged default it replaces.
+def _resolve(value, default, path: str = ""):
+    """value laid over the packaged default, every key known and every leaf of its default's type.
 
-    The conversion makes 2 and 2.0 resolve, and hash, alike. No number may
-    be nan, and only coherence times may be infinite (no decay).
+    So 2 and 2.0 resolve, and hash, alike. No number may be nan, and only
+    coherence times may be infinite (no decay).
     """
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path!r} must be a mapping")
+        resolved = dict(default)
+        for key, item in value.items():
+            key_path = f"{path}.{key}" if path else f"{key}"
+            if key not in default:
+                raise ConfigError(f"unknown configuration key {key_path!r}")
+            resolved[key] = _resolve(item, default[key], key_path)
+        return resolved
     if value is None and path in _NULLABLE:
         return value
     if isinstance(default, bool):
@@ -121,7 +131,7 @@ def _check_leaf(value, default, path: str):
     elif isinstance(default, float):
         ok, kind = isinstance(value, numbers.Real) and not isinstance(value, bool), "a number"
     else:
-        ok, kind = isinstance(value, str), "a string"
+        ok, kind = isinstance(value, (str, os.PathLike)), "a string or a path"
     if not ok:
         raise ConfigError(f"{path!r} must be {kind}, got {value!r}")
     if not isinstance(default, float):
@@ -135,24 +145,13 @@ def _check_leaf(value, default, path: str):
     return number
 
 
-def _merge_over(base: dict, override: dict, prefix: str = "") -> dict:
-    merged = dict(base)
-    for key, value in override.items():
-        path = f"{prefix}{key}"
-        if key not in base:
-            raise ConfigError(f"unknown configuration key {path!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path!r} must be a mapping")
-            merged[key] = _merge_over(base[key], value, path + ".")
-        else:
-            merged[key] = _check_leaf(value, base[key], path)
-    return merged
-
-
-# the ExperimentConfig fields that hold one profile value each, and that value's path in the profile
-_LEAF_FIELDS = {"shots": "shots", "seed": "seed", "noisy": "noisy", "mitigate": "mitigate",
-                "step_scale": "step_scale", "readout_diagonal": "readout.diagonal"}
+def _fields(profile: dict) -> dict:
+    """The ExperimentConfig fields of a resolved profile; to_mapping inverts it."""
+    coh = profile["coherence"]
+    return {**{key: profile[key] for key in ("shots", "seed", "noisy", "mitigate", "step_scale", "out_dir")},
+            "noise": NoiseModel(q1=QutritCoherence(**coh["q1"]), q2=QutritCoherence(**coh["q2"]),
+                                **profile["coupling_khz"]),
+            "device": DeviceParams(**profile["device"]), "readout_diagonal": profile["readout"]["diagonal"]}
 
 
 @dataclass(frozen=True)
@@ -170,13 +169,15 @@ class ExperimentConfig:
     out_dir: str | None
 
     def __post_init__(self):
-        # the loader's type rules also hold for values set directly, as by replace
-        for name, path in _LEAF_FIELDS.items():
-            default = functools.reduce(dict.__getitem__, path.split("."), _defaults())
-            object.__setattr__(self, name, _check_leaf(getattr(self, name), default, path))
-        for name, kind in (("noise", NoiseModel), ("device", DeviceParams), ("out_dir", (str, os.PathLike, type(None)))):
+        for name, kind in (("noise", NoiseModel), ("device", DeviceParams)):
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} cannot be {getattr(self, name)!r}")
+        # every construction route ends here: each leaf is checked, stored and hashed as loaded
+        profile = _resolve({**self.to_mapping(), "out_dir": self.out_dir}, _defaults())
+        for name, value in _fields(profile).items():
+            object.__setattr__(self, name, value)
+        del profile["out_dir"]  # left out of the hash, as of to_mapping
+        object.__setattr__(self, "_profile", profile)
         if self.shots is not None and self.shots < 1:
             raise ConfigError(f"shots must be positive, got {self.shots}")
         if self.shots is not None and self.shots > _MAX_SHOTS:
@@ -195,13 +196,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict | None) -> "ExperimentConfig":
-        resolved = _merge_over(_defaults(), mapping or {})
-        coh = resolved.pop("coherence")
-        noise = NoiseModel(
-            q1=QutritCoherence(**coh["q1"]), q2=QutritCoherence(**coh["q2"]), **resolved.pop("coupling_khz")
-        )
-        return cls(noise=noise, device=DeviceParams(**resolved.pop("device")),
-                   readout_diagonal=resolved.pop("readout")["diagonal"], **resolved)
+        return cls(**_fields(_resolve(mapping or {}, _defaults())))
 
     @classmethod
     def default(cls) -> "ExperimentConfig":
@@ -250,7 +245,7 @@ class ExperimentConfig:
     def _config_hash(self) -> str:
         # memoized per instance, not across equal configs: j11 = 0.0 and
         # -0.0 compare (and hash) equal but write different mappings
-        canon = json.dumps(self.to_mapping(), sort_keys=True, separators=(",", ":"))
+        canon = json.dumps(self._profile, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -291,6 +286,8 @@ class ResultBundle:
 
 def _write_files(out_dir, texts: dict) -> list[Path]:
     """Write each name's text into out_dir, created if missing; an OS failure is a ConfigError."""
+    if not os.fspath(out_dir):  # Path("") is the working directory, not an empty name
+        raise ConfigError("the output directory name is empty")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -561,7 +558,7 @@ def _run_experiment(args) -> None:
     """Resolve the profile, run the experiment; the bundle, or its files' receipt, on stdout."""
     config = _config_from_args(args)
     bundle = args.experiment(config, args)
-    if not config.out_dir:
+    if config.out_dir is None:
         sys.stdout.write(bundle.to_json())
         return
     json_path, csv_path = bundle.save(config.out_dir)
@@ -589,7 +586,7 @@ def _sweep(config: ExperimentConfig, args) -> ResultBundle:
 def _emit_document(doc: dict, out_dir, name: str) -> None:
     """The document on stdout, or written to out_dir/name with its path on stdout."""
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if not out_dir:
+    if out_dir is None:
         sys.stdout.write(text)
         return
     (path,) = _write_files(out_dir, {name: text})

@@ -286,6 +286,82 @@ class TestConfig:
         assert tweaked.config_hash() != base.config_hash()
 
 
+def _profile_leaves(node=None, path=""):
+    """(path, default) of every leaf of the packaged profile."""
+    node = cli_harness._defaults() if node is None else node
+    for key, value in node.items():
+        sub = f"{path}.{key}" if path else key
+        yield from _profile_leaves(value, sub) if isinstance(value, dict) else [(sub, value)]
+
+
+def _nested(path: str, value) -> dict:
+    """A loader mapping that sets the profile leaf at path."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+def _patched(obj, chain: list, value):
+    """A copy of the dataclass obj with the attribute at chain set to value, past its own checks."""
+    new = copy.copy(obj)
+    object.__setattr__(new, chain[0], value if len(chain) == 1 else _patched(getattr(obj, chain[0]), chain[1:], value))
+    return new
+
+
+def _replace_leaf(config: ExperimentConfig, path: str, value) -> ExperimentConfig:
+    """config.replace() with the profile leaf at path set to value.
+
+    A leaf inside noise or device is set on a copy of its dataclass after
+    that dataclass's own checks and conversions, so only ExperimentConfig
+    judges it.
+    """
+    top, *rest = path.split(".")
+    if top == "readout":
+        return config.replace(readout_diagonal=value)
+    if not rest:
+        return config.replace(**{top: value})
+    field = "noise" if top in ("coherence", "coupling_khz") else top
+    return config.replace(**{field: _patched(getattr(config, field), rest, value)})
+
+
+class TestOneTypeCheck:
+    """Every construction route applies the loader's type rules to every leaf."""
+
+    @pytest.mark.parametrize("build, loaded", [
+        (lambda base: base.replace(noise=dataclasses.replace(base.noise, j11=-304)), {"coupling_khz": {"j11": -304}}),
+        (lambda base: base.replace(device=dataclasses.replace(base.device, c_q1=178)), {}),
+        (lambda base: base.replace(device=dataclasses.replace(base.device, flux=np.float32(0.25))),
+         {"device": {"flux": 0.25}}),
+        (lambda base: base.replace(noise=dataclasses.replace(base.noise, j22=np.int64(5))),
+         {"coupling_khz": {"j22": 5}}),
+    ], ids=["j11-int", "c_q1-int", "flux-float32", "j22-int64"])
+    def test_replaced_numbers_hash_like_the_loaded_profile(self, build, loaded):
+        direct = build(ExperimentConfig.default())
+        assert direct.config_hash() == ExperimentConfig.from_mapping(loaded).config_hash()
+        assert direct.to_mapping() == ExperimentConfig.from_mapping(loaded).to_mapping()
+        # the converted values are written back, so the runners see floats too
+        assert all(type(v) is float for obj in (direct.noise, direct.device)
+                   for k, v in vars(obj).items() if k not in ("q1", "q2", "n_levels"))
+
+    def test_direct_constructor_converts_like_the_loader(self):
+        base = ExperimentConfig.default()
+        fields = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
+        direct = ExperimentConfig(**{**fields, "device": DeviceParams(c_q1=178, flux=0)})
+        assert direct.device.flux == 0.0 and type(direct.device.flux) is float
+        assert direct.config_hash() == ExperimentConfig.from_mapping({"device": {"flux": 0.0}}).config_hash()
+
+    @pytest.mark.parametrize("path, bad", [
+        (path, bad) for path, default in _profile_leaves()
+        for bad in ([math.nan] if isinstance(default, bool) else [True, math.nan])
+    ])
+    def test_every_leaf_checked_on_replace_as_on_load(self, path, bad):
+        with pytest.raises(ConfigError, match=re.escape(repr(path))) as loaded:
+            ExperimentConfig.from_mapping(_nested(path, bad))
+        with pytest.raises(ConfigError) as replaced:
+            _replace_leaf(ExperimentConfig.default(), path, bad)
+        assert str(replaced.value) == str(loaded.value)
+
+
 class TestResultBundle:
     def test_unnormalized_distribution_rejected(self):
         with pytest.raises(QutritLabError):
@@ -899,6 +975,26 @@ class TestCommandLineRoute:
         path = tmp_path / "cphase_21_compiled.json"
         assert capsys.readouterr().out == '{"written": "' + str(path) + '"}\n'
         assert path.read_text() == printed == json.dumps(compile_report(1.0, "21"), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sim", "dj", "--out", ""],
+        ["compile", "cphase", "--theta", "1", "--target", "21", "--out", ""],
+        ["mitigate", "--counts", "counts.txt", "--matrix", "matrix.txt", "--out", ""],
+        ["sim", "bv", "--config", "run.yaml"],
+    ], ids=["sim", "compile", "mitigate", "yaml"])
+    def test_empty_output_directory_exits_one_with_json(self, tmp_path, capsys, monkeypatch, argv):
+        # an empty directory name is an error, not "print to stdout" and not the working directory
+        monkeypatch.chdir(tmp_path)
+        save_confusion(synthetic_confusion(), tmp_path / "matrix.txt")
+        (tmp_path / "counts.txt").write_text("".join(f"{lbl} 100\n" for lbl in cli_harness._PAIR_LABELS))
+        (tmp_path / "run.yaml").write_text('out_dir: ""\n')
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "ConfigError", "message": "the output directory name is empty"}
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestMain:
