@@ -465,8 +465,10 @@ def run_process_tomo(config: ExperimentConfig, gate: str, qutrit: int) -> Result
     """
     if gate not in LOGICAL_GATE_NAMES:
         raise ConfigError(f"unsupported gate {gate!r}; pick one of {', '.join(LOGICAL_GATE_NAMES)}")
-    if qutrit not in (1, 2):
-        raise ConfigError(f"qutrit must be 1 or 2, got {qutrit}")
+    # True and 1.0 equal 1 but would be written into the summary as they came
+    if isinstance(qutrit, bool) or not isinstance(qutrit, numbers.Integral) or qutrit not in (1, 2):
+        raise ConfigError(f"qutrit must be the integer 1 or 2, got {qutrit!r}")
+    qutrit = int(qutrit)
     qidx = qutrit - 1
     ideal_chi, noiseless_fid = _gate_reference(gate)
     pair = _pair_circuit(gate, qidx)

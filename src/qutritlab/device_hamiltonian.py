@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
-from types import MappingProxyType
 
 import numpy as np
 
@@ -77,12 +77,15 @@ class DeviceParams:
 
     def __post_init__(self):
         # equal parameter sets share one cached labeling, so 6.0 must not
-        # pass for 6 and nan (equal to nothing) must not reach eigh
+        # pass for 6, True not for 1.0, and nan (equal to nothing) must not reach eigh
         if isinstance(self.n_levels, bool) or not isinstance(self.n_levels, int):
             raise TruncationError(f"n_levels must be an integer, got {self.n_levels!r}")
         for f in fields(self):
-            if f.name != "n_levels" and not math.isfinite(getattr(self, f.name)):
-                raise DeviceModelError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            v = getattr(self, f.name)
+            if f.name != "n_levels" and (
+                isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
+            ):
+                raise DeviceModelError(f"{f.name} must be a finite number, got {v!r}")
         for name in ("c_q1", "c_q2", "c_c"):
             if getattr(self, name) <= 0:
                 raise DeviceModelError(f"{name} must be positive")
@@ -335,17 +338,17 @@ def _parity_leak(factors, odd) -> float:
 
 @functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
 def _label_eigenstates(params: DeviceParams):
-    """Diagonalize H and map each bare label to (energy above ground, overlap).
+    """Diagonalize H and return (normal form, energy above ground, overlap),
+    the last two over _REQUIRED_LABELS; overlap -1 marks a missing label.
 
     The result depends on the frozen params alone, so each parameter set
     is diagonalized once per process: a bounded LRU keeps the last
-    _SPECTRUM_CACHE_SIZE = 8 labelings. One measures ~200 KB at n_levels
-    10, so the cache stays near 1.6 MB, and a caller that alternates a few
-    truncations, each with its own operating point and a new flux point
-    between them, needs about 6 entries to keep those operating points
-    warm. The label map is a read-only MappingProxyType and the normal
-    form's arrays are read-only, so every labeled_spectrum call builds a
-    fresh report from the shared result. Failures raise and are not cached.
+    _SPECTRUM_CACHE_SIZE = 8 labelings. One retains about 2.5 KB at any
+    n_levels, and a caller that alternates a few truncations, each with
+    its own operating point and a new flux point between them, needs about
+    6 entries to keep those operating points warm. All the arrays returned
+    are read-only, so every labeled_spectrum call builds a fresh report
+    from the shared result. Failures raise and are not cached.
 
     The charging term and every junction cosine are even under
     phi -> -phi, so H commutes with the total Fock parity and is
@@ -381,19 +384,16 @@ def _label_eigenstates(params: DeviceParams):
         rows = np.argmax(weights, axis=0)
         parts.append((vals, members[rows], weights[rows, np.arange(rows.size)]))
     evals, dominant, overlaps = (np.concatenate(x) for x in zip(*parts))
-    modes = np.unravel_index(dominant, (n, n, n))
-    occ = np.zeros((3, evals.size), dtype=int)
-    for k in range(3):
-        occ[nf.mode_to_node[k]] = modes[k]
     # a label has one parity, so all eigenstates that compete for it come
-    # from one sector, in ascending energy as one eigh of H lists them
-    found: dict[tuple[int, int, int], tuple[float, float]] = {}
-    for key, energy, overlap in zip(zip(*occ.tolist()), (evals - evals.min()).tolist(), overlaps.tolist()):
-        if key not in found or found[key][1] < overlap:
-            found[key] = (energy, overlap)
-    for array in (nf.u, nf.c_tilde, nf.d_tilde, nf.orthogonal):
+    # from one sector, in ascending energy as one eigh of H lists them: the
+    # first with the largest overlap wins, and -1 marks a label none carries
+    nodes = np.array([(a, b, 0) for a, b in _REQUIRED_LABELS]).T  # |a b 0> occupations, one row per node
+    wanted = np.ravel_multi_index(nodes[list(nf.mode_to_node)], (n, n, n))
+    scores = np.where(dominant == wanted[:, None], overlaps, -1.0)
+    energy, overlap = evals[scores.argmax(axis=1)] - evals.min(), scores.max(axis=1)
+    for array in (nf.u, nf.c_tilde, nf.d_tilde, nf.orthogonal, energy, overlap):
         array.flags.writeable = False
-    return nf, MappingProxyType(found)
+    return nf, energy, overlap
 
 
 def labeled_spectrum(params: DeviceParams) -> SpectrumReport:
@@ -412,23 +412,12 @@ def labeled_spectrum(params: DeviceParams) -> SpectrumReport:
     for 1 or 2 BLAS threads and n_levels 6 to 10. Rounding in the
     assembly of H itself moves J by up to ~2e-6 kHz.
     """
-    nf, found = _label_eigenstates(params)
-    energies: dict[tuple[int, int], float] = {}
-    bad = []
-    min_overlap = 1.0
-    for m, n in _REQUIRED_LABELS:
-        got = found.get((m, n, 0))
-        if got is None:
-            bad.append(f"|{m}{n}0> missing")
-            continue
-        energy, overlap = got
-        if overlap < 0.5:
-            bad.append(f"|{m}{n}0> overlap {overlap:.3f}")
-            continue
-        energies[(m, n)] = energy
-        min_overlap = min(min_overlap, overlap)
+    nf, energy, overlap = _label_eigenstates(params)
+    labels = zip(_REQUIRED_LABELS, overlap.tolist())
+    bad = [f"|{m}{n}0> " + ("missing" if x < 0 else f"overlap {x:.3f}") for (m, n), x in labels if x < 0.5]
     if bad:
         raise LabelingError("ambiguous dressed-state labels: " + ", ".join(bad))
+    energies = dict(zip(_REQUIRED_LABELS, energy.tolist()))
 
     def e(m, n):
         return energies[(m, n)]
@@ -464,7 +453,7 @@ def labeled_spectrum(params: DeviceParams) -> SpectrumReport:
         j22=float(j22),
         zz=zz,
         coupler_ghz=float(nf.mode_freqs[coupler_mode]),
-        min_overlap=min_overlap,
+        min_overlap=float(overlap.min()),
         sweet_spot=(math.remainder(params.flux, 2.0) == 0.0),
     )
 

@@ -96,10 +96,11 @@ class QutritCoherence:
 
     def __post_init__(self):
         for name in ("t1_01", "t1_12", "t2r_01", "t2r_12"):
-            v = float(getattr(self, name))
-            if not v > 0:
-                raise StateValidationError(f"{name} must be positive, got {v}")
-            object.__setattr__(self, name, v)
+            v = getattr(self, name)
+            # float() would pass True as 1 us and "47.9" as 47.9 us
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not v > 0:
+                raise StateValidationError(f"{name} must be a positive number, got {v!r}")
+            object.__setattr__(self, name, float(v))
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,9 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("j11", "j21", "j12", "j22"):
-            if not math.isfinite(getattr(self, name)):
-                raise StateValidationError(f"{name} must be finite, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise StateValidationError(f"{name} must be a finite number, got {v!r}")
 
     @classmethod
     def none(cls) -> "NoiseModel":

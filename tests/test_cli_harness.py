@@ -485,6 +485,17 @@ class TestRunners:
         with pytest.raises(ConfigError):
             run_process_tomo(exact_config(), "H", 3)
 
+    @pytest.mark.parametrize("qutrit", [True, 1.0, 2.0, "1"], ids=["bool", "float1", "float2", "str"])
+    def test_tomo_rejects_a_qutrit_that_is_not_an_integer(self, qutrit):
+        # each equals (or stands for) a valid index but would print differently in the summary
+        with pytest.raises(ConfigError, match="qutrit"):
+            run_process_tomo(exact_config(), "H", qutrit)
+
+    def test_tomo_writes_the_qutrit_as_an_int(self):
+        bundle = run_process_tomo(exact_config(), "H", np.int64(2))
+        assert type(bundle.summary["qutrit"]) is int
+        assert bundle.to_json() == run_process_tomo(exact_config(), "H", 2).to_json()
+
 
 class TestCompileReport:
     def test_direct_native_target(self):

@@ -67,10 +67,13 @@ class TestParams:
         with pytest.raises(TruncationError):
             DeviceParams(n_levels=0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    # True == 1.0 and hashes alike, so it would share 1.0's cached labeling
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, True, "1"], ids=["nan", "inf", "-inf", "bool", "str"]
+    )
     @pytest.mark.parametrize("name", FLOAT_FIELDS)
     def test_non_finite_values_rejected(self, name, value):
-        with pytest.raises(DeviceModelError, match="finite"):
+        with pytest.raises(DeviceModelError, match=f"{name} must be a finite number"):
             DeviceParams(n_levels=6, **{name: value})
 
     @pytest.mark.parametrize("n_levels", [6.0, True], ids=["float", "bool"])
@@ -245,7 +248,8 @@ def parity_of(n: int) -> np.ndarray:
 
 
 def full_matrix_labels(params: DeviceParams):
-    """Labeling with one eigh of the whole shifted H and a per-column argmax."""
+    """Labeling with one eigh of the whole shifted H and a per-column argmax,
+    projected onto the required labels as _label_eigenstates returns them."""
     nf = normal_mode_transform(params)
     h = build_full_hamiltonian(params)
     h[np.diag_indices_from(h)] -= np.diag(h).mean()
@@ -263,7 +267,8 @@ def full_matrix_labels(params: DeviceParams):
         key = (occ[0], occ[1], occ[2])
         if key not in found or found[key][1] < overlap:
             found[key] = (float(evals[idx] - evals[0]), overlap)
-    return nf, found
+    energy, overlap = np.array([found.get((m, n, 0), (np.nan, -1.0)) for m, n in device_hamiltonian._REQUIRED_LABELS]).T
+    return nf, energy, overlap
 
 
 def factors_of(p: DeviceParams, linearize: bool = False):
@@ -333,7 +338,11 @@ class TestParitySectors:
     def test_matches_full_matrix_labeler(self, monkeypatch, n_levels, fluxes):
         for flux in fluxes:
             p = DeviceParams(n_levels=n_levels, flux=float(flux))
-            assert set(device_hamiltonian._label_eigenstates(p)[1]) == set(full_matrix_labels(p)[1])
+            _, energy, overlap = device_hamiltonian._label_eigenstates(p)
+            _, full_energy, full_overlap = full_matrix_labels(p)
+            assert np.array_equal(overlap < 0, full_overlap < 0)
+            assert energy[overlap >= 0] == pytest.approx(full_energy[full_overlap >= 0], abs=1e-9)
+            assert overlap == pytest.approx(full_overlap, abs=1e-9)
             sectors = labeled_spectrum(p)
             with monkeypatch.context() as patch:
                 patch.setattr(device_hamiltonian, "_label_eigenstates", full_matrix_labels)
@@ -506,6 +515,13 @@ class TestLabeling:
                 labeled_spectrum(p)
         assert device_hamiltonian._label_eigenstates.cache_info().currsize == 0
 
+    def test_label_no_eigenstate_carries_is_reported_missing(self):
+        # four levels per mode at flux 0.3 leave |010> and |300> dominant in
+        # no eigenstate; the 4-level eigenvectors are degenerate, so only the
+        # kind of failure is pinned, not the full message
+        with pytest.raises(LabelingError, match="missing"):
+            labeled_spectrum(DeviceParams(n_levels=4, flux=0.3))
+
     def test_strong_mixing_exits_one_with_json(self, capsys):
         assert main(["device", "sweep", "--from", "0.49", "--to", "0.49", "--steps", "1"]) == 1
         out, err = capsys.readouterr()
@@ -540,11 +556,11 @@ class TestSpectrumCache:
         assert second.zz == zz
 
     def test_cached_labeling_is_read_only(self):
-        nf, found = self.cache(DeviceParams(n_levels=6, flux=0.1))
-        with pytest.raises(TypeError):
-            found[(0, 0, 0)] = (1.0, 1.0)
-        with pytest.raises(ValueError):
-            nf.u[0, 0] = 0.0
+        nf, energy, overlap = self.cache(DeviceParams(n_levels=6, flux=0.1))
+        assert energy.shape == overlap.shape == (len(device_hamiltonian._REQUIRED_LABELS),)
+        for array in (energy, overlap, nf.u):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     def test_sweep_stays_within_the_bound(self):
         self.cache.cache_clear()

@@ -95,12 +95,26 @@ class TestNoiseModel:
         assert (nm.q2.t2r_01, nm.q2.t2r_12) == (3.2, 2.4)
         assert (nm.j11, nm.j21, nm.j12, nm.j22) == (-304.3, 37.8, 23.6, 5.4)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, "3"], ids=["nan", "inf", "bool", "str"])
     @pytest.mark.parametrize("name", ["j11", "j21", "j12", "j22"])
     def test_nonfinite_coupling_rejected(self, name, value):
         nm = ExperimentConfig.default().noise
         with pytest.raises(StateValidationError, match=name):
             NoiseModel(q1=nm.q1, q2=nm.q2, **{name: value})
+
+    @pytest.mark.parametrize("value", [True, "47.9"], ids=["bool", "str"])
+    @pytest.mark.parametrize("index", range(4))
+    def test_time_that_is_not_a_number_rejected(self, index, value):
+        # float() turns True into 1.0 and "47.9" into 47.9
+        times = [1.0] * 4
+        times[index] = value
+        with pytest.raises(StateValidationError, match="number"):
+            QutritCoherence(*times)
+
+    def test_integer_times_stored_as_floats(self):
+        coh = QutritCoherence(47, 21, 4, 2)
+        assert astuple(coh) == (47.0, 21.0, 4.0, 2.0)
+        assert all(type(t) is float for t in astuple(coh))
 
     def test_nonpositive_times_rejected(self):
         with pytest.raises(StateValidationError):
