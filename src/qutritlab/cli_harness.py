@@ -80,6 +80,8 @@ from .device_hamiltonian import DeviceParams, flux_sweep, labeled_spectrum, swee
 PACKAGE_VERSION = "1.0.0"
 
 _PAIR_LABELS = [str(BasisLabel.from_index(i, 2)) for i in range(DIM * DIM)]
+# one-qutrit chi in one %-format, row-major; %.9g prints every float as f"{x:.9g}" does
+_TOMO_CSV = "row,col,re,im\n" + "".join(f"{r},{c},%.9g,%.9g\n" for r in range(DIM * DIM) for c in range(DIM * DIM))
 
 
 class ConfigError(QutritLabError, ValueError):
@@ -487,11 +489,9 @@ def run_process_tomo(config: ExperimentConfig, gate: str, qutrit: int) -> Result
         "noiseless_fidelity": noiseless_fid,
         "noisy_fidelity": noisy_fid,
     }
-    chi = noisy_chi.matrix.copy()
-    chi.real[np.abs(chi.real) < 1e-12] = 0.0  # rounding noise prints as 0, not as nine noisy digits
-    chi.imag[np.abs(chi.imag) < 1e-12] = 0.0
-    rows = [f"{r},{c},{v.real:.9g},{v.imag:.9g}" for r, row in enumerate(chi.tolist()) for c, v in enumerate(row)]
-    return ResultBundle("tomo", config.config_hash(), entries, summary, _csv("row,col,re,im", rows))
+    parts = noisy_chi.matrix.copy().view(float)  # each row's real and imaginary parts, interleaved
+    parts[np.abs(parts) < 1e-12] = 0.0  # rounding noise prints as 0 (never -0), not as nine noisy digits
+    return ResultBundle("tomo", config.config_hash(), entries, summary, _TOMO_CSV % tuple(parts.ravel().tolist()))
 
 
 def compile_report(theta: float, target: str) -> dict:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -77,9 +78,11 @@ class DeviceParams:
 
     def __post_init__(self):
         # equal parameter sets share one cached labeling, so 6.0 must not
-        # pass for 6, True not for 1.0, and nan (equal to nothing) must not reach eigh
-        if isinstance(self.n_levels, bool) or not isinstance(self.n_levels, int):
+        # pass for 6, True not for 1.0, and nan (equal to nothing) must not reach eigh;
+        # any other integer type (np.int64) is stored as the plain int it equals
+        if isinstance(self.n_levels, bool) or not isinstance(self.n_levels, numbers.Integral):
             raise TruncationError(f"n_levels must be an integer, got {self.n_levels!r}")
+        object.__setattr__(self, "n_levels", operator.index(self.n_levels))
         for f in fields(self):
             v = getattr(self, f.name)
             if f.name != "n_levels" and (

@@ -641,18 +641,20 @@ def chi_matrix(channel: QuantumChannel) -> ProcessMatrix:
     """Process matrix chi[(a d + k), (c d + l)] = <a| E(|k><l|) |c>.
 
     Rejects maps that are not trace preserving within 1e-6 or not
-    completely positive within 1e-5.
+    completely positive within 1e-5. The positivity check reads chi itself:
+    chi is the Choi matrix with its two tensor factors swapped, a
+    permutation similarity, so the two share one spectrum.
     """
     tol = 1e-6
     defect = channel.trace_preservation_defect()
     if not defect <= tol:
         raise ChannelError(f"map is not trace preserving (defect {defect:.3g})")
-    choi = channel.choi()
-    choi_min = float(np.min(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)))
-    if choi_min < -10.0 * tol:
-        raise ChannelError(f"map is not completely positive (eigenvalue {choi_min:.3g})")
     d = channel.dim
-    return ProcessMatrix(channel.superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))
+    chi = channel.superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    chi_min = float(np.min(np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)))
+    if chi_min < -10.0 * tol:
+        raise ChannelError(f"map is not completely positive (eigenvalue {chi_min:.3g})")
+    return ProcessMatrix(chi)
 
 
 def chi_of_unitary(u: np.ndarray) -> ProcessMatrix:

@@ -7,12 +7,14 @@ import dataclasses
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import warnings
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,6 +59,24 @@ pytestmark = pytest.mark.filterwarnings("ignore:negative 12 dephasing rate")
 
 def exact_config() -> ExperimentConfig:
     return ExperimentConfig.default().replace(shots=None, seed=None)
+
+
+def reference_tomo_csv(chi: np.ndarray) -> str:
+    """The tomography figure as one f-string per row prints it, after the 1e-12 clamp."""
+    chi = chi.copy()
+    chi.real[np.abs(chi.real) < 1e-12] = 0.0
+    chi.imag[np.abs(chi.imag) < 1e-12] = 0.0
+    rows = [f"{r},{c},{v.real:.9g},{v.imag:.9g}" for r, row in enumerate(chi.tolist()) for c, v in enumerate(row)]
+    return "\n".join(["row,col,re,im", *rows]) + "\n"
+
+
+def benchmark_tomo_profile(index: int) -> dict:
+    """Coherence table `index` of the benchmark's tomography scan: each default
+    time scaled within +-25% by a generator of its own fixed seed."""
+    base = ExperimentConfig.default().to_mapping()["coherence"]
+    rng = random.Random(1_000_003 * (index + 1))
+    return {q: {k: round(base[q][k] * rng.uniform(0.75, 1.25), 4) for k in ("t1_01", "t1_12", "t2r_01", "t2r_12")}
+            for q in ("q1", "q2")}
 
 
 class TestConfig:
@@ -478,6 +498,32 @@ class TestRunners:
                 for printed, part in ((re_part, chi[int(r), int(c)].real), (im_part, chi[int(r), int(c)].imag)):
                     assert float(printed) == 0.0 or abs(float(printed)) >= 1e-12
                     assert printed == ("0" if abs(part) < 1e-12 else f"{part:.9g}")
+
+    @pytest.mark.parametrize("profile", [None, 0, 1, 377, 767], ids=["default", "p0", "p1", "p377", "p767"])
+    def test_tomo_csv_matches_the_per_row_formatter(self, profile):
+        # qutrit 2 of the default profile takes the correlated-dephasing branch
+        config = exact_config() if profile is None else ExperimentConfig.from_mapping(
+            {"coherence": benchmark_tomo_profile(profile)})
+        for gate in LOGICAL_GATE_NAMES:
+            for qutrit in (1, 2):
+                pair = cli_harness._pair_circuit(gate, qutrit - 1)
+                chi = chi_matrix(circuit_channel(pair, config.noise, config.step_scale, qutrit=qutrit - 1)).matrix
+                text = run_process_tomo(config, gate, qutrit).figure_csv
+                assert text == reference_tomo_csv(chi), (gate, qutrit)
+                cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")[2:]]
+                assert len(cells) == 162 and "-0" not in cells, (gate, qutrit)
+
+    def test_tomo_csv_prints_every_float_as_the_per_row_formatter(self, monkeypatch):
+        # nan, infinities, subnormals, signed zeros and clamped noise, through the runner's own path
+        parts = [math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 0.0, -0.0, 9.9e-13, -9.9e-13, 1e-12, -1e-12, 1.0 / 3.0, -2.5e-5, 123456789.5, 1e16]
+        values = np.array([parts[i % len(parts)] for i in range(162)]).view(complex).reshape(9, 9)
+        # a ProcessMatrix would reject nan as non-Hermitian, so the runner gets a stand-in
+        monkeypatch.setattr(cli_harness, "chi_matrix", lambda channel: SimpleNamespace(matrix=values))
+        monkeypatch.setattr(cli_harness, "process_fidelity", lambda chi_a, chi_b: 0.5)
+        text = run_process_tomo(exact_config(), "H", 1).figure_csv
+        assert text == reference_tomo_csv(values)
+        assert "-0" not in [cell for line in text.splitlines()[1:] for cell in line.split(",")[2:]]
 
     def test_tomo_rejects_unknown_gate_and_qutrit(self):
         with pytest.raises(ConfigError):

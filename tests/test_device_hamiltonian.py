@@ -76,11 +76,23 @@ class TestParams:
         with pytest.raises(DeviceModelError, match=f"{name} must be a finite number"):
             DeviceParams(n_levels=6, **{name: value})
 
-    @pytest.mark.parametrize("n_levels", [6.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("n_levels", [6.0, True, "6"], ids=["float", "bool", "str"])
     def test_non_integer_truncation_rejected(self, n_levels):
         # 6.0 == 6 would otherwise share the integer truncation's cache entry
         with pytest.raises(TruncationError, match="integer"):
             DeviceParams(n_levels=n_levels)
+
+    def test_numpy_integer_truncation_is_stored_as_int(self):
+        # the config loader accepts np.int64(6) as 6; so must the parameters,
+        # and both must land in one spectrum-cache slot
+        p = DeviceParams(n_levels=np.int64(6), flux=0.1)
+        assert type(p.n_levels) is int
+        assert p == DeviceParams(n_levels=6, flux=0.1)
+        assert hash(p) == hash(DeviceParams(n_levels=6, flux=0.1))
+        labeled_spectrum(DeviceParams(n_levels=6, flux=0.1))
+        hits = device_hamiltonian._label_eigenstates.cache_info().hits
+        labeled_spectrum(p)
+        assert device_hamiltonian._label_eigenstates.cache_info().hits == hits + 1
 
     def test_with_flux_returns_new_instance(self):
         p = DeviceParams()

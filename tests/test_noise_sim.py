@@ -462,8 +462,33 @@ class TestProcessMatrices:
             ProcessMatrix(np.full((9, 9), np.nan))
 
     def test_nonfinite_channel_rejected(self):
-        with pytest.raises(ChannelError, match="trace preserving"):
+        # trace preservation is checked first, before positivity and Hermiticity
+        with pytest.raises(ChannelError, match="not trace preserving"):
             chi_matrix(QuantumChannel(np.full((9, 9), np.nan), DIM))
+
+    def test_transpose_map_is_not_completely_positive(self):
+        # rho -> rho^T permutes the matrix units: trace preserving, but its
+        # Choi matrix is the swap, with eigenvalue -1
+        superop = np.eye(DIM * DIM)[np.arange(DIM * DIM).reshape(DIM, DIM).T.ravel()]
+        channel = QuantumChannel(superop, DIM)
+        rho = np.arange(9.0).reshape(3, 3) + 1j * np.eye(3)
+        assert np.array_equal(channel.apply(rho), rho.T)
+        assert channel.trace_preservation_defect() == 0.0
+        assert np.min(np.linalg.eigvalsh(channel.choi())) == pytest.approx(-1.0, abs=1e-12)
+        with pytest.raises(ChannelError, match="not completely positive"):
+            chi_matrix(channel)
+
+    def test_positivity_check_on_chi_matches_choi(self):
+        # chi is the Choi matrix with its tensor factors swapped: one spectrum
+        config = ExperimentConfig.default()
+        for gate in LOGICAL_GATE_NAMES:
+            for qutrit in (0, 1):
+                pair = merge_streams(2, {qutrit: decompose_single(gate, qutrit)})
+                channel = circuit_channel(pair, config.noise, config.step_scale, qutrit=qutrit)
+                chi, choi = chi_matrix(channel).matrix, channel.choi()
+                chi_min = np.min(np.linalg.eigvalsh(chi))
+                choi_min = np.min(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0))
+                assert abs(chi_min - choi_min) <= 1e-14, (gate, qutrit)
 
     def test_identity_channel_rank_one(self):
         chi = chi_of_unitary(np.eye(3))
