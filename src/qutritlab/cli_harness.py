@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .qutrit_core import DIM, BasisLabel, ProbDist, QutritLabError
+from .qutrit_core import DIM, BasisLabel, ProbDist, QutritLabError, each_row
 from .gates_compiler import (
     LOGICAL_GATE_NAMES,
     circuit_unitary,
@@ -50,13 +50,13 @@ from .noise_sim import (
     chi_matrix,
     chi_of_unitary,
     circuit_channel,
-    measure_probs,
+    final_states,
     process_fidelity,
-    reduced_qutrit_channel,  # no runner calls it; kept as a name here for wrappers that trace it
-    sample_counts,
-    simulate_lindblad,
+    sample_rows,
     simulate_pure,
 )
+# no runner calls these; they are kept as names here for wrappers that trace them
+from .noise_sim import measure_probs, reduced_qutrit_channel, sample_counts, simulate_lindblad
 from .algorithms import (
     BVString,
     GroverSpec,
@@ -70,9 +70,11 @@ from .algorithms import (
     grover_ideal_success,
 )
 from .readout_mitigation import (
-    apply_confusion,
+    apply_confusion,  # no runner calls it; kept as a name here for wrappers that trace it
+    confuse_rows,
     load_confusion,
     mitigate_counts,
+    mitigate_rows,
     synthetic_confusion,
 )
 from .device_hamiltonian import DeviceParams, flux_sweep, labeled_spectrum, sweep_to_csv
@@ -310,27 +312,52 @@ def _run_cases(config: ExperimentConfig, cases) -> list[dict]:
     fields(dist) gives the case's own entry fields and score(dist) its
     success probability, taken of the exact distribution and, when
     mitigating, of the mitigated one. Sampling uses seed + seed_offset.
+
+    Each case's circuit is walked on its own (the Lindblad engine's walk,
+    or the pure backend); then all cases pass each later stage together,
+    as one (cases, 9) stack: the final-state checks of simulate_lindblad
+    (trace drift, then every DensityMatrix check), the diagonal
+    probabilities and their ProbDist checks, the confusion, the sampling
+    checks and one multinomial draw per case, the inversion and its
+    SignedCounts checks, the repair per case and the mitigated
+    distribution. Each check runs on every row, with its own threshold,
+    class and message, before the next check runs; it raises for its first
+    failing case, and the error carries a note naming that case.
     """
     matrix = synthetic_confusion(diagonal=config.readout_diagonal) if config.mitigate else None
-    entries = []
-    for circ, fields, score, seed_offset in cases:
+    circuits, fields, scores, offsets = zip(*cases)
+    try:
         if config.noisy:
-            dist = measure_probs(simulate_lindblad(circ, config.noise, step_scale=config.step_scale))
+            dists = ProbDist.rows(final_states(circuits, config.noise, config.step_scale)
+                                  .diagonal(axis1=1, axis2=2).real)
         else:
-            dist = measure_probs(simulate_pure(circ))
-        entry = fields(dist)
-        entry.update(sp=score(dist), duration_ns=circ.total_duration, distribution=_by_label(dist.probs))
-        if config.shots is not None:
-            measured = dist if matrix is None else apply_confusion(dist, matrix)
-            counts = sample_counts(measured, config.shots, config.seed + seed_offset)
-            entry["counts"] = _by_label(counts)
-            if matrix is not None:
-                corrected = mitigate_counts(counts, matrix)
-                mitigated = ProbDist(corrected / corrected.sum())
-                entry["mitigated_distribution"] = _by_label(mitigated.probs)
-                entry["sp_mitigated"] = score(mitigated)
-        entries.append(entry)
-    return entries
+            dists = ProbDist.rows(np.abs(np.array(each_row(lambda c: simulate_pure(c).amplitudes, circuits))) ** 2)
+        entries = []
+        for circ, field, score, dist in zip(circuits, fields, scores, dists):
+            entry = field(dist)
+            entry.update(sp=score(dist), duration_ns=circ.total_duration, distribution=_by_label(dist.probs))
+            entries.append(entry)
+        if config.shots is None:
+            return entries
+        measured = dists if matrix is None else confuse_rows(_stacked(dists), matrix)
+        counts = sample_rows(_stacked(measured), config.shots, [config.seed + offset for offset in offsets])
+        for entry, row in zip(entries, counts):
+            entry["counts"] = _by_label(row)
+        if matrix is not None:
+            corrected = mitigate_rows(counts, matrix)
+            mitigated = ProbDist.rows(corrected / corrected.sum(axis=1)[:, None])
+            for entry, score, dist in zip(entries, scores, mitigated):
+                entry["mitigated_distribution"] = _by_label(dist.probs)
+                entry["sp_mitigated"] = score(dist)
+        return entries
+    except QutritLabError as exc:
+        if exc.row is not None:
+            exc.add_note(f"raised for case {exc.row} of {len(cases)}")
+        raise
+
+
+def _stacked(dists: list[ProbDist]) -> np.ndarray:
+    return np.array([d.probs for d in dists])
 
 
 def _averages(entries: list[dict], groups: dict, mitigated: bool) -> dict:

@@ -71,6 +71,11 @@ from .qutrit_core import (
     QutritLabError,
     StateValidationError,
     _coerce_state,
+    _passed,
+    check_density_rows,
+    each_row,
+    fail_first_row,
+    traces,
 )
 from .gates_compiler import Circuit, instruction_matrix, moment_unitary
 
@@ -440,6 +445,26 @@ def _initial_rho(initial) -> np.ndarray:
     return state.density().matrix if isinstance(state, PureState) else state.matrix.copy()
 
 
+def _checked_states(walked: np.ndarray) -> np.ndarray:
+    """The Hermitian parts of an (n, 9, 9) stack of walked states over their traces, each row checked.
+
+    SimulationError for the first row that drifted off trace one by more
+    than 1e-6, then for the first that fails a DensityMatrix check.
+    """
+    rho = (walked + walked.conj().transpose(0, 2, 1)) / 2.0
+    trace = traces(rho).real
+    drift = np.abs(trace - 1.0)
+    fail_first_row(drift > 1e-6, SimulationError, lambda i: f"trace drifted by {drift[i]:.3g}")
+    rho = rho / trace[:, None, None]
+    try:
+        check_density_rows(rho)
+    except StateValidationError as exc:
+        error = SimulationError(str(exc))
+        error.row = exc.row
+        raise error from exc
+    return rho
+
+
 def simulate_lindblad(circuit: Circuit, noise: NoiseModel, initial=None, step_scale: int = 1) -> DensityMatrix:
     """Evolve through a compiled circuit under the noise model.
 
@@ -447,15 +472,18 @@ def simulate_lindblad(circuit: Circuit, noise: NoiseModel, initial=None, step_sc
     integration drifts off trace one by more than 1e-6 or produces an
     eigenvalue below -1e-6.
     """
-    rho = _engine(noise, step_scale).run(circuit, initial)
-    rho = (rho + rho.conj().T) / 2.0
-    trace = float(np.real(np.trace(rho)))
-    if abs(trace - 1.0) > 1e-6:
-        raise SimulationError(f"trace drifted by {abs(trace - 1.0):.3g}")
-    try:
-        return DensityMatrix(rho / trace)
-    except StateValidationError as exc:
-        raise SimulationError(str(exc)) from exc
+    rho = _checked_states(_engine(noise, step_scale).run(circuit, initial)[None])[0]
+    return _passed(DensityMatrix, matrix=rho)
+
+
+def final_states(circuits, noise: NoiseModel, step_scale: int = 1) -> np.ndarray:
+    """The final density matrices of circuits run from |00>, stacked (len(circuits), 9, 9).
+
+    Each circuit is walked on its own; the states are then checked as
+    simulate_lindblad checks one, the first failing circuit raising with
+    its index as the error's row.
+    """
+    return _checked_states(np.array(each_row(_engine(noise, step_scale).run, circuits)))
 
 
 def evolve_idle(noise: NoiseModel, initial, duration_ns: float, step_scale: int = 1) -> DensityMatrix:
@@ -522,19 +550,34 @@ def measure_probs(state) -> ProbDist:
     return state.probabilities() if isinstance(state, PureState) else state.diagonal_probs()
 
 
+def _seed(seed) -> int:
+    if seed is None:
+        raise StateValidationError("sampling requires an explicit seed")
+    return _whole_number("seed", seed, 0, StateValidationError)
+
+
+def sample_rows(probs: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """Multinomial counts of each row of an (n, d) stack of distributions, row i drawn with seeds[i].
+
+    Each row is checked as sample_counts checks one; the first failing
+    row raises.
+    """
+    shots = _whole_number("shots", shots, 0, StateValidationError)
+    seeds = each_row(_seed, seeds)
+    with np.errstate(invalid="ignore"):  # a row holding both infinities sums to nan
+        total = probs.sum(axis=1)
+    # the sum of a nan or inf entry fails too:
+    fail_first_row((probs.min(axis=1) < -1e-9) | ~(np.abs(total - 1.0) <= 1e-6),
+                   StateValidationError, lambda i: "not a probability distribution")
+    p = np.clip(probs, 0.0, None)
+    p = p / p.sum(axis=1)[:, None]
+    return np.array([np.random.default_rng(seed).multinomial(shots, row) for seed, row in zip(seeds, p)])
+
+
 def sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     """Multinomial counts from a distribution; the seed fixes the draw."""
     p = probs.probs if isinstance(probs, ProbDist) else np.asarray(probs, dtype=float)
-    shots = _whole_number("shots", shots, 0, StateValidationError)
-    if seed is None:
-        raise StateValidationError("sampling requires an explicit seed")
-    seed = _whole_number("seed", seed, 0, StateValidationError)
-    if np.min(p) < -1e-9 or not abs(p.sum() - 1.0) <= 1e-6:  # the sum of a nan or inf entry fails too
-        raise StateValidationError("not a probability distribution")
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, p)
+    return sample_rows(p[None], shots, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +593,7 @@ class ProcessMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ChannelError("process matrix must be square")
-        if not np.max(np.abs(m - m.conj().T)) <= 1e-7:
-            raise ChannelError("process matrix must be Hermitian")
+        _check_hermitian(m)
         object.__setattr__(self, "matrix", (m + m.conj().T) / 2.0)
 
     @property
@@ -560,6 +602,11 @@ class ProcessMatrix:
 
     def normalized(self) -> np.ndarray:
         return self.matrix / np.real(np.trace(self.matrix))
+
+
+def _check_hermitian(m: np.ndarray) -> None:
+    if not np.max(np.abs(m - m.conj().T)) <= 1e-7:
+        raise ChannelError("process matrix must be Hermitian")
 
 
 class QuantumChannel:
@@ -651,10 +698,13 @@ def chi_matrix(channel: QuantumChannel) -> ProcessMatrix:
         raise ChannelError(f"map is not trace preserving (defect {defect:.3g})")
     d = channel.dim
     chi = channel.superop.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    chi_min = float(np.min(np.linalg.eigvalsh((chi + chi.conj().T) / 2.0)))
+    hermitian = (chi + chi.conj().T) / 2.0
+    chi_min = float(np.min(np.linalg.eigvalsh(hermitian)))
     if chi_min < -10.0 * tol:
         raise ChannelError(f"map is not completely positive (eigenvalue {chi_min:.3g})")
-    return ProcessMatrix(chi)
+    # ProcessMatrix's own check, with the Hermitian part it would store formed once
+    _check_hermitian(chi)
+    return _passed(ProcessMatrix, matrix=hermitian)
 
 
 def chi_of_unitary(u: np.ndarray) -> ProcessMatrix:

@@ -15,7 +15,13 @@ DIM = 3
 
 
 class QutritLabError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    A check on the rows of a stack sets `row` to the index of the first
+    row it failed on.
+    """
+
+    row: int | None = None
 
 
 class DimensionMismatchError(QutritLabError, ValueError):
@@ -26,11 +32,38 @@ class StateValidationError(QutritLabError, ValueError):
     """A state or distribution failed its structural checks."""
 
 
-def _as_complex_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
-    if not np.all(np.isfinite(arr)):
-        raise StateValidationError(f"{name} contains non-finite entries")
-    return arr
+def fail_first_row(bad, error: type[QutritLabError], message) -> None:
+    """Raise error(message(i)) for the first row i of a stack where `bad` holds, with its row set to i."""
+    failing = np.flatnonzero(bad)
+    if failing.size:
+        exc = error(message(int(failing[0])))
+        exc.row = int(failing[0])
+        raise exc
+
+
+def each_row(fn, *columns) -> list:
+    """fn of each row's items, in row order; an error of this package gets the row it was raised for."""
+    out = []
+    for i, items in enumerate(zip(*columns)):
+        try:
+            out.append(fn(*items))
+        except QutritLabError as exc:
+            exc.row = i
+            raise
+    return out
+
+
+def _passed(cls, **fields):
+    """An instance of a frozen dataclass holding values that have passed its checks, not checked again."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def traces(matrices: np.ndarray) -> np.ndarray:
+    """np.trace of each matrix of an (n, d, d) stack, each diagonal summed as np.trace sums one."""
+    return np.ascontiguousarray(matrices.diagonal(axis1=1, axis2=2)).sum(axis=1)
 
 
 def n_qutrits_for_dim(dim: int) -> int:
@@ -96,7 +129,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _as_complex_array(self.amplitudes, "amplitudes")
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if not np.all(np.isfinite(amps)):
+            raise StateValidationError("amplitudes contains non-finite entries")
         if amps.ndim != 1:
             raise StateValidationError("amplitudes must be a vector")
         n_qutrits_for_dim(amps.shape[0])
@@ -135,18 +170,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        rho = _as_complex_array(self.matrix, "density matrix")
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise StateValidationError("density matrix must be square")
-        n_qutrits_for_dim(rho.shape[0])
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
-            raise StateValidationError("density matrix is not Hermitian within 1e-8")
-        tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > 1e-6:
-            raise StateValidationError(f"trace {tr} is not 1 within 1e-6")
-        min_eig = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)))
-        if min_eig < -1e-6:
-            raise StateValidationError(f"negative eigenvalue {min_eig} beyond -1e-6")
+        rho = np.asarray(self.matrix, dtype=complex)
+        check_density_rows(rho[None])
         object.__setattr__(self, "matrix", rho)
 
     @property
@@ -168,17 +193,12 @@ class ProbDist:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1:
-            raise StateValidationError("probabilities must form a vector")
-        n_qutrits_for_dim(p.shape[0])
-        if np.min(p) < -1e-9:
-            raise StateValidationError(f"negative probability {np.min(p)}")
-        p = np.clip(p, 0.0, None)
-        s = float(p.sum())
-        if not abs(s - 1.0) <= 1e-6:  # also false for a nan or inf entry, which makes the sum nan or inf
-            raise StateValidationError(f"probabilities sum to {s}, not 1 within 1e-6")
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", check_prob_rows(np.asarray(self.probs, dtype=float)[None])[0])
+
+    @classmethod
+    def rows(cls, probs) -> list["ProbDist"]:
+        """One distribution per row of an (n, d) stack, each row checked as the constructor checks one."""
+        return [_passed(cls, probs=p) for p in check_prob_rows(np.asarray(probs, dtype=float))]
 
     @property
     def dim(self) -> int:
@@ -193,6 +213,39 @@ class ProbDist:
         # np.argmax returns the lowest index on ties:
         n = n_qutrits_for_dim(self.dim)
         return BasisLabel.from_index(int(np.argmax(self.probs)), n)
+
+
+def check_density_rows(rhos: np.ndarray) -> None:
+    """DensityMatrix's checks on each matrix of a complex (n, d, d) stack; the first failing row raises."""
+    fail_first_row(~np.isfinite(rhos).reshape(len(rhos), -1).all(axis=1), StateValidationError,
+                   lambda i: "density matrix contains non-finite entries")
+    if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
+        raise StateValidationError("density matrix must be square")
+    n_qutrits_for_dim(rhos.shape[1])
+    adjoint = rhos.conj().transpose(0, 2, 1)
+    fail_first_row(np.abs(rhos - adjoint).max(axis=(1, 2)) > 1e-8, StateValidationError,
+                   lambda i: "density matrix is not Hermitian within 1e-8")
+    tr = traces(rhos)
+    fail_first_row(np.abs(tr - 1.0) > 1e-6, StateValidationError,
+                   lambda i: f"trace {complex(tr[i])} is not 1 within 1e-6")
+    min_eig = np.linalg.eigvalsh((rhos + adjoint) / 2).min(axis=1)
+    fail_first_row(min_eig < -1e-6, StateValidationError,
+                   lambda i: f"negative eigenvalue {float(min_eig[i])} beyond -1e-6")
+
+
+def check_prob_rows(probs: np.ndarray) -> np.ndarray:
+    """ProbDist's checks on each row of a float (n, d) stack: the rows clipped at 0; the first failing row raises."""
+    if probs.ndim != 2:
+        raise StateValidationError("probabilities must form a vector")
+    n_qutrits_for_dim(probs.shape[1])
+    low = probs.min(axis=1)
+    fail_first_row(low < -1e-9, StateValidationError, lambda i: f"negative probability {low[i]}")
+    p = np.clip(probs, 0.0, None)
+    s = p.sum(axis=1)
+    # also false for a nan or inf entry, which makes the sum nan or inf:
+    fail_first_row(~(np.abs(s - 1.0) <= 1e-6), StateValidationError,
+                   lambda i: f"probabilities sum to {float(s[i])}, not 1 within 1e-6")
+    return p
 
 
 def tensor(*operands):

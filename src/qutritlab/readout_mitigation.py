@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qutrit_core import DIM, ProbDist, QutritLabError
+from .qutrit_core import DIM, ProbDist, QutritLabError, _passed, each_row, fail_first_row
 
 
 class MitigationError(QutritLabError, ValueError):
@@ -80,24 +80,51 @@ class SignedCounts:
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
-        if q.ndim != 1:
-            raise MitigationError("counts must form a vector")
-        if not np.all(np.isfinite(q)):
-            raise MitigationError("counts must be finite")
-        if not 0 < self.shots < math.inf:
-            raise MitigationError("total shots must be positive and finite")
-        if abs(q.sum() - self.shots) > 1e-6 * max(1.0, self.shots):
-            raise MitigationError(f"counts sum to {q.sum()}, expected {self.shots}")
+        _check_signed_rows(q[None], [self.shots])
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "shots", float(self.shots))
+
+
+def _check_signed_rows(q: np.ndarray, shots) -> None:
+    """SignedCounts' checks on each row of an (n, d) stack, row i totalling shots[i]; the first failing row raises."""
+    if q.ndim != 2:
+        raise MitigationError("counts must form a vector")
+    fail_first_row(~np.isfinite(q).all(axis=1), MitigationError, lambda i: "counts must be finite")
+    totals = np.asarray(shots, dtype=float)
+    fail_first_row(~((0 < totals) & (totals < math.inf)), MitigationError,
+                   lambda i: "total shots must be positive and finite")
+    sums = q.sum(axis=1)
+    fail_first_row(np.abs(sums - totals) > 1e-6 * np.maximum(1.0, totals), MitigationError,
+                   lambda i: f"counts sum to {sums[i]}, expected {shots[i]}")
+
+
+def confuse_rows(probs: np.ndarray, matrix: ConfusionMatrix) -> list[ProbDist]:
+    """Distribution actually observed when measuring each row of an (n, d) stack of distributions."""
+    if probs.shape[1] != matrix.dim:
+        raise MitigationError(f"distribution size {probs.shape[1]} does not match matrix {matrix.dim}")
+    # one matrix-vector product per row: a matrix-matrix product may round differently
+    return ProbDist.rows(np.array([matrix.m @ p for p in probs]))
 
 
 def apply_confusion(true_probs, matrix: ConfusionMatrix) -> ProbDist:
     """Distribution actually observed when measuring `true_probs`."""
     p = true_probs.probs if isinstance(true_probs, ProbDist) else np.asarray(true_probs, dtype=float)
-    if p.shape[0] != matrix.dim:
-        raise MitigationError(f"distribution size {p.shape[0]} does not match matrix {matrix.dim}")
-    return ProbDist(matrix.m @ p)
+    return confuse_rows(p[None], matrix)[0]
+
+
+def _invert_rows(counts: np.ndarray, matrix: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Inverted counts and total of each row of a float (n, d) stack of counts, each checked as SignedCounts."""
+    if counts.shape[1] != matrix.dim:
+        raise MitigationError("counts size does not match the matrix")
+    fail_first_row(~np.isfinite(counts).all(axis=1), MitigationError, lambda i: "counts must be finite")
+    cond = matrix.condition_number()
+    if not math.isfinite(cond) or cond > 1e6:
+        raise IllConditionedError(f"condition number {cond:.3g} exceeds 1e6")
+    # one LAPACK solve per row, as for a single vector
+    q = np.linalg.solve(matrix.m, counts[:, :, None])[:, :, 0]
+    shots = counts.sum(axis=1)
+    _check_signed_rows(q, shots)
+    return q, shots
 
 
 def invert_confusion(measured_counts, matrix: ConfusionMatrix) -> SignedCounts:
@@ -105,16 +132,8 @@ def invert_confusion(measured_counts, matrix: ConfusionMatrix) -> SignedCounts:
 
     The result can carry negative entries; downstream repair handles them.
     """
-    counts = np.asarray(measured_counts, dtype=float)
-    if counts.shape[0] != matrix.dim:
-        raise MitigationError("counts size does not match the matrix")
-    if not np.all(np.isfinite(counts)):
-        raise MitigationError("counts must be finite")
-    cond = matrix.condition_number()
-    if not math.isfinite(cond) or cond > 1e6:
-        raise IllConditionedError(f"condition number {cond:.3g} exceeds 1e6")
-    q = np.linalg.solve(matrix.m, counts)
-    return SignedCounts(q, float(counts.sum()))
+    q, shots = _invert_rows(np.asarray(measured_counts, dtype=float)[None], matrix)
+    return _passed(SignedCounts, q=q[0], shots=float(shots[0]))
 
 
 def mle_correct(signed: SignedCounts, floor: float | None = None) -> np.ndarray:
@@ -126,10 +145,15 @@ def mle_correct(signed: SignedCounts, floor: float | None = None) -> np.ndarray:
     pass: free coordinates share a common Lagrange multiplier, floored
     ones pin to the floor, repeated until the free set is stable.
     """
-    q = signed.q
-    n = signed.shots
+    return _repair(signed.q, signed.shots, floor)
+
+
+def _repair(q: np.ndarray, n: float, floor: float | None = None) -> np.ndarray:
+    """mle_correct of the inverted counts q totalling n."""
     root_n = math.sqrt(n)
     f = root_n if floor is None else float(floor)
+    if not 0.0 <= f < math.inf:
+        raise MitigationError(f"floor must be finite and non-negative, got {floor!r}")
     d = q.shape[0]
     if d * f > n + 1e-9:
         raise InfeasibleError(f"{d} entries at floor {f:.6g} exceed the total {n}")
@@ -162,6 +186,12 @@ def mle_correct(signed: SignedCounts, floor: float | None = None) -> np.ndarray:
 def mitigate_counts(measured_counts, matrix: ConfusionMatrix) -> np.ndarray:
     """Inversion followed by repair, the full pipeline on raw counts."""
     return mle_correct(invert_confusion(measured_counts, matrix))
+
+
+def mitigate_rows(counts: np.ndarray, matrix: ConfusionMatrix) -> np.ndarray:
+    """mitigate_counts of each row of an (n, d) stack of counts; the first failing row raises."""
+    q, shots = _invert_rows(np.asarray(counts, dtype=float), matrix)
+    return np.array(each_row(_repair, q, shots.tolist()))
 
 
 def save_confusion(matrix: ConfusionMatrix, path) -> None:

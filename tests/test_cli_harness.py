@@ -36,8 +36,24 @@ from qutritlab.gates_compiler import (
     merge_streams,
     moment_unitary,
 )
-from qutritlab.noise_sim import chi_matrix, circuit_channel, sample_counts, simulate_lindblad
-from qutritlab.readout_mitigation import save_confusion, synthetic_confusion
+from qutritlab.noise_sim import (
+    LindbladEngine,
+    SimulationError,
+    chi_matrix,
+    circuit_channel,
+    measure_probs,
+    sample_counts,
+    simulate_lindblad,
+    simulate_pure,
+)
+from qutritlab.qutrit_core import ProbDist
+from qutritlab.readout_mitigation import (
+    IllConditionedError,
+    apply_confusion,
+    mitigate_counts,
+    save_confusion,
+    synthetic_confusion,
+)
 from qutritlab.cli_harness import (
     ConfigError,
     ExperimentConfig,
@@ -658,6 +674,12 @@ class TestCountsFile:
         assert json.loads(err)["error"] == "MitigationError"
 
 
+# cli_harness names the benchmark's tracing wraps that no runner calls: the
+# algorithm runners take all their cases through one stacked pass instead
+UNCALLED_TRACED_NAMES = {"reduced_qutrit_channel", "simulate_lindblad", "measure_probs", "apply_confusion",
+                         "sample_counts", "mitigate_counts"}
+
+
 class TestRunnerLookups:
     """The runners look up the circuit, sampling and mitigation functions in
     cli_harness when they run, so a wrapper set on those names (as the
@@ -665,7 +687,8 @@ class TestRunnerLookups:
 
     def test_wrappers_on_module_names_see_every_call(self, monkeypatch):
         calls = Counter()
-        for name in ("dj_circuit", "bv_circuit", "grover_circuit", "sample_counts", "mitigate_counts"):
+        for name in ("dj_circuit", "bv_circuit", "grover_circuit", "simulate_pure", "sample_rows", "mitigate_rows",
+                     "sample_counts", "mitigate_counts"):
             def counting(*args, _name=name, _original=getattr(cli_harness, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -673,7 +696,10 @@ class TestRunnerLookups:
         config = exact_config().replace(mitigate=True, shots=2000, seed=3)
         entries = sum(len(runner(config).entries) for runner in (run_dj, run_bv, run_grover))
         assert (calls["dj_circuit"], calls["bv_circuit"], calls["grover_circuit"]) == (25, 9, 18)
-        assert calls["sample_counts"] == calls["mitigate_counts"] == entries == 52
+        assert calls["simulate_pure"] == entries == 52
+        # one stacked sampling and mitigation pass per runner; no stack goes through the per-vector names
+        assert calls["sample_rows"] == calls["mitigate_rows"] == 3
+        assert calls["sample_counts"] == calls["mitigate_counts"] == 0
 
     def test_every_traced_name_is_looked_up_at_call_time(self, monkeypatch):
         # the benchmark's tracing wraps these cli_harness names; each wrapper
@@ -702,9 +728,8 @@ class TestRunnerLookups:
                      ["sim", "grover"], ["tomo", "process", "--gate", "H", "--qutrit", "1"],
                      ["device", "sweep", "--from", "0.185", "--to", "0.185", "--steps", "1"]):
             assert main(argv) == 0
-        # no runner calls reduced_qutrit_channel; it stays a name for the wrappers
         missed = {name for name in [*names, "from_mapping", "__post_init__", "to_json"] if not calls[name]}
-        assert missed == {"reduced_qutrit_channel"}
+        assert missed == UNCALLED_TRACED_NAMES
 
     def test_device_report_reuses_an_operating_point_on_the_grid(self):
         # the spectrum cache serves an operating point on the grid, so the
@@ -720,6 +745,132 @@ class TestRunnerLookups:
             assert bundle.summary["operating_w01_q2"] == direct.w01_q2
             assert bundle.summary["operating_j11_khz"] == direct.j11
             assert bundle.summary["operating_coupler_ghz"] == direct.coupler_ghz
+
+
+def reference_run_cases(config: ExperimentConfig, cases) -> list[dict]:
+    """The runners' per-case loop before the stacked pass: every case through
+    simulate_lindblad or simulate_pure, then measurement, sampling and
+    mitigation one 9-vector at a time."""
+    matrix = synthetic_confusion(diagonal=config.readout_diagonal) if config.mitigate else None
+    entries = []
+    for circ, fields, score, seed_offset in cases:
+        if config.noisy:
+            dist = measure_probs(simulate_lindblad(circ, config.noise, step_scale=config.step_scale))
+        else:
+            dist = measure_probs(simulate_pure(circ))
+        entry = fields(dist)
+        entry.update(sp=score(dist), duration_ns=circ.total_duration, distribution=cli_harness._by_label(dist.probs))
+        if config.shots is not None:
+            measured = dist if matrix is None else apply_confusion(dist, matrix)
+            counts = sample_counts(measured, config.shots, config.seed + seed_offset)
+            entry["counts"] = cli_harness._by_label(counts)
+            if matrix is not None:
+                corrected = mitigate_counts(counts, matrix)
+                mitigated = ProbDist(corrected / corrected.sum())
+                entry["mitigated_distribution"] = cli_harness._by_label(mitigated.probs)
+                entry["sp_mitigated"] = score(mitigated)
+        entries.append(entry)
+    return entries
+
+
+def reference_bundle(monkeypatch, runner, config) -> ResultBundle:
+    with monkeypatch.context() as patched:
+        patched.setattr(cli_harness, "_run_cases", reference_run_cases)
+        return runner(config)
+
+
+def faulty_walk(kind: str) -> np.ndarray:
+    """A walked state with one kind of fault, before simulate_lindblad's Hermitian part and trace division."""
+    if kind == "non_finite":
+        return np.diag([np.nan] + [0.0] * 8).astype(complex)
+    if kind == "off_trace":
+        return np.diag([1.0 + 1e-3] + [0.0] * 8).astype(complex)
+    if kind == "negative_eigenvalue":
+        return np.diag([0.5, 0.501, -1e-3] + [0.0] * 6).astype(complex)
+    walk = np.diag([0.5, 0.5] + [0.0] * 7).astype(complex)
+    walk[0, 1] = 0.2j  # non-Hermitian, but its Hermitian part is a state: simulate_lindblad takes it
+    return walk
+
+
+# simulate_lindblad's message for each faulty walk, as the per-case loop raised it; None: it takes the walk
+FAULT_MESSAGES = {
+    "non_finite": "density matrix contains non-finite entries",
+    "off_trace": "trace drifted by 0.001",
+    "non_hermitian": None,
+    "negative_eigenvalue": "negative eigenvalue -0.0010000000000000002 beyond -1e-6",
+}
+
+
+class TestStackedReadoutPass:
+    """The runners take all their cases through one stacked pass after the
+    walks; the bundles are the per-case loop's, byte for byte, and a faulty
+    case raises what simulate_lindblad raises for it, naming the case."""
+
+    @pytest.mark.parametrize("runner", [run_dj, run_bv, run_grover], ids=["dj", "bv", "grover"])
+    @pytest.mark.parametrize("setting", [
+        {"noisy": False, "shots": None}, {"noisy": False, "shots": 2000},
+        {"noisy": True, "shots": None}, {"noisy": True, "shots": 2000},
+        {"noisy": True, "shots": 20000, "mitigate": True},
+    ], ids=["ideal", "ideal_shots", "noisy", "noisy_shots", "noisy_mitigated"])
+    def test_bundles_match_the_per_case_loop(self, monkeypatch, runner, setting):
+        diagonals = (0.85, 0.6, 1.0) if setting.get("mitigate") else (0.85,)
+        for seed in (0, 5, 11):
+            for diagonal in diagonals:
+                config = ExperimentConfig.default().replace(**{"seed": seed, "readout_diagonal": diagonal,
+                                                               "mitigate": False, **setting})
+                stacked, reference = runner(config), reference_bundle(monkeypatch, runner, config)
+                assert stacked.to_json() == reference.to_json()
+                assert stacked.figure_csv == reference.figure_csv
+
+    @staticmethod
+    def fault_cases(monkeypatch, walk: np.ndarray, rows: set):
+        """Make the engine walk return `walk` for the given cases of each run, in case order."""
+        original = LindbladEngine.run
+        calls = []
+
+        def run(self, circuit, initial=None):
+            calls.append(circuit)
+            return walk.copy() if len(calls) - 1 in rows else original(self, circuit, initial)
+        monkeypatch.setattr(LindbladEngine, "run", run)
+        return calls
+
+    # dividing the nan state by its trace warns, as simulate_lindblad's division did before the stacked pass
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize("kind", FAULT_MESSAGES)
+    @pytest.mark.parametrize("row", [0, 7, 24])
+    def test_faulty_state_raises_as_simulate_lindblad(self, monkeypatch, kind, row):
+        # the per-case loop hands the faulty state to simulate_lindblad itself
+        config = exact_config().replace(noisy=True, mitigate=True, shots=2000, seed=3)
+        calls = self.fault_cases(monkeypatch, faulty_walk(kind), {row})
+        try:
+            expected = reference_bundle(monkeypatch, run_dj, config)
+        except SimulationError as exc:
+            expected = exc
+        calls.clear()
+        if FAULT_MESSAGES[kind] is None:
+            assert run_dj(config).to_json() == expected.to_json()
+            return
+        assert isinstance(expected, SimulationError) and str(expected) == FAULT_MESSAGES[kind]
+        with pytest.raises(SimulationError) as raised:
+            run_dj(config)
+        assert str(raised.value) == FAULT_MESSAGES[kind]
+        assert raised.value.row == row
+        assert raised.value.__notes__ == [f"raised for case {row} of 25"]
+
+    def test_first_failing_case_is_named(self, monkeypatch):
+        config = exact_config().replace(noisy=True)
+        self.fault_cases(monkeypatch, faulty_walk("negative_eigenvalue"), {4, 11})
+        with pytest.raises(SimulationError, match="negative eigenvalue") as raised:
+            run_bv(config)
+        assert raised.value.__notes__ == ["raised for case 4 of 9"]
+
+    def test_a_run_wide_error_names_no_case(self):
+        # every column of this confusion matrix is the same: no case is at fault
+        config = exact_config().replace(mitigate=True, shots=2000, seed=3, readout_diagonal=1.0 / 9.0)
+        with pytest.raises(IllConditionedError) as raised:
+            run_bv(config)
+        assert raised.value.row is None
+        assert not hasattr(raised.value, "__notes__")
 
 
 class TestMomentCacheBundles:

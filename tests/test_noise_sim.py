@@ -71,6 +71,8 @@ from qutritlab.algorithms import (
     grover_circuit,
 )
 
+DIM2 = DIM * DIM
+
 TABLE_T2R = {(0, "01"): 4.5, (0, "12"): 2.0, (1, "01"): 3.2, (1, "12"): 2.4}
 
 # the default model legitimately folds the second qutrit's dephasing into one
@@ -477,6 +479,25 @@ class TestProcessMatrices:
         assert np.min(np.linalg.eigvalsh(channel.choi())) == pytest.approx(-1.0, abs=1e-12)
         with pytest.raises(ChannelError, match="not completely positive"):
             chi_matrix(channel)
+
+    def test_non_hermitian_chi_rejected_after_positivity(self):
+        # i eps on the chi entry (a, c, k, l) = (0, 1, 0, 0) and not its mirror: trace
+        # preserving, and the Hermitian part is the identity channel's chi
+        chi = chi_of_unitary(np.eye(DIM)).matrix.copy()
+        chi[0, DIM] += 1e-6j
+        superop = chi.reshape(DIM, DIM, DIM, DIM).transpose(0, 2, 1, 3).reshape(DIM2, DIM2)
+        channel = QuantumChannel(superop, DIM)
+        assert channel.trace_preservation_defect() == 0.0
+        with pytest.raises(ChannelError, match="process matrix must be Hermitian"):
+            chi_matrix(channel)
+
+    def test_chi_holds_the_process_matrix_of_the_raw_chi(self):
+        config = ExperimentConfig.default()
+        for gate in LOGICAL_GATE_NAMES:
+            pair = merge_streams(2, {0: decompose_single(gate, 0)})
+            channel = circuit_channel(pair, config.noise, config.step_scale, qutrit=0)
+            raw = channel.superop.reshape(DIM, DIM, DIM, DIM).transpose(0, 2, 1, 3).reshape(DIM2, DIM2)
+            assert chi_matrix(channel).matrix.tobytes() == ProcessMatrix(raw).matrix.tobytes()
 
     def test_positivity_check_on_chi_matches_choi(self):
         # chi is the Choi matrix with its tensor factors swapped: one spectrum

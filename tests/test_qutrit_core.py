@@ -17,6 +17,7 @@ from qutritlab import (
     tensor,
 )
 from qutritlab.gates_compiler import logical_gate
+from qutritlab.qutrit_core import check_density_rows, traces
 
 
 def basis_state(label: str) -> PureState:
@@ -84,6 +85,73 @@ class TestStateValidation:
     def test_prob_dist_requires_power_of_three_length(self):
         with pytest.raises(DimensionMismatchError):
             ProbDist(np.array([0.5, 0.5]))
+
+
+def _bad_density(kind: str) -> np.ndarray:
+    rho = np.diag([0.5, 0.5] + [0.0] * 7).astype(complex)
+    if kind == "non_finite":
+        rho[3, 3] = np.nan
+    elif kind == "non_hermitian":
+        rho[0, 1] = 0.1
+    elif kind == "off_trace":
+        rho[0, 0] = 0.6
+    else:
+        rho[:3, :3] = np.diag([0.5, 0.501, -1e-3])
+    return rho
+
+
+class TestRowChecks:
+    """The stacked checks are the constructors' checks: a stack raises what the
+    constructor raises for its first failing row, and names that row."""
+
+    @pytest.mark.parametrize("kind", ["non_finite", "non_hermitian", "off_trace", "negative_eigenvalue"])
+    def test_density_rows_match_the_constructor(self, kind):
+        bad = _bad_density(kind)
+        with pytest.raises(StateValidationError) as single:
+            DensityMatrix(bad)
+        good = np.diag([0.25, 0.75] + [0.0] * 7).astype(complex)
+        later = {"non_finite": "non_hermitian", "non_hermitian": "off_trace", "off_trace": "negative_eigenvalue"}
+        for row in (0, 3):
+            stack = np.array([good] * 5)
+            stack[row] = bad
+            if kind in later:  # a later check failing on a later row does not mask it
+                stack[4] = _bad_density(later[kind])
+            with pytest.raises(StateValidationError) as rows:
+                check_density_rows(stack)
+            assert str(rows.value) == str(single.value)
+            assert rows.value.row == row
+        check_density_rows(np.array([good] * 5))
+
+    def test_each_check_runs_on_every_row_before_the_next(self):
+        stack = np.array([_bad_density("negative_eigenvalue"), _bad_density("non_finite")])
+        with pytest.raises(StateValidationError, match="non-finite") as rows:
+            check_density_rows(stack)
+        assert rows.value.row == 1
+
+    @pytest.mark.parametrize("bad", [
+        [1.2, -0.2] + [0.0] * 7, [np.nan, 1.0] + [0.0] * 7, [np.inf] + [0.0] * 8, [0.5] + [0.0] * 8,
+    ], ids=["negative", "nan", "inf", "sum"])
+    def test_prob_rows_match_the_constructor(self, bad):
+        with pytest.raises(StateValidationError) as single:
+            ProbDist(np.array(bad))
+        good = np.full(9, 1.0 / 9.0)
+        for row in (0, 2):
+            stack = np.array([good] * 4)
+            stack[row] = bad
+            with pytest.raises(StateValidationError) as rows:
+                ProbDist.rows(stack)
+            assert str(rows.value) == str(single.value)
+            assert rows.value.row == row
+
+    def test_prob_rows_hold_the_constructors_values(self):
+        stack = np.array([[0.5, 0.5] + [0.0] * 7, [1.0 + 1e-7, -1e-10] + [0.0] * 7])
+        for dist, row in zip(ProbDist.rows(stack), stack):
+            assert dist.probs.tobytes() == ProbDist(row).probs.tobytes()
+
+    def test_traces_sum_as_np_trace(self):
+        rng = np.random.default_rng(2)
+        stack = rng.normal(size=(50, 9, 9)) + 1j * rng.normal(size=(50, 9, 9))
+        assert traces(stack).tobytes() == np.array([np.trace(m) for m in stack]).tobytes()
 
 
 class TestTensor:

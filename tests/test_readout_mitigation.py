@@ -15,10 +15,12 @@ from qutritlab.readout_mitigation import (
     InfeasibleError,
     MitigationError,
     SignedCounts,
+    _check_signed_rows,
     apply_confusion,
     invert_confusion,
     load_confusion,
     mitigate_counts,
+    mitigate_rows,
     mle_correct,
     save_confusion,
     synthetic_confusion,
@@ -179,6 +181,25 @@ class TestSignedCounts:
         signed = SignedCounts(np.array([-5.0, 105.0]), 100.0)
         assert signed.q[0] == -5.0
 
+    @pytest.mark.parametrize("q, shots", [
+        ([math.nan, 100.0], 100.0), ([50.0, 50.0], math.inf), ([50.0, 50.0], 0.0), ([10.0, 20.0], 50.0),
+    ], ids=["nonfinite", "infinite_total", "zero_total", "sum"])
+    def test_row_check_matches_the_constructor(self, q, shots):
+        with pytest.raises(MitigationError) as single:
+            SignedCounts(np.array(q), shots)
+        good = [60.0, 40.0]
+        for row in (0, 2):
+            stack = np.array([good] * 4)
+            stack[row] = q
+            totals = [100.0] * 4
+            totals[row] = shots
+            with pytest.raises(MitigationError) as rows:
+                _check_signed_rows(stack, totals)
+            assert type(rows.value) is type(single.value)
+            assert str(rows.value) == str(single.value)
+            assert rows.value.row == row
+        _check_signed_rows(np.array([good] * 4), [100.0] * 4)
+
 
 class TestRepair:
     def test_interior_vector_untouched(self):
@@ -223,6 +244,12 @@ class TestRepair:
         out = mle_correct(SignedCounts(np.array([-10.0, 60.0, 50.0]), 100.0), floor=0.0)
         assert out[0] == pytest.approx(0.0, abs=1e-9)
         assert out.sum() == pytest.approx(100.0, abs=1e-9)
+
+    @pytest.mark.parametrize("floor", [-50.0, -1e-300, math.nan, -math.inf, math.inf])
+    def test_floor_must_be_finite_and_non_negative(self, floor):
+        # a negative floor used to come back as a count, and a nan or -inf one as nine nan counts
+        with pytest.raises(MitigationError, match="floor must be finite and non-negative"):
+            mle_correct(SignedCounts(np.array([-10.0, 60.0, 50.0]), 100.0), floor=floor)
 
     def test_infeasible_totals(self):
         q = np.full(9, 80.0 / 9.0)
@@ -298,6 +325,23 @@ class TestPipeline:
             observed = sample_counts(apply_confusion(ProbDist(np.eye(9)[idx]), matrix), 20000, seed=100 + idx)
             corrected = mitigate_counts(observed, matrix)
             assert int(np.argmax(corrected)) == idx
+
+
+class TestStackedMitigation:
+    def test_rows_give_the_per_vector_bytes(self):
+        matrix = synthetic_confusion(0.6)
+        rng = np.random.default_rng(3)
+        counts = rng.multinomial(20000, rng.dirichlet(np.full(9, 0.3), size=40)[0], size=40)
+        counts[5] = rng.multinomial(20000, np.eye(9)[4])
+        rows = mitigate_rows(counts, matrix)
+        assert rows.tobytes() == np.array([mitigate_counts(c, matrix) for c in counts]).tobytes()
+
+    def test_first_failing_row_raises(self):
+        counts = np.full((4, 9), 100.0)
+        counts[2, 3] = counts[3, 0] = math.nan
+        with pytest.raises(MitigationError, match="counts must be finite") as rows:
+            mitigate_rows(counts, synthetic_confusion())
+        assert rows.value.row == 2
 
 
 class TestPersistence:
