@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .qutrit_core import DIM, BasisLabel, ProbDist, QutritLabError, each_row
+from .qutrit_core import DIM, BasisLabel, ProbDist, QutritLabError
 from .gates_compiler import (
     LOGICAL_GATE_NAMES,
     circuit_unitary,
@@ -52,11 +52,11 @@ from .noise_sim import (
     circuit_channel,
     final_states,
     process_fidelity,
+    pure_states,
     sample_rows,
-    simulate_pure,
 )
 # no runner calls these; they are kept as names here for wrappers that trace them
-from .noise_sim import measure_probs, reduced_qutrit_channel, sample_counts, simulate_lindblad
+from .noise_sim import measure_probs, reduced_qutrit_channel, sample_counts, simulate_lindblad, simulate_pure
 from .algorithms import (
     BVString,
     GroverSpec,
@@ -313,13 +313,14 @@ def _run_cases(config: ExperimentConfig, cases) -> list[dict]:
     success probability, taken of the exact distribution and, when
     mitigating, of the mitigated one. Sampling uses seed + seed_offset.
 
-    Each case's circuit is walked on its own (the Lindblad engine's walk,
-    or the pure backend); then all cases pass each later stage together,
-    as one (cases, 9) stack: the final-state checks of simulate_lindblad
-    (trace drift, then every DensityMatrix check), the diagonal
-    probabilities and their ProbDist checks, the confusion, the sampling
-    checks and one multinomial draw per case, the inversion and its
-    SignedCounts checks, the repair per case and the mitigated
+    The cases' circuits are walked together, each shared moment prefix
+    once (final_states, or pure_states for the pure backend, which checks
+    each state as PureState does); then all cases pass each later stage
+    together, as one (cases, 9) stack: the final-state checks of
+    simulate_lindblad (trace drift, then every DensityMatrix check), the
+    diagonal probabilities and their ProbDist checks, the confusion, the
+    sampling checks and one multinomial draw per case, the inversion and
+    its SignedCounts checks, the repair per case and the mitigated
     distribution. Each check runs on every row, with its own threshold,
     class and message, before the next check runs; it raises for its first
     failing case, and the error carries a note naming that case.
@@ -331,7 +332,7 @@ def _run_cases(config: ExperimentConfig, cases) -> list[dict]:
             dists = ProbDist.rows(final_states(circuits, config.noise, config.step_scale)
                                   .diagonal(axis1=1, axis2=2).real)
         else:
-            dists = ProbDist.rows(np.abs(np.array(each_row(lambda c: simulate_pure(c).amplitudes, circuits))) ** 2)
+            dists = ProbDist.rows(np.abs(pure_states(circuits)) ** 2)
         entries = []
         for circ, field, score, dist in zip(circuits, fields, scores, dists):
             entry = field(dist)
@@ -472,9 +473,9 @@ def run_device_report(config: ExperimentConfig, flux_grid) -> ResultBundle:
 
 @functools.lru_cache(maxsize=len(LOGICAL_GATE_NAMES))
 def _gate_reference(gate: str) -> tuple[ProcessMatrix, float]:
-    """Ideal chi (read-only) and noiseless compiled fidelity of a gate."""
+    """Ideal chi, normalized once here for every fidelity against it, and noiseless compiled fidelity of a gate."""
     ideal_chi = chi_of_unitary(logical_gate(gate))
-    ideal_chi.matrix.flags.writeable = False
+    ideal_chi.normalized()
     compiled = single_qutrit_circuit(gate, 0, n_qutrits=1)
     noiseless_fid = process_fidelity(chi_of_unitary(circuit_unitary(compiled)), ideal_chi)
     return ideal_chi, noiseless_fid

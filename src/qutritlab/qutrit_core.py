@@ -130,14 +130,7 @@ class PureState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if not np.all(np.isfinite(amps)):
-            raise StateValidationError("amplitudes contains non-finite entries")
-        if amps.ndim != 1:
-            raise StateValidationError("amplitudes must be a vector")
-        n_qutrits_for_dim(amps.shape[0])
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-9:
-            raise StateValidationError(f"state norm {norm} is not 1 within 1e-9")
+        check_pure_rows(amps[None])
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
@@ -213,6 +206,19 @@ class ProbDist:
         # np.argmax returns the lowest index on ties:
         n = n_qutrits_for_dim(self.dim)
         return BasisLabel.from_index(int(np.argmax(self.probs)), n)
+
+
+def check_pure_rows(amps: np.ndarray) -> None:
+    """PureState's checks on each vector of a complex (n, d) stack; the first failing row raises."""
+    fail_first_row(~np.isfinite(amps).reshape(len(amps), -1).all(axis=1), StateValidationError,
+                   lambda i: "amplitudes contains non-finite entries")
+    if amps.ndim != 2:
+        raise StateValidationError("amplitudes must be a vector")
+    n_qutrits_for_dim(amps.shape[1])
+    norms = np.linalg.norm(amps, axis=1)
+    # the message prints the norm of the row alone, as np.linalg.norm of a vector sums it
+    fail_first_row(np.abs(norms - 1.0) > 1e-9, StateValidationError,
+                   lambda i: f"state norm {float(np.linalg.norm(amps[i]))} is not 1 within 1e-9")
 
 
 def check_density_rows(rhos: np.ndarray) -> None:

@@ -37,7 +37,6 @@ from qutritlab.gates_compiler import (
     moment_unitary,
 )
 from qutritlab.noise_sim import (
-    LindbladEngine,
     SimulationError,
     chi_matrix,
     circuit_channel,
@@ -675,9 +674,10 @@ class TestCountsFile:
 
 
 # cli_harness names the benchmark's tracing wraps that no runner calls: the
-# algorithm runners take all their cases through one stacked pass instead
-UNCALLED_TRACED_NAMES = {"reduced_qutrit_channel", "simulate_lindblad", "measure_probs", "apply_confusion",
-                         "sample_counts", "mitigate_counts"}
+# algorithm runners take all their cases through one stacked walk
+# (pure_states or final_states) and one stacked pass instead
+UNCALLED_TRACED_NAMES = {"reduced_qutrit_channel", "simulate_lindblad", "simulate_pure", "measure_probs",
+                         "apply_confusion", "sample_counts", "mitigate_counts"}
 
 
 class TestRunnerLookups:
@@ -687,8 +687,8 @@ class TestRunnerLookups:
 
     def test_wrappers_on_module_names_see_every_call(self, monkeypatch):
         calls = Counter()
-        for name in ("dj_circuit", "bv_circuit", "grover_circuit", "simulate_pure", "sample_rows", "mitigate_rows",
-                     "sample_counts", "mitigate_counts"):
+        for name in ("dj_circuit", "bv_circuit", "grover_circuit", "pure_states", "simulate_pure", "sample_rows",
+                     "mitigate_rows", "sample_counts", "mitigate_counts"):
             def counting(*args, _name=name, _original=getattr(cli_harness, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -696,10 +696,10 @@ class TestRunnerLookups:
         config = exact_config().replace(mitigate=True, shots=2000, seed=3)
         entries = sum(len(runner(config).entries) for runner in (run_dj, run_bv, run_grover))
         assert (calls["dj_circuit"], calls["bv_circuit"], calls["grover_circuit"]) == (25, 9, 18)
-        assert calls["simulate_pure"] == entries == 52
-        # one stacked sampling and mitigation pass per runner; no stack goes through the per-vector names
-        assert calls["sample_rows"] == calls["mitigate_rows"] == 3
-        assert calls["sample_counts"] == calls["mitigate_counts"] == 0
+        assert entries == 52
+        # one stacked walk, sampling and mitigation pass per runner; no case goes through the per-case names
+        assert calls["pure_states"] == calls["sample_rows"] == calls["mitigate_rows"] == 3
+        assert calls["simulate_pure"] == calls["sample_counts"] == calls["mitigate_counts"] == 0
 
     def test_every_traced_name_is_looked_up_at_call_time(self, monkeypatch):
         # the benchmark's tracing wraps these cli_harness names; each wrapper
@@ -824,14 +824,22 @@ class TestStackedReadoutPass:
 
     @staticmethod
     def fault_cases(monkeypatch, walk: np.ndarray, rows: set):
-        """Make the engine walk return `walk` for the given cases of each run, in case order."""
-        original = LindbladEngine.run
+        """Make the prefix walker give `walk` as the final state of the given cases of each run, in case order.
+
+        The per-case loop walks one circuit per call and the runners all
+        their cases in one; each final state counts as one case.
+        """
+        original = noise_sim._walk_prefixes
         calls = []
 
-        def run(self, circuit, initial=None):
-            calls.append(circuit)
-            return walk.copy() if len(calls) - 1 in rows else original(self, circuit, initial)
-        monkeypatch.setattr(LindbladEngine, "run", run)
+        def walk_prefixes(plan, initial):
+            states = original(plan, initial)
+            for state in states:
+                if len(calls) in rows:
+                    state[...] = walk.reshape(state.shape)
+                calls.append(state)
+            return states
+        monkeypatch.setattr(noise_sim, "_walk_prefixes", walk_prefixes)
         return calls
 
     # dividing the nan state by its trace warns, as simulate_lindblad's division did before the stacked pass
@@ -883,18 +891,21 @@ class TestMomentCacheBundles:
         if noisy:
             config = config.replace(noisy=True, mitigate=True, shots=2000, seed=11)
         # the engine asks the moment cache once per distinct moment, when it
-        # builds that moment's map, and a warm engine never asks it
+        # builds that moment's map, and the pure backend once per step of a
+        # tuple's walk, when it plans the walk; a warm run reuses the
+        # engine's maps or the pure plan and never asks it
         noise_sim._engine.cache_clear()
+        noise_sim._pure_plan.cache_clear()
         _moment_unitary.cache_clear()
         cold = runner(config).to_json()
         cold_info = _moment_unitary.cache_info()
         assert cold_info.currsize > 0
         warm = runner(config).to_json()
         warm_info = _moment_unitary.cache_info()
-        if noisy:
-            assert warm_info.hits + warm_info.misses == cold_info.hits + cold_info.misses
-        else:
-            assert warm_info.hits > 0
+        assert warm_info.hits + warm_info.misses == cold_info.hits + cold_info.misses
+        if not noisy:
+            # (hits, misses): the warm run walks the cold run's plan
+            assert noise_sim._pure_plan.cache_info()[:2] == (1, 1)
         assert cold == warm
 
 
@@ -947,12 +958,13 @@ class TestNoisyPathReuse:
         noise_sim._engine.cache_clear()
         first = simulate_lindblad(circ, noise)
         engine = noise_sim._engine(noise, 1)
-        walk = engine._walks[circ]
+        plan = engine._plans[(circ,)]
+        _, walk, _ = plan  # the parent slots, the maps and the final slots of the walk
         assert len(walk) == len(circ.moments)
         maps = len(engine._superops)
         second = simulate_lindblad(circ, noise)
-        assert list(engine._walks) == [circ]
-        assert engine._walks[circ] is walk
+        assert list(engine._plans) == [(circ,)]
+        assert engine._plans[(circ,)] is plan
         assert len(engine._superops) == maps
         assert first.matrix.tobytes() == second.matrix.tobytes()
 
@@ -1030,6 +1042,9 @@ class TestTomographyReuse:
             ideal_chi = cli_harness._gate_reference(gate)[0]
             with pytest.raises(ValueError):
                 ideal_chi.matrix[0, 0] = 0.0
+            # normalized once, when the reference was built; every fidelity reads that array
+            assert "_normalized" in vars(ideal_chi)
+            assert ideal_chi.normalized() is cli_harness._gate_reference(gate)[0].normalized()
 
     @pytest.mark.parametrize("gate", ["H", "Xsq", "Z"])
     def test_cold_and_warm_bundles_agree(self, gate):

@@ -12,6 +12,7 @@ from qutritlab.qutrit_core import (
     DIM,
     BasisLabel,
     DensityMatrix,
+    DimensionMismatchError,
     ProbDist,
     PureState,
     StateValidationError,
@@ -19,7 +20,7 @@ from qutritlab.qutrit_core import (
     partial_trace,
     tensor,
 )
-from qutritlab import noise_sim
+from qutritlab import cli_harness, noise_sim
 from qutritlab.gates_compiler import (
     LOGICAL_GATE_NAMES,
     Circuit,
@@ -425,9 +426,9 @@ class TestLindbladBackend:
             cold = circuit_channel(circ, noise).superop
             noise_sim._engine.cache_clear()
             simulate_lindblad(circ, noise)
-            walk = noise_sim._engine(noise, 1)._walks[circ]
+            plan = noise_sim._engine(noise, 1)._plans[(circ,)]
             assert circuit_channel(circ, noise).superop.tobytes() == cold.tobytes()
-            assert noise_sim._engine(noise, 1)._walks[circ] is walk
+            assert noise_sim._engine(noise, 1)._plans[(circ,)] is plan
 
 
 def matrix_unit_reduction(channel, qutrit: int) -> np.ndarray:
@@ -458,6 +459,20 @@ class TestProcessMatrices:
     def test_reduction_needs_qutrit_zero_or_one(self):
         with pytest.raises(ChannelError):
             reduced_qutrit_channel(circuit_channel(both_h(), NoiseModel.none()), 2)
+
+    def test_normalized_once_and_read_only(self):
+        noisy = chi_matrix(circuit_channel(merge_streams(2, {0: decompose_single("H", 0)}),
+                                           ExperimentConfig.default().noise, qutrit=0))
+        for chi in (chi_of_unitary(logical_gate("H")), noisy, ProcessMatrix(noisy.matrix)):
+            unit = chi.normalized()
+            assert chi.normalized() is unit
+            assert not unit.flags.writeable and not chi.matrix.flags.writeable
+            assert unit.tobytes() == (chi.matrix / np.real(np.trace(chi.matrix))).tobytes()
+        # the fidelity of the normalized matrices' full product, as before the normalization was kept
+        ideal = chi_of_unitary(logical_gate("H"))
+        expected = np.real(np.trace((noisy.matrix / np.real(np.trace(noisy.matrix)))
+                                    @ (ideal.matrix / np.real(np.trace(ideal.matrix)))))
+        assert process_fidelity(noisy, ideal) == float(expected)
 
     def test_nonfinite_process_matrix_rejected(self):
         with pytest.raises(ChannelError, match="Hermitian"):
@@ -847,13 +862,13 @@ class TestStateWalk:
         for circ in circuits:
             simulate_lindblad(circ, noise)
         engine = noise_sim._engine(noise, 1)
-        assert list(engine._walks) == circuits
+        assert list(engine._plans) == [(circ,) for circ in circuits]
         maps = list(engine._superops.values())
         assert sum(s.shape == (81, 81) for s in maps) == 21
         assert all(s.shape == (81,) for s in maps if s.ndim != 2)
         assert not any(s.flags.writeable for s in maps)
         shared = {id(s) for s in maps}
-        assert all(id(s) in shared for walk in engine._walks.values() for s in walk)
+        assert all(id(s) in shared for _, walk, _ in engine._plans.values() for s in walk)
 
     def test_calibrated_unitary_formed_only_on_a_map_miss(self, monkeypatch):
         engine = LindbladEngine(ExperimentConfig.default().noise)
@@ -875,3 +890,172 @@ class TestStateWalk:
         u = moment_unitary(moment, 2)
         assert np.array_equal(diagonal, np.diag(np.kron(u, u.conj())))
         assert engine._superop(moment, 0.0) is diagonal
+
+
+def runner_circuits() -> dict[str, tuple[Circuit, ...]]:
+    """The circuits of each algorithm runner's cases, in case order."""
+    return {
+        "dj": tuple([dj_circuit(o) for o in constant_oracles()] + [dj_circuit(o) for o, _ in balanced_oracle_table()]),
+        "bv": tuple(bv_circuit(divmod(i, DIM)) for i in range(DIM * DIM)),
+        "grover": tuple(grover_circuit(GroverSpec(BasisLabel.from_index(i, 2), k))
+                        for k in (1, 2) for i in range(DIM * DIM)),
+    }
+
+
+def per_case_pure(circuit: Circuit, initial: PureState | None = None) -> np.ndarray:
+    """simulate_pure's walk of one circuit on its own, as it was before circuits were walked together."""
+    if initial is None:
+        amps = np.zeros(DIM**circuit.n_qutrits, dtype=complex)
+        amps[0] = 1.0
+    else:
+        amps = initial.amplitudes.copy()
+    for moment in circuit.moments:
+        amps = moment_unitary(moment, circuit.n_qutrits) @ amps
+    return amps
+
+
+def per_case_lindblad(engine: LindbladEngine, circuit: Circuit, x: np.ndarray) -> np.ndarray:
+    """The engine's walk of one circuit on its own, from an 81-vector (run) or 81 columns (channel),
+    as it was before circuits were walked together."""
+    for moment, duration in zip(circuit.moments, circuit.durations):
+        s = engine._superop(moment, duration)
+        x = s @ x if s.ndim == 2 else (s * x if x.ndim == 1 else s[:, None] * x)
+    return x
+
+
+def vectorized_ground() -> np.ndarray:
+    ground = np.zeros(DIM2 * DIM2, dtype=complex)
+    ground[0] = 1.0
+    return ground
+
+
+class TestSharedPrefixWalk:
+    """Circuits walked together through their shared moment prefixes give,
+    byte for byte, the states of the per-case walks, in both backends."""
+
+    @pytest.fixture(autouse=True)
+    def quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            yield
+
+    @pytest.mark.parametrize("runner, moments, steps", [("dj", 299, 179), ("bv", 98, 58), ("grover", 648, 371)])
+    def test_one_step_per_distinct_prefix(self, runner, moments, steps):
+        circuits = runner_circuits()[runner]
+        walk, finals = noise_sim._shared_prefixes(circuits)
+        assert sum(len(c.moments) for c in circuits) == moments
+        assert len(walk) == steps
+        prefixes = {c.moments[:k] for c in circuits for k in range(1, len(c.moments) + 1)}
+        assert len(prefixes) == steps
+        # following the parents back from a circuit's final slot spells out its moments
+        for circuit, slot in zip(circuits, finals):
+            spelled = []
+            while slot:
+                parent, moment, duration = walk[slot - 1]
+                assert parent < slot
+                spelled.append((moment, duration))
+                slot = parent
+            assert spelled[::-1] == list(zip(circuit.moments, circuit.durations))
+        assert noise_sim._shared_prefixes(circuits) is noise_sim._shared_prefixes(tuple(circuits))
+
+    @pytest.mark.parametrize("runner", ["dj", "bv", "grover"])
+    def test_pure_states_match_the_per_case_walks(self, runner):
+        circuits = runner_circuits()[runner]
+        expected = np.array([per_case_pure(c) for c in circuits])
+        stacked = noise_sim.pure_states(circuits)
+        assert np.array_equal(stacked, expected) and stacked.tobytes() == expected.tobytes()
+        for circuit, amps in zip(circuits, expected):
+            assert simulate_pure(circuit).amplitudes.tobytes() == amps.tobytes()
+
+    @pytest.mark.parametrize("step_scale", [1, 2])
+    @pytest.mark.parametrize("name", NOISE_MODELS)
+    @pytest.mark.parametrize("runner", ["dj", "bv", "grover"])
+    def test_lindblad_states_match_the_per_case_walks(self, runner, name, step_scale):
+        noise = NOISE_MODELS[name]()
+        circuits = runner_circuits()[runner]
+        engine = noise_sim._engine(noise, step_scale)
+        expected = np.array([per_case_lindblad(engine, c, vectorized_ground()) for c in circuits])
+        walked = engine.walk(circuits, vectorized_ground())
+        assert np.array_equal(walked, expected) and walked.tobytes() == expected.tobytes()
+        checked = noise_sim._checked_states(expected.reshape(-1, DIM2, DIM2))
+        assert np.array_equal(noise_sim.final_states(circuits, noise, step_scale), checked)
+
+    def test_duplicates_nested_prefixes_and_the_empty_circuit(self):
+        one, two = grover_circuit(GroverSpec("12", 1)), grover_circuit(GroverSpec("12", 2))
+        assert two.moments[:len(one.moments)] == one.moments  # the one-round circuit is a strict prefix
+        other, empty = dj_circuit(DJOracle("X", "Z")), Circuit(2, ())
+        circuits = (two, other, one, empty, other, two)
+        walk, finals = noise_sim._shared_prefixes(circuits)
+        assert len(walk) == len({c.moments[:k] for c in circuits for k in range(1, len(c.moments) + 1)})
+        assert finals[3] == 0 and finals[1] == finals[4] and finals[0] == finals[5] and finals[2] < finals[0]
+        expected = np.array([per_case_pure(c) for c in circuits])
+        assert noise_sim.pure_states(circuits).tobytes() == expected.tobytes()
+        engine = noise_sim._engine(ExperimentConfig.default().noise, 1)
+        expected = np.array([per_case_lindblad(engine, c, vectorized_ground()) for c in circuits])
+        assert engine.walk(circuits, vectorized_ground()).tobytes() == expected.tobytes()
+        assert np.array_equal(expected[3], vectorized_ground())
+        # the channel is the walk of the identity
+        eye = np.eye(DIM2 * DIM2, dtype=complex)
+        for circ in (two, empty):
+            channel = circuit_channel(circ, ExperimentConfig.default().noise).superop
+            assert channel.tobytes() == per_case_lindblad(engine, circ, eye).tobytes()
+
+    def test_explicit_initial_state(self):
+        rng = np.random.default_rng(9)
+        psi = rng.normal(size=DIM2) + 1j * rng.normal(size=DIM2)
+        psi = PureState(psi / np.linalg.norm(psi))
+        circuits = runner_circuits()["dj"] + (Circuit(2, ()),)
+        expected = np.array([per_case_pure(c, psi) for c in circuits])
+        assert noise_sim.pure_states(circuits, psi).tobytes() == expected.tobytes()
+        assert np.array_equal(expected[-1], psi.amplitudes)
+        for circuit, amps in zip(circuits, expected):
+            assert simulate_pure(circuit, psi).amplitudes.tobytes() == amps.tobytes()
+        noise = ExperimentConfig.default().noise
+        engine = noise_sim._engine(noise, 1)
+        rho = psi.density().matrix.reshape(-1)
+        expected = np.array([per_case_lindblad(engine, c, rho) for c in circuits])
+        assert engine.walk(circuits, rho).tobytes() == expected.tobytes()
+        checked = noise_sim._checked_states(expected.reshape(-1, DIM2, DIM2))
+        for circuit, state in zip(circuits, checked):
+            assert simulate_lindblad(circuit, noise, psi).matrix.tobytes() == state.tobytes()
+
+    def test_every_walk_applies_every_step(self, monkeypatch):
+        # nothing is kept per final state: a second walk of the same tuple applies each step's map again
+        circuits = runner_circuits()["grover"]
+        products = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                products.append(1)
+                return np.asarray(self) @ other
+        plan = noise_sim._pure_plan(circuits)
+        counted = (plan[0], tuple(m.view(Counted) for m in plan[1]), plan[2])
+        monkeypatch.setattr(noise_sim, "_pure_plan", lambda circuits: counted)
+        first = noise_sim.pure_states(circuits)
+        second = noise_sim.pure_states(circuits)
+        assert len(products) == 2 * 371
+        assert first is not second and first.tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("row", [0, 7, 24])
+    def test_one_qutrit_case_raises_as_the_per_case_loop(self, row):
+        circuits = list(runner_circuits()["dj"])
+        circuits[row] = single_qutrit_circuit("H", 0, n_qutrits=1)
+        cases = [(c, lambda dist: {}, lambda dist: 0.0, i) for i, c in enumerate(circuits)]
+        config = ExperimentConfig.default().replace(noisy=True, shots=None, seed=None)
+        # the per-case loop's error: simulate_lindblad of the case's circuit, with its row and note
+        with pytest.raises(SimulationError) as raised:
+            cli_harness._run_cases(config, cases)
+        assert type(raised.value) is SimulationError
+        assert str(raised.value) == "the noise model is calibrated for a two-qutrit register"
+        assert raised.value.row == row
+        assert raised.value.__notes__ == [f"raised for case {row} of 25"]
+        with pytest.raises(SimulationError, match="^the noise model is calibrated for a two-qutrit register$"):
+            simulate_lindblad(circuits[row], NoiseModel.none())
+        # the pure backend stacks one register size: the first circuit off circuit 0's is named
+        with pytest.raises(DimensionMismatchError) as raised:
+            cli_harness._run_cases(config.replace(noisy=False), cases)
+        named = 1 if row == 0 else row
+        assert raised.value.row == named
+        assert raised.value.__notes__ == [f"raised for case {named} of 25"]
+        assert str(raised.value) == (f"circuit {named} acts on a {1 + (row == 0)}-qutrit register, "
+                                     f"circuit 0 on a {2 - (row == 0)}-qutrit one")

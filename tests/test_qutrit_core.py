@@ -17,7 +17,7 @@ from qutritlab import (
     tensor,
 )
 from qutritlab.gates_compiler import logical_gate
-from qutritlab.qutrit_core import check_density_rows, traces
+from qutritlab.qutrit_core import check_density_rows, check_pure_rows, n_qutrits_for_dim, traces
 
 
 def basis_state(label: str) -> PureState:
@@ -147,6 +147,54 @@ class TestRowChecks:
         stack = np.array([[0.5, 0.5] + [0.0] * 7, [1.0 + 1e-7, -1e-10] + [0.0] * 7])
         for dist, row in zip(ProbDist.rows(stack), stack):
             assert dist.probs.tobytes() == ProbDist(row).probs.tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        [np.nan] + [0.0] * 8, [1.0, np.inf] + [0.0] * 7, [1.001] + [0.0] * 8, [0.6, 0.8j + 1e-3] + [0.0] * 7,
+    ], ids=["nan", "inf", "norm", "complex_norm"])
+    def test_pure_rows_match_the_constructor(self, bad):
+        with pytest.raises(StateValidationError) as single:
+            PureState(np.array(bad, dtype=complex))
+        good = np.full(9, 1.0 / 3.0, dtype=complex)
+        for row in (0, 3):
+            stack = np.array([good] * 5)
+            stack[row] = bad
+            with pytest.raises(StateValidationError) as rows:
+                check_pure_rows(stack)
+            assert str(rows.value) == str(single.value)
+            assert rows.value.row == row
+        check_pure_rows(np.array([good] * 5))
+
+    def test_pure_checks_run_on_every_row_before_the_next(self):
+        stack = np.array([[1.5] + [0.0] * 8, [np.nan] + [0.0] * 8], dtype=complex)
+        with pytest.raises(StateValidationError, match="non-finite") as rows:
+            check_pure_rows(stack)
+        assert rows.value.row == 1
+
+    @pytest.mark.parametrize("amps", [
+        [np.nan] + [0.0] * 8, [[1.0, 0.0, 0.0]] * 3, 1.0, [1.0, 0.0, 0.0, 0.0], [], [1.0 + 2e-9] + [0.0] * 8,
+        [1.0 + 5e-10] + [0.0] * 8, [0.6, 0.8j] + [0.0] * 7, [1.0, 0.0, 0.0],
+    ], ids=["nan", "matrix", "scalar", "dim4", "empty", "norm", "norm_within", "complex", "one_qutrit"])
+    def test_pure_state_checks_as_before(self, amps):
+        # PureState's checks as its constructor ran them before they moved into check_pure_rows
+        def before(amps):
+            amps = np.asarray(amps, dtype=complex)
+            if not np.all(np.isfinite(amps)):
+                raise StateValidationError("amplitudes contains non-finite entries")
+            if amps.ndim != 1:
+                raise StateValidationError("amplitudes must be a vector")
+            n_qutrits_for_dim(amps.shape[0])
+            norm = float(np.linalg.norm(amps))
+            if abs(norm - 1.0) > 1e-9:
+                raise StateValidationError(f"state norm {norm} is not 1 within 1e-9")
+            return amps
+
+        outcomes = []
+        for check in (before, lambda a: PureState(a).amplitudes):
+            try:
+                outcomes.append(check(amps).tobytes())
+            except (StateValidationError, DimensionMismatchError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
     def test_traces_sum_as_np_trace(self):
         rng = np.random.default_rng(2)
