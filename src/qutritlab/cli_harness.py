@@ -16,6 +16,7 @@ JSON document each.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -149,13 +150,8 @@ def _resolve(value, default, path: str = ""):
     return number
 
 
-def _fields(profile: dict) -> dict:
-    """The ExperimentConfig fields of a resolved profile; to_mapping inverts it."""
-    coh = profile["coherence"]
-    return {**{key: profile[key] for key in ("shots", "seed", "noisy", "mitigate", "step_scale", "out_dir")},
-            "noise": NoiseModel(q1=QutritCoherence(**coh["q1"]), q2=QutritCoherence(**coh["q2"]),
-                                **profile["coupling_khz"]),
-            "device": DeviceParams(**profile["device"]), "readout_diagonal": profile["readout"]["diagonal"]}
+# the ExperimentConfig fields that are top-level profile keys of the same name
+_TOP_FIELDS = ("shots", "seed", "noisy", "mitigate", "step_scale", "out_dir")
 
 
 @dataclass(frozen=True)
@@ -173,22 +169,31 @@ class ExperimentConfig:
     out_dir: str | None
 
     def __post_init__(self):
+        # the constructor and dataclasses.replace: the fields as a profile, resolved once
         for name, kind in (("noise", NoiseModel), ("device", DeviceParams)):
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} cannot be {getattr(self, name)!r}")
-        # every construction route ends here: each leaf is checked, stored and hashed as loaded
-        profile = _resolve({**self.to_mapping(), "out_dir": self.out_dir}, _defaults())
-        for name, value in _fields(profile).items():
-            object.__setattr__(self, name, value)
-        del profile["out_dir"]  # left out of the hash, as of to_mapping
-        object.__setattr__(self, "_profile", profile)
+        coupling = dataclasses.asdict(self.noise)
+        self._load(_resolve({**{key: getattr(self, key) for key in _TOP_FIELDS},
+                             "readout": {"diagonal": self.readout_diagonal},
+                             "coherence": {"q1": coupling.pop("q1"), "q2": coupling.pop("q2")},
+                             "coupling_khz": coupling, "device": dataclasses.asdict(self.device)}, _defaults()))
+
+    def _load(self, profile: dict) -> None:
+        """The one place a resolved profile becomes a config: every field as
+        loaded, the profile kept for the hash, then the cross-field checks."""
+        coh = profile["coherence"]
+        vars(self).update({key: profile[key] for key in _TOP_FIELDS}, readout_diagonal=profile["readout"]["diagonal"],
+                          noise=NoiseModel(q1=QutritCoherence(**coh["q1"]), q2=QutritCoherence(**coh["q2"]),
+                                           **profile["coupling_khz"]),
+                          device=DeviceParams(**profile["device"]), _profile=profile)
+        del profile["out_dir"]  # left out of the hash and of to_mapping
         if self.shots is not None and self.shots < 1:
             raise ConfigError(f"shots must be positive, got {self.shots}")
         if self.shots is not None and self.shots > _MAX_SHOTS:
             raise ConfigError(f"shots must be at most 2**63 - 1, got {self.shots}")
-        if self.mitigate:
-            if self.shots is None or self.shots < (DIM * DIM) ** 2:
-                raise ConfigError("mitigation needs shots >= 81 so the count floor stays feasible")
+        if self.mitigate and (self.shots is None or self.shots < (DIM * DIM) ** 2):
+            raise ConfigError("mitigation needs shots >= 81 so the count floor stays feasible")
         if self.shots is not None and self.seed is None:
             raise ConfigError("sampled runs need an explicit seed")
         if self.seed is not None and self.seed < 0:
@@ -200,7 +205,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict | None) -> "ExperimentConfig":
-        return cls(**_fields(_resolve(mapping or {}, _defaults())))
+        """mapping laid over the packaged profile; only None means no overrides."""
+        if mapping is not None and not isinstance(mapping, dict):
+            raise ConfigError("configuration root must be a mapping")
+        config = cls.__new__(cls)
+        config._load(_resolve({} if mapping is None else mapping, _defaults()))
+        return config
 
     @classmethod
     def default(cls) -> "ExperimentConfig":
@@ -216,31 +226,18 @@ class ExperimentConfig:
             data = yaml.load(text, _YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"malformed configuration file: {exc}") from exc
-        if data is not None and not isinstance(data, dict):
-            raise ConfigError("configuration root must be a mapping")
         return cls.from_mapping(data)
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
 
     def to_mapping(self) -> dict:
-        """Experiment identity: everything that shapes results.
+        """Experiment identity: a copy of the resolved profile, everything that shapes results.
 
         The output directory is deliberately left out so the same run
         written to two places hashes identically.
         """
-        noise = dataclasses.asdict(self.noise)
-        return {
-            "shots": self.shots,
-            "seed": self.seed,
-            "noisy": self.noisy,
-            "mitigate": self.mitigate,
-            "step_scale": self.step_scale,
-            "readout": {"diagonal": self.readout_diagonal},
-            "coherence": {"q1": noise.pop("q1"), "q2": noise.pop("q2")},
-            "coupling_khz": noise,
-            "device": dataclasses.asdict(self.device),
-        }
+        return copy.deepcopy(self._profile)  # its untouched subtrees are the packaged defaults' own
 
     def config_hash(self) -> str:
         return self._config_hash

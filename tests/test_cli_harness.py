@@ -285,23 +285,76 @@ class TestConfig:
         assert a.config_hash() == b.config_hash() == base.config_hash()
         assert "out_dir" not in a.to_mapping()
 
-    def test_config_hash_memoized_per_instance(self, monkeypatch):
+    def test_config_hash_memoized_per_instance(self, monkeypatch, tmp_path):
+        # each construction resolves its input once, top level only (the
+        # recursion passes a key path); a hash or a mapping resolves nothing
         calls = Counter()
-        original = ExperimentConfig.to_mapping
+        resolve, load = cli_harness._resolve, ExperimentConfig._load
 
-        def counting(self):
-            calls["to_mapping"] += 1
-            return original(self)
-        monkeypatch.setattr(ExperimentConfig, "to_mapping", counting)
+        def counting_resolve(value, default, path=""):
+            calls["resolve"] += not path
+            return resolve(value, default, path)
+
+        def counting_load(self, profile):
+            calls["load"] += 1
+            return load(self, profile)
+        monkeypatch.setattr(cli_harness, "_resolve", counting_resolve)
+        monkeypatch.setattr(ExperimentConfig, "_load", counting_load)
+        profile = tmp_path / "run.yaml"
+        profile.write_text("shots: 300\nseed: 9\n")
         config = ExperimentConfig.default()
+        fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+        routes = {
+            "from_mapping": lambda: ExperimentConfig.from_mapping({"shots": 500}),
+            "from_yaml": lambda: ExperimentConfig.from_yaml(profile),
+            "default": ExperimentConfig.default,
+            "replace": lambda: config.replace(seed=12),
+            "dataclasses.replace": lambda: dataclasses.replace(config, noisy=True),
+            "constructor": lambda: ExperimentConfig(**fields),
+            # two constructions: the --config profile, then the flags laid over it
+            "flags": lambda: cli_harness._config_from_args(build_parser().parse_args(
+                ["sim", "dj", "--shots", "500", "--seed", "1", "--config", str(profile)])),
+        }
+        for route, build in routes.items():
+            calls.clear()
+            build()
+            assert calls == {"resolve": 1 + (route == "flags"), "load": 1 + (route == "flags")}, route
+        calls.clear()
         first = config.config_hash()
         assert config.config_hash() == first == "046f2ad7d64a62a1"
-        assert calls["to_mapping"] == 1
+        config.to_mapping()
+        assert not calls
         # replace() builds a new instance, which carries no memo over
         for changed, same in ((config.replace(), True), (config.replace(seed=12), False)):
             assert "_config_hash" not in vars(changed)
             assert (changed.config_hash() == first) is same
-        assert calls["to_mapping"] == 3
+
+    @pytest.mark.parametrize("root", [[], 0, "", (), [1]], ids=["empty-list", "zero", "empty-text", "empty-tuple",
+                                                                "list"])
+    def test_only_none_means_no_overrides(self, tmp_path, root):
+        with pytest.raises(ConfigError, match="^configuration root must be a mapping$"):
+            ExperimentConfig.from_mapping(root)
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(list(root) if isinstance(root, tuple) else root))
+        with pytest.raises(ConfigError, match="^configuration root must be a mapping$"):
+            ExperimentConfig.from_yaml(path)
+
+    def test_to_mapping_hands_out_a_copy(self):
+        defaults = copy.deepcopy(cli_harness._defaults())
+        config = ExperimentConfig.from_mapping({"shots": 500})
+        first, fields = config.config_hash(), {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+        mapping = config.to_mapping()
+        mapping["device"]["flux"] = 0.3
+        mapping["coherence"]["q1"]["t1_01"] = 1.0
+        mapping["shots"] = 7
+        assert cli_harness._defaults() == defaults
+        del vars(config)["_config_hash"]  # hashed again from the stored profile
+        assert config.config_hash() == first
+        assert {f.name: getattr(config, f.name) for f in dataclasses.fields(config)} == fields
+        assert config.to_mapping() == {**mapping, "shots": 500, "device": defaults["device"],
+                                       "coherence": defaults["coherence"]}
+        assert ExperimentConfig.default().to_mapping()["device"]["flux"] == 0.185
+        assert ExperimentConfig.default().config_hash() == "046f2ad7d64a62a1"
 
     def test_signed_zero_coupling_keeps_its_own_hash(self):
         # equal configs (and equal Python hashes) that write different
