@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import json.encoder
 import math
 import numbers
 import os
@@ -278,11 +279,74 @@ class ResultBundle:
             "entries": list(self.entries),
             "summary": self.summary,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json_text(doc)
 
     def save(self, out_dir) -> tuple[Path, Path]:
         return tuple(_write_files(out_dir, {f"{self.experiment}_result.json": self.to_json(),
                                             f"{self.experiment}_figure.csv": self.figure_csv}))
+
+
+# the types json writes without a default hook, exact: a subclass such as np.float64 takes the stdlib route
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+_STR = frozenset({str})
+
+
+class _NotFlat(Exception):
+    """A value _indented leaves to the stdlib encoder."""
+
+
+@functools.cache
+def _flat_encoder(level: int):
+    """The C encoder writing one container of scalars at nesting `level`, one item per line, keys sorted.
+
+    It ignores indent, so the newline and indent go into its item
+    separator; _indented adds the ones after the opening bracket and
+    before the closing one.
+    """
+    return json.encoder.c_make_encoder(None, None, json.encoder.encode_basestring_ascii, None,
+                                       ": ", ",\n" + "  " * (level + 1), True, False, True)
+
+
+def _indented(o, level: int) -> str:
+    """json.dumps(o, sort_keys=True, indent=2) of a value at nesting `level`; _NotFlat for anything else."""
+    kind = type(o)
+    if kind in _JSON_SCALARS:
+        return _flat_encoder(level)(o, level)[0]
+    if kind is dict:
+        if not _STR.issuperset(map(type, o)):
+            raise _NotFlat
+        values = o.values()
+    elif kind is list or kind is tuple:
+        values = o
+    else:
+        raise _NotFlat
+    if not o:
+        return "{}" if kind is dict else "[]"
+    pad = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    if _JSON_SCALARS.issuperset(map(type, values)):
+        text = "".join(_flat_encoder(level)(o, level))
+        return text[0] + pad + text[1:-1] + close + text[-1]
+    if kind is dict:
+        items = [json.encoder.encode_basestring_ascii(key) + ": " + _indented(value, level + 1)
+                 for key, value in sorted(o.items())]
+        return "{" + pad + ("," + pad).join(items) + close + "}"
+    return "[" + pad + ("," + pad).join([_indented(v, level + 1) for v in o]) + close + "]"
+
+
+def _json_text(doc) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2) plus a newline, byte for byte.
+
+    indent forces the stdlib's pure-Python encoder; here every container
+    of scalars goes through one call of the C encoder instead. A document
+    holding anything else (a non-str key, a numpy scalar) is written by
+    the stdlib call itself, which also raises its errors; so is one nested
+    too deep, which covers a container that holds itself.
+    """
+    try:
+        return _indented(doc, 0) + "\n"
+    except (_NotFlat, RecursionError):
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _write_files(out_dir, texts: dict) -> list[Path]:
@@ -300,7 +364,8 @@ def _write_files(out_dir, texts: dict) -> list[Path]:
 
 
 def _by_label(values: np.ndarray) -> dict:
-    return {label: float(values[i]) for i, label in enumerate(_PAIR_LABELS)}
+    # as floats: counts come as whole numbers and would otherwise be written as ints
+    return dict(zip(_PAIR_LABELS, np.asarray(values, dtype=float).tolist(), strict=True))
 
 
 def _run_cases(config: ExperimentConfig, cases) -> list[dict]:
@@ -589,13 +654,13 @@ def _run_experiment(args) -> None:
         sys.stdout.write(bundle.to_json())
         return
     json_path, csv_path = bundle.save(config.out_dir)
-    print(json.dumps({
+    sys.stdout.write(_json_text({
         "experiment": bundle.experiment,
         "config_hash": bundle.config_hash,
         "summary": bundle.summary,
         "result_json": str(json_path),
         "figure_csv": str(csv_path),
-    }, sort_keys=True, indent=2))
+    }))
 
 
 def _sim(config: ExperimentConfig, args) -> ResultBundle:
@@ -612,7 +677,7 @@ def _sweep(config: ExperimentConfig, args) -> ResultBundle:
 
 def _emit_document(doc: dict, out_dir, name: str) -> None:
     """The document on stdout, or written to out_dir/name with its path on stdout."""
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = _json_text(doc)
     if out_dir is None:
         sys.stdout.write(text)
         return

@@ -7,6 +7,7 @@ the label "21" sits at index 7.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,13 @@ class BasisLabel:
         return "".join(str(d) for d in self.digits)
 
 
+@functools.lru_cache(maxsize=64)
+def _parsed_label(text: str) -> tuple[int, int]:
+    """(qutrit count, index) of a label's text, parsed once; a bad text raises as BasisLabel.parse does."""
+    label = BasisLabel.parse(text)
+    return label.n_qutrits, label.index
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector over one or more qutrits."""
@@ -198,9 +206,10 @@ class ProbDist:
         return self.probs.shape[0]
 
     def prob_of(self, label: BasisLabel | str) -> float:
-        if isinstance(label, str):
-            label = BasisLabel.parse(label)
-        return float(self.probs[label.index])
+        n, index = _parsed_label(label) if isinstance(label, str) else (label.n_qutrits, label.index)
+        if DIM**n != self.dim:
+            raise DimensionMismatchError(f"label {label} names {n} qutrits, the distribution has dimension {self.dim}")
+        return float(self.probs[index])
 
     def argmax_label(self) -> BasisLabel:
         # np.argmax returns the lowest index on ties:

@@ -9,6 +9,7 @@ scale sqrt(N) and the total held at N.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +38,9 @@ class ConfusionMatrix:
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
+        # a copy of its own, read-only: a checked matrix and its condition number cannot go stale
+        m = np.array(self.m, dtype=float)
+        m.flags.writeable = False
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise MitigationError("confusion matrix must be square")
         if not np.all(np.isfinite(m)):
@@ -59,9 +62,13 @@ class ConfusionMatrix:
         return self._condition
 
 
+@functools.lru_cache(maxsize=8)
 def synthetic_confusion(diagonal: float = 0.85) -> ConfusionMatrix:
     """Uniform-leakage model on the 9 two-qutrit outcomes: `diagonal` on the
-    diagonal, the rest spread evenly over the other outcomes of each column."""
+    diagonal, the rest spread evenly over the other outcomes of each column.
+
+    Built once per diagonal; every caller shares the read-only matrix.
+    """
     if not 0.0 < diagonal <= 1.0:
         raise MitigationError("diagonal must be in (0, 1]")
     dim = DIM * DIM
@@ -157,20 +164,23 @@ def _repair(q: np.ndarray, n: float, floor: float | None = None) -> np.ndarray:
     d = q.shape[0]
     if d * f > n + 1e-9:
         raise InfeasibleError(f"{d} entries at floor {f:.6g} exceed the total {n}")
-    weights = np.where(np.abs(q) < root_n, root_n, np.abs(q))
-    w2 = weights**2
+    abs_q = np.abs(q)
+    w2 = np.where(abs_q < root_n, root_n, abs_q) ** 2
 
     free = np.ones(d, dtype=bool)
+    fixed = 0  # entries pinned to the floor, the count of ~free
     for _ in range(d + 1):
         # stationarity: p_i = q_i + lam * w_i^2 / 2 on the free set,
         # with lam chosen so the total lands on N:
-        lam = 2.0 * (n - f * np.sum(~free) - q[free].sum()) / w2[free].sum()
+        lam = 2.0 * (n - f * fixed - q[free].sum()) / w2[free].sum()
         p = np.where(free, q + 0.5 * lam * w2, f)
         violating = free & (p < f - 1e-12)
-        if not violating.any():
+        newly = np.count_nonzero(violating)
+        if not newly:
             break
         free &= ~violating
-        if not free.any():
+        fixed += newly
+        if fixed == d:
             p = np.full(d, f)
             break
     p = np.where(p < f, f, p)
@@ -178,8 +188,9 @@ def _repair(q: np.ndarray, n: float, floor: float | None = None) -> np.ndarray:
     slack = n - p.sum()
     if abs(slack) > 1e-9:
         interior = p > f + 1e-12
-        if interior.any():
-            p[interior] += slack / interior.sum()
+        count = np.count_nonzero(interior)
+        if count:
+            p[interior] += slack / count
     return p
 
 

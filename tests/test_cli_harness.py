@@ -473,6 +473,113 @@ class TestResultBundle:
         assert csv_path.read_text() == "col\n1\n"
 
 
+def stdlib_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# every kind of value json writes, with the floats and strings whose text is easiest to get wrong
+JSON_SCALARS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1, 1.0, 2**70, -(2**64), 0, -1,
+                True, False, None, "", "plain", "é√ü€😀", "\x00\x1f\x7f\"\\/\n\t", np.float64(0.1), np.float64(-0.0))
+
+
+def random_document(rng: random.Random, depth: int = 0):
+    """A nested document of dicts, lists and tuples, flat and mixed, empty or not, over JSON_SCALARS."""
+    if depth == 4 or rng.random() < 0.3:
+        return rng.choice(JSON_SCALARS + (rng.random(), rng.randint(-10**6, 10**6)))
+    size = rng.choice((0, 1, 2, 5))
+    kind = rng.choice(("dict", "list", "tuple"))
+    if kind == "dict":
+        return {rng.choice(("k", "é", "\n", "")) + str(rng.randint(0, 99)): random_document(rng, depth + 1)
+                for _ in range(size)}
+    items = [random_document(rng, depth + 1) for _ in range(size)]
+    return items if kind == "list" else tuple(items)
+
+
+def every_json_output():
+    """(id, text) of every JSON document the runners and subcommands write, from in-process calls."""
+    ideal, noisy = ExperimentConfig.default(), ExperimentConfig.default().replace(
+        noisy=True, mitigate=True, shots=20000, seed=5)
+    outputs = [(f"{runner.__name__}_{name}", runner(config).to_json())
+               for runner in (run_dj, run_bv, run_grover) for name, config in (("ideal", ideal), ("noisy", noisy))]
+    outputs += [("tomo", run_process_tomo(noisy, "H", 2).to_json()),
+                ("device", run_device_report(ideal, [0.0, 0.185]).to_json()),
+                ("compile", cli_harness._json_text(compile_report(1.0, "21"))),
+                ("empty_bundle", ResultBundle("t", "h", (), {}, "a\n").to_json())]
+    corrected = mitigate_counts(np.arange(1.0, 10.0) * 100.0, synthetic_confusion())
+    outputs.append(("mitigate", cli_harness._json_text({"total": float(corrected.sum()),
+                                                        "corrected": cli_harness._by_label(corrected)})))
+    return outputs
+
+
+class TestJsonWriter:
+    """Bundles and reports are json.dumps(doc, sort_keys=True, indent=2) text,
+    byte for byte, written with the C encoder per flat container."""
+
+    def test_random_documents_match_the_stdlib(self):
+        for seed in range(300):
+            doc = random_document(random.Random(seed))
+            assert cli_harness._json_text(doc) == stdlib_text(doc), seed
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}], 1.5, "x", None, {"": ""},
+        {"b": 1, "a": [1, 2.5, "x", None, True]}, {"z": {"y": {"x": [0.1, {"w": -0.0}]}}},
+    ], ids=repr)
+    def test_edge_documents_match_the_stdlib(self, doc):
+        assert cli_harness._json_text(doc) == stdlib_text(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {1: "a"}, {"b": [1], 2.5: None, True: 1, None: 0}, {"a": [np.float64(0.5), {"b": np.float64(1.0)}]},
+        [{"k": 1}, np.float64(2.0)],
+    ], ids=["int_key", "mixed_keys", "nested_numpy", "numpy_in_mixed_list"])
+    def test_what_the_fast_path_leaves_is_written_by_the_stdlib(self, doc):
+        try:
+            want = stdlib_text(doc)
+        except TypeError as exc:  # sort_keys over keys of several types
+            with pytest.raises(TypeError, match=re.escape(str(exc))):
+                cli_harness._json_text(doc)
+        else:
+            assert cli_harness._json_text(doc) == want
+
+    def test_errors_are_the_stdlib_errors(self):
+        circular = {"a": [1]}
+        circular["a"].append(circular)
+        for doc, error in (({"a": {"b": object()}}, TypeError), ({"a": [np.int64(1), {}]}, TypeError),
+                           (circular, ValueError)):
+            with pytest.raises(error) as stdlib:
+                stdlib_text(doc)
+            with pytest.raises(error) as ours:
+                cli_harness._json_text(doc)
+            assert str(ours.value) == str(stdlib.value)
+
+    def test_every_output_matches_the_stdlib_on_the_fast_path(self, monkeypatch):
+        dumps = json.dumps
+
+        def no_fallback(*args, **kwargs):
+            assert "indent" not in kwargs, "the writer handed a document to the stdlib encoder"
+            return dumps(*args, **kwargs)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(json, "dumps", no_fallback)
+            outputs = every_json_output()
+        for name, text in outputs:
+            assert text == stdlib_text(json.loads(text)), name
+
+    def test_command_line_documents_match_the_stdlib(self, tmp_path, capsys):
+        save_confusion(synthetic_confusion(), tmp_path / "matrix.txt")
+        (tmp_path / "counts.txt").write_text("".join(f"{lbl} {100 * (i + 1)}\n"
+                                                     for i, lbl in enumerate(cli_harness._PAIR_LABELS)))
+        commands = [["sim", "bv", "--noisy", "--mitigate", "--shots", "2000", "--seed", "3"],
+                    ["sim", "dj", "--out", str(tmp_path / "sim")],
+                    ["compile", "cphase", "--theta", "1.0", "--target", "21"],
+                    ["mitigate", "--counts", str(tmp_path / "counts.txt"), "--matrix", str(tmp_path / "matrix.txt")]]
+        for argv in commands:
+            assert main(argv) == 0
+            printed = capsys.readouterr().out
+            assert printed == stdlib_text(json.loads(printed)), argv
+        written = (tmp_path / "sim" / "dj_result.json").read_text()
+        assert written == stdlib_text(json.loads(written))
+
+
 class TestRunners:
     def test_dj_exact(self):
         bundle = run_dj(exact_config())

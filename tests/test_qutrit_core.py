@@ -86,6 +86,27 @@ class TestStateValidation:
         with pytest.raises(DimensionMismatchError):
             ProbDist(np.array([0.5, 0.5]))
 
+    def test_prob_of_reads_every_label(self):
+        probs = np.arange(1.0, 10.0) / 45.0
+        dist = ProbDist(probs)
+        for idx in range(9):
+            label = BasisLabel.from_index(idx, 2)
+            assert dist.prob_of(label) == dist.prob_of(str(label)) == probs[idx]
+        assert ProbDist(np.array([0.2, 0.3, 0.5])).prob_of("2") == 0.5
+
+    @pytest.mark.parametrize("n_qutrits, label", [
+        (2, "2"), (2, BasisLabel((1,))), (2, "222"), (2, BasisLabel((0, 1, 2))), (1, "00"), (1, BasisLabel((2, 2))),
+    ], ids=["2q_short_text", "2q_short_label", "2q_long_text", "2q_long_label", "1q_long_text", "1q_long_label"])
+    def test_prob_of_rejects_a_label_of_another_register(self, n_qutrits, label):
+        # "2" used to read P(|02>) and "222" to raise a bare numpy IndexError
+        dist = ProbDist(np.full(DIM**n_qutrits, 1.0 / DIM**n_qutrits))
+        with pytest.raises(DimensionMismatchError, match=f"label {label} names {len(str(label))} qutrits"):
+            dist.prob_of(label)
+
+    def test_prob_of_rejects_a_malformed_text(self):
+        with pytest.raises(StateValidationError, match="cannot parse basis label"):
+            ProbDist(np.full(9, 1.0 / 9.0)).prob_of("13")
+
 
 def _bad_density(kind: str) -> np.ndarray:
     rho = np.diag([0.5, 0.5] + [0.0] * 7).astype(complex)

@@ -67,6 +67,23 @@ class TestConfusionMatrix:
         with pytest.raises(MitigationError):
             ConfusionMatrix(m)
 
+    def test_holds_a_read_only_copy_of_its_input(self):
+        source = np.full((9, 9), 0.15 / 8.0)
+        np.fill_diagonal(source, 0.85)
+        before = source.copy()
+        matrix = ConfusionMatrix(source)
+        cond = matrix.condition_number()
+        source[:] = np.eye(9)  # the caller's array, changed after the checks
+        assert np.array_equal(matrix.m, before)
+        assert matrix.condition_number() == cond == float(np.linalg.cond(matrix.m))
+        assert not matrix.m.flags.writeable
+        with pytest.raises(ValueError):
+            matrix.m[0, 0] = 1.0
+
+    def test_synthetic_matrix_built_once_per_diagonal(self):
+        assert synthetic_confusion(0.9) is synthetic_confusion(0.9) is not synthetic_confusion(0.8)
+        assert not synthetic_confusion(0.9).m.flags.writeable
+
     def test_condition_number_of_uniform_leak(self):
         # eigenvalues of dI + off(J - I): 1 once, (d - off*dim) elsewhere
         diag, off = uniform_leak_values()
@@ -120,6 +137,7 @@ class TestInversion:
             invert_confusion(np.full(9, 100.0), flat)
 
     def test_condition_number_computed_once_per_matrix(self, monkeypatch):
+        synthetic_confusion.cache_clear()  # matrices built by earlier tests would count no SVD here
         calls = []
         cond = np.linalg.cond
         monkeypatch.setattr(np.linalg, "cond", lambda m, *a: calls.append(1) or cond(m, *a))
@@ -305,6 +323,70 @@ class TestRepair:
             out = mle_correct(SignedCounts(q, n))
             again = mle_correct(SignedCounts(out, n))
             assert np.allclose(again, out, atol=1e-6)
+
+
+def reference_repair(q, n, floor, taken: set) -> np.ndarray:
+    """The repair as it was written before it counted the floored entries
+    itself; `taken` collects the branches it went through."""
+    root_n = math.sqrt(n)
+    f = root_n if floor is None else float(floor)
+    d = q.shape[0]
+    weights = np.where(np.abs(q) < root_n, root_n, np.abs(q))
+    w2 = weights**2
+    free = np.ones(d, dtype=bool)
+    for _ in range(d + 1):
+        lam = 2.0 * (n - f * np.sum(~free) - q[free].sum()) / w2[free].sum()
+        p = np.where(free, q + 0.5 * lam * w2, f)
+        violating = free & (p < f - 1e-12)
+        if not violating.any():
+            break
+        taken.add("floored")
+        free &= ~violating
+        if not free.any():
+            taken.add("all floored")
+            p = np.full(d, f)
+            break
+    p = np.where(p < f, f, p)
+    slack = n - p.sum()
+    if abs(slack) > 1e-9:
+        interior = p > f + 1e-12
+        if interior.any():
+            taken.add("slack")
+            p[interior] += slack / interior.sum()
+    return p
+
+
+def repair_cases():
+    """(q, n, floor): every branch of the repair, on 3 and 9 entries."""
+    interior = np.array([3000.0, 2000.0, 2500.0, 1500.0, 2200.0, 1800.0, 2600.0, 2400.0, 2000.0])
+    three = np.array([-10.0, 60.0, 50.0])
+    cases = [(interior, interior.sum(), None), (three, 100.0, None), (three, 100.0, 0.0), (three, 100.0, 5.0),
+             (three, 100.0, 100.0 / 3.0 + 1e-10), (np.full(9, 9.0), 81.0, None)]
+    rng = np.random.default_rng(53)
+    for d in (3, 9):
+        for n in (1e4, 2e4, 1e9):
+            for _ in range(100):
+                raw = rng.normal(loc=n / d, scale=n / 5.0, size=d)
+                q = raw + (n - raw.sum()) / d
+                cases.append((q, float(q.sum()), None))
+    return cases
+
+
+class TestLeanRepair:
+    def test_bytes_of_the_reference_loop(self):
+        taken = set()
+        for q, n, floor in repair_cases():
+            want = reference_repair(q, n, floor, taken)
+            assert mle_correct(SignedCounts(q, n), floor=floor).tobytes() == want.tobytes(), (q, n, floor)
+        assert taken == {"floored", "all floored", "slack"}
+
+    def test_stacked_rows_of_the_reference_loop(self):
+        # the benchmark's rows: sampled 20000-shot counts of every Grover target, inverted
+        matrix = synthetic_confusion()
+        counts = np.array([sample_counts(apply_confusion(measure_probs(simulate_pure(grover_circuit(
+            GroverSpec(BasisLabel.from_index(t, 2), k)))), matrix), 20000, 5 + t) for k in (1, 2) for t in range(9)])
+        want = [reference_repair(invert_confusion(row, matrix).q, 20000.0, None, set()) for row in counts]
+        assert mitigate_rows(counts, matrix).tobytes() == np.array(want).tobytes()
 
 
 class TestPipeline:
