@@ -151,6 +151,18 @@ def _resolve(value, default, path: str = ""):
     return number
 
 
+def _read_profile(path):
+    """The YAML document of a profile file, unresolved; ConfigError if it cannot be read or parsed."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read configuration file: {exc}") from exc
+    try:
+        return yaml.load(text, _YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"malformed configuration file: {exc}") from exc
+
+
 # the ExperimentConfig fields that are top-level profile keys of the same name
 _TOP_FIELDS = ("shots", "seed", "noisy", "mitigate", "step_scale", "out_dir")
 
@@ -219,15 +231,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read configuration file: {exc}") from exc
-        try:
-            data = yaml.load(text, _YAML_LOADER)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"malformed configuration file: {exc}") from exc
-        return cls.from_mapping(data)
+        return cls.from_mapping(_read_profile(path))
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
@@ -262,14 +266,15 @@ class ResultBundle:
     figure_csv: str
 
     def __post_init__(self):
+        # "not ... <=" and "not 0 < ... < inf": a nan sum or duration fails too, as JSON has no nan
         for entry in self.entries:
             for key in ("distribution", "mitigated_distribution"):
                 dist = entry.get(key)
-                if dist is not None and abs(sum(dist.values()) - 1.0) > 1e-6:
+                if dist is not None and not abs(sum(dist.values()) - 1.0) <= 1e-6:
                     raise QutritLabError(f"unnormalized {key} in entry {entry.get('name')}")
             dur = entry.get("duration_ns")
-            if dur is not None and dur <= 0.0:
-                raise QutritLabError(f"non-positive circuit duration in {entry.get('name')}")
+            if dur is not None and not 0.0 < dur < math.inf:
+                raise QutritLabError(f"circuit duration in {entry.get('name')} must be positive and finite")
 
     def to_json(self) -> str:
         doc = {
@@ -632,18 +637,24 @@ def _load_counts_file(path) -> np.ndarray:
     return np.array([counts[lbl] for lbl in _PAIR_LABELS])
 
 
-# command-line flag -> the ExperimentConfig field it overrides; a flag not given parses as None
+# command-line flag -> the top-level profile key it overrides; a flag not given parses as None
 _FLAG_FIELDS = {"noisy": "noisy", "mitigate": "mitigate", "shots": "shots", "seed": "seed", "out": "out_dir"}
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """The --config profile, or the packaged one, with every flag given laid over it."""
+    """The flags given laid over the --config file's mapping (or none), resolved once.
+
+    A file value that a flag overrides is never resolved, so it is not
+    checked on its own.
+    """
     # "is not None": an empty --config path is an unreadable file, not "use the packaged profile"
-    config = ExperimentConfig.from_yaml(args.config) if args.config is not None else ExperimentConfig.default()
+    mapping = _read_profile(args.config) if args.config is not None else None
     given = vars(args)
     # "is not None", not truthiness: --seed 0 overrides the profile's seed
-    changes = {field: given[flag] for flag, field in _FLAG_FIELDS.items() if given.get(flag) is not None}
-    return config.replace(**changes) if changes else config
+    changes = {key: given[flag] for flag, key in _FLAG_FIELDS.items() if given.get(flag) is not None}
+    if changes and (mapping is None or isinstance(mapping, dict)):  # from_mapping rejects any other root
+        mapping = {**(mapping or {}), **changes}
+    return ExperimentConfig.from_mapping(mapping)
 
 
 def _run_experiment(args) -> None:

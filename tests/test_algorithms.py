@@ -161,14 +161,6 @@ class TestBernsteinVazirani:
                 assert dist.prob_of(f"{s1}{s2}") == pytest.approx(1.0, abs=1e-12)
                 assert bv_decode(dist) == (s1, s2)
 
-    def test_recovery_is_a_bijection(self):
-        decoded = set()
-        for s1 in range(3):
-            for s2 in range(3):
-                dist = measure_probs(simulate_pure(bv_circuit(BVString((s1, s2)))))
-                decoded.add(bv_decode(dist))
-        assert len(decoded) == 9
-
 
 class TestGrover:
     def test_spec_validation(self):

@@ -17,7 +17,8 @@ from qutritlab import (
     tensor,
 )
 from qutritlab.gates_compiler import logical_gate
-from qutritlab.qutrit_core import check_density_rows, check_pure_rows, n_qutrits_for_dim, traces
+from qutritlab.qutrit_core import check_density_rows, check_pure_rows, traces
+from reference_model import checked_amplitudes
 
 
 def basis_state(label: str) -> PureState:
@@ -196,21 +197,8 @@ class TestRowChecks:
         [1.0 + 5e-10] + [0.0] * 8, [0.6, 0.8j] + [0.0] * 7, [1.0, 0.0, 0.0],
     ], ids=["nan", "matrix", "scalar", "dim4", "empty", "norm", "norm_within", "complex", "one_qutrit"])
     def test_pure_state_checks_as_before(self, amps):
-        # PureState's checks as its constructor ran them before they moved into check_pure_rows
-        def before(amps):
-            amps = np.asarray(amps, dtype=complex)
-            if not np.all(np.isfinite(amps)):
-                raise StateValidationError("amplitudes contains non-finite entries")
-            if amps.ndim != 1:
-                raise StateValidationError("amplitudes must be a vector")
-            n_qutrits_for_dim(amps.shape[0])
-            norm = float(np.linalg.norm(amps))
-            if abs(norm - 1.0) > 1e-9:
-                raise StateValidationError(f"state norm {norm} is not 1 within 1e-9")
-            return amps
-
         outcomes = []
-        for check in (before, lambda a: PureState(a).amplitudes):
+        for check in (checked_amplitudes, lambda a: PureState(a).amplitudes):
             try:
                 outcomes.append(check(amps).tobytes())
             except (StateValidationError, DimensionMismatchError) as exc:
