@@ -41,9 +41,10 @@ SETTINGS = {
     "exact": {"shots": None, "seed": None},
     "noisy": {"noisy": True, "shots": None, "seed": None},
     **{f"{name}_seed{seed}": {**setting, "seed": seed} for seed in (0, 5) for name, setting in (
-        ("sampled", {"shots": 2000}), ("noisy_mitigated", {"noisy": True, "mitigate": True, "shots": 20000}))},
-    "noisy_mitigated_seed5_diagonal0.6": {"noisy": True, "mitigate": True, "shots": 20000, "seed": 5,
-                                          "readout_diagonal": 0.6},
+        ("sampled", {"shots": 2000}), ("noisy_sampled", {"noisy": True, "shots": 2000}),
+        ("noisy_mitigated", {"noisy": True, "mitigate": True, "shots": 20000}))},
+    **{f"noisy_mitigated_seed5_diagonal{diagonal}": {"noisy": True, "mitigate": True, "shots": 20000, "seed": 5,
+                                                     "readout_diagonal": diagonal} for diagonal in (0.6, 1.0)},
 }
 
 
@@ -83,7 +84,8 @@ def test_algorithm_runner_matches_the_model(name, runner, setting):
         assert_documents_close(json.loads(bundle.to_json()), textbook, STATE_TOL)
 
 
-@pytest.mark.parametrize("profile", [None, 0], ids=["default", "benchmark_profile0"])
+@pytest.mark.parametrize("profile", [None, 0, 1, 377, 767],
+                         ids=["default", *(f"benchmark_profile{i}" for i in (0, 1, 377, 767))])
 @pytest.mark.parametrize("qutrit", [1, 2])
 @pytest.mark.parametrize("gate", LOGICAL_GATE_NAMES)
 def test_process_tomography_matches_the_model(gate, qutrit, profile):
