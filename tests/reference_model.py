@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from qutritlab.algorithms import (
     grover_ideal_success,
 )
 from qutritlab.device_hamiltonian import normal_mode_transform
+from qutritlab.cli_harness import ExperimentConfig
 
 DIM2 = DIM * DIM
 PAIR_LABELS = [str(BasisLabel.from_index(i, 2)) for i in range(DIM2)]
@@ -200,6 +202,15 @@ def reference_tomo_csv(chi: np.ndarray) -> str:
     return "\n".join(["row,col,re,im", *rows]) + "\n"
 
 
+def benchmark_tomo_profile(index: int) -> dict:
+    """Coherence table `index` of the benchmark's tomography scan (bench/workloads.py `tomo_profile`, which
+    this mirrors): each default time scaled within +-25% by a generator of its own fixed seed."""
+    base = ExperimentConfig.default().to_mapping()["coherence"]
+    rng = random.Random(1_000_003 * (index + 1))
+    return {q: {k: round(base[q][k] * rng.uniform(0.75, 1.25), 4) for k in ("t1_01", "t1_12", "t2r_01", "t2r_12")}
+            for q in ("q1", "q2")}
+
+
 def reference_tomo(config, gate: str, qutrit: int) -> tuple[dict, np.ndarray]:
     """The tomography bundle document of a gate on qutrit 1 or 2, and the noisy chi, from the full channel's
     stepwise images of the measured qutrit's nine units."""
@@ -331,13 +342,13 @@ def _by_label(values) -> dict:
     return {label: float(v) for label, v in zip(PAIR_LABELS, values)}
 
 
-def reference_run_cases(config, cases, walk: str = "engine") -> list[dict]:
+def reference_run_cases(config, cases, walk: str = "engine", replaced: dict | None = None) -> list[dict]:
     """One entry per case, each case walked, measured, confused, sampled (the distribution over its sum),
-    inverted and repaired on its own."""
+    inverted and repaired on its own; `replaced` maps a case index to probabilities taken in place of its walk."""
     m = confusion(config.readout_diagonal) if config.mitigate else None
-    entries = []
-    for circuit, fields, score, offset in cases:
-        p = final_probabilities(config, circuit, walk)
+    replaced, entries = replaced or {}, []
+    for index, (circuit, fields, score, offset) in enumerate(cases):
+        p = replaced[index] if index in replaced else final_probabilities(config, circuit, walk)
         entry = {**fields(p), "sp": score(p), "duration_ns": circuit.total_duration, "distribution": _by_label(p)}
         if config.shots is not None:
             measured = p if m is None else np.clip(m @ p, 0.0, None)
@@ -355,9 +366,9 @@ def _mean(entries, key, **where) -> float:
     return float(np.mean([e[key] for e in entries if all(e[k] == v for k, v in where.items())]))
 
 
-def reference_algorithm(name: str, config, walk: str = "engine") -> tuple[dict, str]:
+def reference_algorithm(name: str, config, walk: str = "engine", replaced: dict | None = None) -> tuple[dict, str]:
     """The bundle document and figure CSV of sim dj, bv or grover."""
-    entries = reference_run_cases(config, CASES[name](), walk)
+    entries = reference_run_cases(config, CASES[name](), walk, replaced)
     baselines = classical_baselines()
     mitigated = ("sp", "sp_mitigated") if config.mitigate else ("sp",)
     if name == "dj":

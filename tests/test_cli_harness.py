@@ -26,14 +26,15 @@ from qutritlab.qutrit_core import BasisLabel, QutritLabError
 from qutritlab.algorithms import BVString, DJOracle, GroverSpec, bv_circuit, dj_circuit, grover_circuit
 from qutritlab.device_hamiltonian import DeviceParams, labeled_spectrum
 from qutritlab.gates_compiler import LOGICAL_GATE_NAMES, _moment_unitary, moment_unitary
-from qutritlab.noise_sim import SimulationError, sample_counts, simulate_lindblad
+from qutritlab.noise_sim import SimulationError, measure_probs, sample_counts, simulate_lindblad
 from qutritlab.readout_mitigation import (
     IllConditionedError,
     mitigate_counts,
     save_confusion,
     synthetic_confusion,
 )
-from reference_model import PAIR_LABELS, json_text, reference_compile_report, reference_tomo_csv, runner_circuits
+from reference_model import (PAIR_LABELS, json_text, reference_algorithm, reference_compile_report, reference_tomo_csv,
+                             runner_circuits)
 from qutritlab.cli_harness import (
     ConfigError,
     ExperimentConfig,
@@ -66,6 +67,7 @@ class TestConfig:
         assert c.readout_diagonal == 0.85
         assert c.step_scale == 1
         assert c.out_dir is None
+        assert c.device.flux == 0.185
 
     def test_mapping_overrides_nested_values(self):
         c = ExperimentConfig.from_mapping({
@@ -758,7 +760,6 @@ class TestStackedReadoutPass:
                 calls.append(state)
             return states
         monkeypatch.setattr(noise_sim, "_walk_prefixes", walk_prefixes)
-        return calls
 
     # dividing the nan state by its trace warns, as simulate_lindblad's division does
     @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
@@ -770,10 +771,11 @@ class TestStackedReadoutPass:
         self.fault_cases(monkeypatch, faulty_walk(kind), {0, 1 + row})
         circuit = dj_circuit(DJOracle("X", "Z"))
         if FAULT_MESSAGES[kind] is None:
-            simulate_lindblad(circuit, config.noise)
-            # the Hermitian part's diagonal
-            assert run_dj(config).entries[row]["distribution"] == {**dict.fromkeys(PAIR_LABELS, 0.0), "00": 0.5,
-                                                                   "01": 0.5}
+            # the faulty case takes simulate_lindblad's probabilities of the walk, the rest is the model's run
+            p = measure_probs(simulate_lindblad(circuit, config.noise)).probs
+            bundle = run_dj(config)
+            assert bundle.entries[row]["distribution"] == cli_harness._by_label(p)
+            assert bundle.to_json() == json_text(reference_algorithm("dj", config, replaced={row: p})[0])
             return
         with pytest.raises(SimulationError, match=f"^{re.escape(FAULT_MESSAGES[kind])}$"):
             simulate_lindblad(circuit, config.noise)

@@ -3,7 +3,6 @@ byte for byte where the package promises it, otherwise within the tolerance
 stated here, set above the floor measured at 1 and 2 OpenBLAS threads."""
 
 import json
-import random
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from qutritlab.gates_compiler import LOGICAL_GATE_NAMES
 from qutritlab.noise_sim import chi_matrix, circuit_channel
 from reference_model import (
     assert_documents_close,
+    benchmark_tomo_profile,
     json_text,
     reference_algorithm,
     reference_device,
@@ -40,21 +40,12 @@ PRINTED_REL = 5e-9
 SETTINGS = {
     "exact": {"shots": None, "seed": None},
     "noisy": {"noisy": True, "shots": None, "seed": None},
-    **{f"{name}_seed{seed}": {**setting, "seed": seed} for seed in (0, 5) for name, setting in (
-        ("sampled", {"shots": 2000}), ("noisy_sampled", {"noisy": True, "shots": 2000}),
-        ("noisy_mitigated", {"noisy": True, "mitigate": True, "shots": 20000}))},
-    **{f"noisy_mitigated_seed5_diagonal{diagonal}": {"noisy": True, "mitigate": True, "shots": 20000, "seed": 5,
-                                                     "readout_diagonal": diagonal} for diagonal in (0.6, 1.0)},
+    **{f"{name}_seed{seed}": {**setting, "seed": seed} for seed in (0, 5, 11) for name, setting in (
+        ("sampled", {"shots": 2000}), ("noisy_sampled", {"noisy": True, "shots": 2000}))},
+    **{f"noisy_mitigated_seed{seed}" + ("" if diagonal == 0.85 else f"_diagonal{diagonal}"): {
+        "noisy": True, "mitigate": True, "shots": 20000, "seed": seed, "readout_diagonal": diagonal}
+       for seed in (0, 5, 11) for diagonal in (0.85, 0.6, 1.0)},
 }
-
-
-def benchmark_tomo_profile(index: int) -> dict:
-    """Coherence table `index` of the benchmark's tomography scan: each default
-    time scaled within +-25% by a generator of its own fixed seed."""
-    base = ExperimentConfig.default().to_mapping()["coherence"]
-    rng = random.Random(1_000_003 * (index + 1))
-    return {q: {k: round(base[q][k] * rng.uniform(0.75, 1.25), 4) for k in ("t1_01", "t1_12", "t2r_01", "t2r_12")}
-            for q in ("q1", "q2")}
 
 
 def fast_path_text(bundle) -> str:
@@ -115,4 +106,6 @@ def test_device_report_matches_the_model():
     assert_documents_close(json.loads(text), doc, GHZ_TOL,
                            {key: J_TOL_KHZ for key in ("j11_khz", "j21_khz", "j12_khz", "j22_khz",
                                                        "operating_j11_khz")})
-    assert np.all(np.abs(printed_cells(bundle.figure_csv) - rows) <= PRINTED_REL * np.abs(rows) + J_TOL_KHZ)
+    # flux and the four frequencies in GHz, then J11, J21, J12 and J22 in kHz
+    slack = np.array([GHZ_TOL] * 5 + [J_TOL_KHZ] * 4)
+    assert np.all(np.abs(printed_cells(bundle.figure_csv) - rows) <= PRINTED_REL * np.abs(rows) + slack)
