@@ -105,7 +105,6 @@ from .device_hamiltonian import (
     flux_sweep,
     labeled_spectrum,
     normal_mode_transform,
-    sweep_to_csv,
     toy_couplings,
 )
 

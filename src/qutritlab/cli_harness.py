@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .qutrit_core import DIM, BasisLabel, ProbDist, QutritLabError
+from .qutrit_core import DIM, BasisLabel, ProbDist, QutritLabError, check_prob_rows
 from .gates_compiler import (
     LOGICAL_GATE_NAMES,
     circuit_unitary,
@@ -79,7 +79,7 @@ from .readout_mitigation import (
     mitigate_rows,
     synthetic_confusion,
 )
-from .device_hamiltonian import DeviceParams, flux_sweep, labeled_spectrum, sweep_to_csv
+from .device_hamiltonian import DeviceParams, flux_sweep, labeled_spectrum
 
 PACKAGE_VERSION = "1.0.0"
 
@@ -90,6 +90,10 @@ _TOMO_CSV = "row,col,re,im\n" + "".join(f"{r},{c},%.9g,%.9g\n" for r in range(DI
 
 class ConfigError(QutritLabError, ValueError):
     """A configuration value is missing, unknown or inconsistent."""
+
+
+class DocumentError(QutritLabError, ValueError):
+    """A document holds what JSON cannot write: a nan, an infinity or a container that holds itself."""
 
 
 # libyaml's safe loader where present; it builds the same values as the pure one
@@ -309,7 +313,7 @@ def _flat_encoder(level: int):
     before the closing one.
     """
     return json.encoder.c_make_encoder(None, None, json.encoder.encode_basestring_ascii, None,
-                                       ": ", ",\n" + "  " * (level + 1), True, False, True)
+                                       ": ", ",\n" + "  " * (level + 1), True, False, False)
 
 
 def _indented(o, level: int) -> str:
@@ -346,12 +350,17 @@ def _json_text(doc) -> str:
     of scalars goes through one call of the C encoder instead. A document
     holding anything else (a non-str key, a numpy scalar) is written by
     the stdlib call itself, which also raises its errors; so is one nested
-    too deep, which covers a container that holds itself.
+    too deep (a container that holds itself) or holding a nan or an
+    infinity, which JSON has no token for. Those two raise DocumentError,
+    with the stdlib's message.
     """
     try:
-        return _indented(doc, 0) + "\n"
-    except (_NotFlat, RecursionError):
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        try:
+            return _indented(doc, 0) + "\n"
+        except (_NotFlat, RecursionError, ValueError):
+            return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
 
 
 def _write_files(out_dir, texts: dict) -> list[Path]:
@@ -376,56 +385,52 @@ def _by_label(values: np.ndarray) -> dict:
 def _run_cases(config: ExperimentConfig, cases) -> list[dict]:
     """One entry per (circuit, fields, score, seed_offset) case.
 
-    fields(dist) gives the case's own entry fields and score(dist) its
-    success probability, taken of the exact distribution and, when
-    mitigating, of the mitigated one. Sampling uses seed + seed_offset.
+    fields(probs) gives the case's own entry fields and score(probs) its
+    success probability, of its row of the exact distributions and, when
+    mitigating, of the mitigated ones. Sampling uses seed + seed_offset.
 
     The cases' circuits are walked together, each shared moment prefix
     once (final_states, or pure_states for the pure backend, which checks
-    each state as PureState does); then all cases pass each later stage
-    together, as one (cases, 9) stack: the final-state checks of
-    simulate_lindblad (trace drift, then every DensityMatrix check), the
-    diagonal probabilities and their ProbDist checks, the confusion, the
-    sampling checks and one multinomial draw per case, the inversion and
-    its SignedCounts checks, the repair per case and the mitigated
-    distribution. Each check runs on every row, with its own threshold,
-    class and message, before the next check runs; it raises for its first
-    failing case, and the error carries a note naming that case.
+    each state as PureState does); from there on the distributions are one
+    checked (cases, 9) stack, and all cases pass each stage together: the
+    final-state checks of simulate_lindblad (trace drift, then every
+    DensityMatrix check), the diagonal probabilities and their ProbDist
+    checks, the confusion, the sampling checks and one multinomial draw per
+    case, the inversion and its SignedCounts checks, the repair per case
+    and the mitigated distribution. Each check runs on every row, with its
+    own threshold, class and message, before the next check runs; it raises
+    for its first failing case, and the error carries a note naming it.
     """
     matrix = synthetic_confusion(diagonal=config.readout_diagonal) if config.mitigate else None
     circuits, fields, scores, offsets = zip(*cases)
     try:
         if config.noisy:
-            dists = ProbDist.rows(final_states(circuits, config.noise, config.step_scale)
-                                  .diagonal(axis1=1, axis2=2).real)
+            probs = final_states(circuits, config.noise, config.step_scale).diagonal(axis1=1, axis2=2).real
         else:
-            dists = ProbDist.rows(np.abs(pure_states(circuits)) ** 2)
+            probs = np.abs(pure_states(circuits)) ** 2
+        probs = check_prob_rows(probs)
         entries = []
-        for circ, field, score, dist in zip(circuits, fields, scores, dists):
-            entry = field(dist)
-            entry.update(sp=score(dist), duration_ns=circ.total_duration, distribution=_by_label(dist.probs))
+        for circ, field, score, p in zip(circuits, fields, scores, probs):
+            entry = field(p)
+            entry.update(sp=score(p), duration_ns=circ.total_duration, distribution=_by_label(p))
             entries.append(entry)
         if config.shots is None:
             return entries
-        measured = dists if matrix is None else confuse_rows(_stacked(dists), matrix)
-        counts = sample_rows(_stacked(measured), config.shots, [config.seed + offset for offset in offsets])
+        measured = probs if matrix is None else confuse_rows(probs, matrix)
+        counts = sample_rows(measured, config.shots, [config.seed + offset for offset in offsets])
         for entry, row in zip(entries, counts):
             entry["counts"] = _by_label(row)
         if matrix is not None:
             corrected = mitigate_rows(counts, matrix)
-            mitigated = ProbDist.rows(corrected / corrected.sum(axis=1)[:, None])
-            for entry, score, dist in zip(entries, scores, mitigated):
-                entry["mitigated_distribution"] = _by_label(dist.probs)
-                entry["sp_mitigated"] = score(dist)
+            mitigated = check_prob_rows(corrected / corrected.sum(axis=1)[:, None])
+            for entry, score, p in zip(entries, scores, mitigated):
+                entry["mitigated_distribution"] = _by_label(p)
+                entry["sp_mitigated"] = score(p)
         return entries
     except QutritLabError as exc:
         if exc.row is not None:
             exc.add_note(f"raised for case {exc.row} of {len(cases)}")
         raise
-
-
-def _stacked(dists: list[ProbDist]) -> np.ndarray:
-    return np.array([d.probs for d in dists])
 
 
 def _averages(entries: list[dict], groups: dict, mitigated: bool) -> dict:
@@ -446,10 +451,10 @@ def run_dj(config: ExperimentConfig) -> ResultBundle:
         fields = {"name": oracle.label(), "kind": oracle.kind, "function": note}
         if oracle.kind == "constant":
             fields["constant_value"] = oracle.constant_value
-            score = lambda dist: dist.prob_of("00")
+            score = lambda probs: float(probs[0])
         else:
-            score = lambda dist: 1.0 - dist.prob_of("00")
-        return dj_circuit(oracle), lambda dist: fields, score, idx
+            score = lambda probs: 1.0 - float(probs[0])
+        return dj_circuit(oracle), lambda probs: fields, score, idx
 
     oracles = [(o, "0") for o in constant_oracles()] + list(balanced_oracle_table())
     entries = _run_cases(config, [case(idx, o, note) for idx, (o, note) in enumerate(oracles)])
@@ -470,11 +475,11 @@ def run_bv(config: ExperimentConfig) -> ResultBundle:
         label = BasisLabel.from_index(idx, 2)
         s = BVString(label.digits)
 
-        def fields(dist):
-            decoded = bv_decode(dist)
+        def fields(probs):
+            decoded = bv_decode(ProbDist(probs))
             return {"name": str(label), "decoded": "".join(str(t) for t in decoded),
                     "decoded_correctly": decoded == s.s}
-        return bv_circuit(s), fields, lambda dist: dist.prob_of(label), 100 + idx
+        return bv_circuit(s), fields, lambda probs: float(probs[idx]), 100 + idx
 
     entries = _run_cases(config, [case(idx) for idx in range(DIM * DIM)])
     summary = _averages(entries, {"average_sp": {}}, config.mitigate)
@@ -496,8 +501,8 @@ def run_grover(config: ExperimentConfig) -> ResultBundle:
         target = BasisLabel.from_index(idx, 2)
         fields = {"name": f"k{rounds}_{target}", "rounds": rounds, "target": str(target),
                   "ideal_sp": grover_ideal_success(rounds)}
-        return (grover_circuit(GroverSpec(target, rounds)), lambda dist: fields,
-                lambda dist: dist.prob_of(target), 200 + 9 * rounds + idx)
+        return (grover_circuit(GroverSpec(target, rounds)), lambda probs: fields,
+                lambda probs: float(probs[idx]), 200 + 9 * rounds + idx)
 
     entries = _run_cases(config, [case(k, idx) for k in (1, 2) for idx in range(DIM * DIM)])
     summary = _averages(entries, {"round1_avg": {"rounds": 1}, "round2_avg": {"rounds": 2}}, mitigated=False)
@@ -514,12 +519,13 @@ def run_grover(config: ExperimentConfig) -> ResultBundle:
                         _csv("rounds,target," + ",".join(_PAIR_LABELS), rows))
 
 
-# device bundle entry key -> SpectrumReport field
+# device bundle entry key -> SpectrumReport field; the figure prints the first nine
 _DEVICE_ENTRY = {
     "flux": "flux", "w01_q1": "w01_q1", "w12_q1": "w12_q1", "w01_q2": "w01_q2", "w12_q2": "w12_q2",
     "j11_khz": "j11", "j21_khz": "j21", "j12_khz": "j12", "j22_khz": "j22",
     "coupler_ghz": "coupler_ghz", "min_overlap": "min_overlap", "sweet_spot": "sweet_spot",
 }
+_DEVICE_CSV_HEADER = "flux,w01_q1,w12_q1,w01_q2,w12_q2,J11,J21,J12,J22"
 
 
 def run_device_report(config: ExperimentConfig, flux_grid) -> ResultBundle:
@@ -535,7 +541,8 @@ def run_device_report(config: ExperimentConfig, flux_grid) -> ResultBundle:
     summary = {"points": len(reports), "operating_flux": config.device.flux}
     summary.update({f"operating_{key}": getattr(operating, _DEVICE_ENTRY[key])
                     for key in ("w01_q1", "w01_q2", "j11_khz", "coupler_ghz")})
-    return ResultBundle("device", config.config_hash(), tuple(entries), summary, sweep_to_csv(reports))
+    rows = [",".join(f"{e[key]:.9g}" for key in list(_DEVICE_ENTRY)[:9]) for e in entries]
+    return ResultBundle("device", config.config_hash(), tuple(entries), summary, _csv(_DEVICE_CSV_HEADER, rows))
 
 
 @functools.lru_cache(maxsize=len(LOGICAL_GATE_NAMES))

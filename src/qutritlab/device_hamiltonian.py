@@ -40,6 +40,8 @@ _REQUIRED_LABELS = [(m, n) for m in range(3) for n in range(3)] + [(3, 0), (3, 1
 _PARITY_TOL_GHZ = 1e-9
 # labelings _label_eigenstates keeps: each truncation's operating point stays warm
 _SPECTRUM_CACHE_SIZE = 8
+# Fock levels per mode: below 4 no |3 1 0> to label; at 20 one spectrum takes ~27 s and 0.9 GB on one core
+_MIN_LEVELS, _MAX_LEVELS = 4, 20
 
 
 class DeviceModelError(QutritLabError, RuntimeError):
@@ -51,7 +53,7 @@ class NormalFormError(DeviceModelError):
 
 
 class TruncationError(DeviceModelError, ValueError):
-    """The Fock truncation is too small to be meaningful."""
+    """The Fock truncation lies outside 4 to 20 levels per mode."""
 
 
 class FluxRangeError(DeviceModelError, ValueError):
@@ -96,8 +98,8 @@ class DeviceParams:
             raise DeviceModelError("c_q12 cannot be negative")
         if min(self.e_j1, self.e_j2, self.e_jc) < 0:
             raise DeviceModelError("Josephson energies cannot be negative")
-        if self.n_levels < 1:
-            raise TruncationError("n_levels must be at least 1")
+        if not _MIN_LEVELS <= self.n_levels <= _MAX_LEVELS:
+            raise TruncationError(f"n_levels must be between {_MIN_LEVELS} and {_MAX_LEVELS}, got {self.n_levels}")
 
     def with_flux(self, flux: float) -> "DeviceParams":
         return replace(self, flux=float(flux))
@@ -197,37 +199,30 @@ def normal_mode_transform(params: DeviceParams, decoupled: bool = False) -> Norm
     return NormalForm(u=u, c_tilde=np.ones(3), d_tilde=lam, orthogonal=orth, mode_to_node=mode_to_node)
 
 
-def _factors(params: DeviceParams, nf: NormalForm, linearize: bool = False):
+def _factors(params: DeviceParams, nf: NormalForm):
     """H as Sum_t A_t (x) B_t, A_t on modes (0, 1) and B_t on mode 2, stacked.
 
-    In term order: each mode's charging term; with linearize each
-    d_k phi_k**2; else per junction E cos(sum_k w_k phi_k), the real part
-    E (Re E01 (x) Re E2 - Im E01 (x) Im E2) with E01 = E0 (x) E1 of the
-    complex symmetric E_k = exp(i w_k phi_k). Every factor is symmetric.
+    In term order: each mode's charging term, then per junction
+    E cos(sum_k w_k phi_k) as the real part E (Re E01 (x) Re E2 - Im E01
+    (x) Im E2) with E01 = E0 (x) E1 of the complex symmetric
+    E_k = exp(i w_k phi_k). Every factor is symmetric.
     """
-    if params.n_levels < 4:
-        raise TruncationError(f"n_levels = {params.n_levels} is too small (need at least 4)")
     n = params.n_levels
     eye = np.eye(n)
     ladder = np.diag(np.sqrt(np.arange(1.0, n)), 1)
     phis = [lam**-0.25 / math.sqrt(2.0) * (ladder + ladder.T) for lam in nf.d_tilde]
     # n_tilde = i lam^(1/4) (a_dag - a)/sqrt(2), so n**2 is real:
-    mode_terms = [[-math.sqrt(lam) / 2.0 * (ladder.T - ladder) @ (ladder.T - ladder) for lam in nf.d_tilde]]
-    if linearize:
-        mode_terms.append([lam * (phi @ phi) for lam, phi in zip(nf.d_tilde, phis)])
-    pairs = []
-    for c0, c1, c2 in mode_terms:
-        pairs += [(np.kron(c0, eye), eye), (np.kron(eye, c1), eye), (np.eye(n * n), c2)]
-    if not linearize:
-        u = nf.u
-        for energy, weights in ((params.e_j1, u[0] - u[2]), (params.e_j2, u[1] - u[2]), (params.coupler_energy(), u[2])):
-            exps = []
-            for w, phi in zip(weights, phis):
-                ev, evec = np.linalg.eigh(w * phi)
-                e = (evec * np.exp(1j * ev)) @ evec.T
-                exps.append((e + e.T) / 2.0)  # exactly symmetric, whatever the rounding of the product
-            e01 = np.kron(exps[0], exps[1])
-            pairs += [(-energy * e01.real, exps[2].real), (energy * e01.imag, exps[2].imag)]
+    c0, c1, c2 = [-math.sqrt(lam) / 2.0 * (ladder.T - ladder) @ (ladder.T - ladder) for lam in nf.d_tilde]
+    pairs = [(np.kron(c0, eye), eye), (np.kron(eye, c1), eye), (np.eye(n * n), c2)]
+    u = nf.u
+    for energy, weights in ((params.e_j1, u[0] - u[2]), (params.e_j2, u[1] - u[2]), (params.coupler_energy(), u[2])):
+        exps = []
+        for w, phi in zip(weights, phis):
+            ev, evec = np.linalg.eigh(w * phi)
+            e = (evec * np.exp(1j * ev)) @ evec.T
+            exps.append((e + e.T) / 2.0)  # exactly symmetric, whatever the rounding of the product
+        e01 = np.kron(exps[0], exps[1])
+        pairs += [(-energy * e01.real, exps[2].real), (energy * e01.imag, exps[2].imag)]
     a, b = zip(*pairs)
     return np.array(a), np.array(b)
 
@@ -246,16 +241,14 @@ def _contract(factors, grid) -> np.ndarray:
     return h
 
 
-def build_full_hamiltonian(params: DeviceParams, linearize: bool = False) -> np.ndarray:
+def build_full_hamiltonian(params: DeviceParams) -> np.ndarray:
     """Full Hamiltonian on the truncated three-mode Fock space, in GHz.
 
-    With linearize=True the junction cosines are replaced by their
-    quadratic expansions, leaving an exactly harmonic spectrum; this is
-    the reference limit for the nonlinearity. Literally zero Josephson
-    energies leave free modes with no normal form and raise instead.
+    Literally zero Josephson energies leave free modes with no normal form
+    and raise instead.
     """
     n = params.n_levels
-    return _contract(_factors(params, normal_mode_transform(params), linearize), [(np.arange(n * n), np.arange(n))])
+    return _contract(_factors(params, normal_mode_transform(params)), [(np.arange(n * n), np.arange(n))])
 
 
 _ZZ_DEFS = {
@@ -304,14 +297,6 @@ class SpectrumReport:
             + self.j12 * m * n * n
             + self.j22 * m * m * n * n
         )
-
-    def to_row(self) -> str:
-        cells = [
-            self.flux,
-            self.w01_q1, self.w12_q1, self.w01_q2, self.w12_q2,
-            self.j11, self.j21, self.j12, self.j22,
-        ]
-        return ",".join(f"{x:.9g}" for x in cells)
 
 
 @functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
@@ -464,15 +449,6 @@ def labeled_spectrum(params: DeviceParams) -> SpectrumReport:
 def flux_sweep(params: DeviceParams, flux_grid) -> list[SpectrumReport]:
     """labeled_spectrum at each grid point, in grid order."""
     return [labeled_spectrum(params.with_flux(f)) for f in np.asarray(flux_grid, dtype=float)]
-
-
-SWEEP_CSV_HEADER = "flux,w01_q1,w12_q1,w01_q2,w12_q2,J11,J21,J12,J22"
-
-
-def sweep_to_csv(reports: list[SpectrumReport]) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    lines.extend(r.to_row() for r in reports)
-    return "\n".join(lines) + "\n"
 
 
 def toy_couplings(params: DeviceParams, flux: float | None = None) -> tuple[float, float]:

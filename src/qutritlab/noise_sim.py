@@ -29,16 +29,18 @@ is formed only to build its map. Cached arrays are read-only; reuse
 changes no output byte.
 
 There is one walk, shared by both backends (`_walk_prefixes`). Circuits
-walked together are walked as the tree of their distinct moment prefixes
-(`_shared_prefixes`): each prefix's state is formed once, from its parent
-prefix's state by the map of its last moment, and each circuit's final
-state is read off its slot. The two-round Grover circuit begins with the
-one-round one and every DJ/BV circuit with the same fan-out, so the
-runners' 25, 9 and 18 circuits hold 299, 98 and 648 moments but only
-179, 58 and 371 distinct prefixes. A prefix's state is the same floats
-whichever circuit reaches it, so each circuit's state is the one a walk
-of it alone gives, byte for byte. `simulate_pure`, `simulate_lindblad`
-and the full-register channel walk a tuple of one circuit.
+walked together are walked as the tree of their distinct moment prefixes:
+each prefix's state is formed once, from its parent prefix's state by the
+map of its last moment, and each circuit's final state is read off its
+slot. The tree is found once per tuple of circuits, when the engine or the
+pure backend (`_pure_plan`) first plans that tuple's walk. The two-round
+Grover circuit begins with the one-round one and every DJ/BV circuit with
+the same fan-out, so the runners' 25, 9 and 18 circuits hold 299, 98 and
+648 moments but only 179, 58 and 371 distinct prefixes. A prefix's state
+is the same floats whichever circuit reaches it, so each circuit's state
+is the one a walk of it alone gives, byte for byte. `simulate_pure`,
+`simulate_lindblad` and the full-register channel walk a tuple of one
+circuit.
 
 In the pure backend a step's map is its moment's unitary. In the
 Lindblad backend it is the moment's map on the vectorized density
@@ -58,8 +60,8 @@ at most 3) from the qutrit's own collapse operators, and the channel is
 the product of 9x9 maps, kron(u, conj(u)) after each window's
 propagator. Its engines come from a two-slot cache keyed by (coherence,
 step_scale), one per qutrit, and the per-moment kron(u, conj(u)) from a
-cache of its own. Any other single-qutrit channel is reduced from the
-full one.
+cache of its own, u read off the compiler's cached pair unitary of the
+moment. Any other single-qutrit channel is reduced from the full one.
 
 Coherence times are given in microseconds, coupling coefficients in kHz,
 and circuit durations in nanoseconds.
@@ -91,7 +93,7 @@ from .qutrit_core import (
     fail_first_row,
     traces,
 )
-from .gates_compiler import Circuit, instruction_matrix, moment_unitary
+from .gates_compiler import Circuit, moment_unitary
 
 DIM2 = DIM * DIM
 
@@ -414,7 +416,6 @@ class QutritEngine(LindbladEngine):
         return s
 
 
-@functools.lru_cache(maxsize=64)
 def _shared_prefixes(circuits: tuple[Circuit, ...]) -> tuple[tuple, tuple]:
     """The circuits' distinct moment prefixes, as the steps of one walk.
 
@@ -460,14 +461,15 @@ def _walk_prefixes(plan: tuple, initial: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _qutrit_moment_map(moment: tuple) -> np.ndarray:
-    """kron(u, conj(u)), read-only, for the 3x3 unitary u of a moment on one qutrit.
+    """kron(u, conj(u)), read-only, for the 3x3 unitary u of a pair moment on one qutrit.
 
-    Cached per moment, as it does not depend on the noise, and formed as a
-    broadcast outer product, which costs a fraction of np.kron.
+    u is read off the compiler's cached pair unitary of the moment,
+    kron(u, 1) for qutrit 0 and kron(1, u) for qutrit 1. Cached per moment,
+    as it does not depend on the noise, and formed as a broadcast outer
+    product, which costs a fraction of np.kron.
     """
-    u = np.eye(DIM, dtype=complex)
-    for instr in moment:
-        u = instruction_matrix(instr) @ u
+    pair = moment_unitary(moment, 2)
+    u = pair[::DIM, ::DIM] if any(instr.targets == (0,) for instr in moment) else pair[:DIM, :DIM]
     m = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(DIM2, DIM2)
     m.flags.writeable = False
     return m

@@ -7,7 +7,6 @@ the label "21" sits at index 7.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,13 +122,6 @@ class BasisLabel:
         return "".join(str(d) for d in self.digits)
 
 
-@functools.lru_cache(maxsize=64)
-def _parsed_label(text: str) -> tuple[int, int]:
-    """(qutrit count, index) of a label's text, parsed once; a bad text raises as BasisLabel.parse does."""
-    label = BasisLabel.parse(text)
-    return label.n_qutrits, label.index
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector over one or more qutrits."""
@@ -196,17 +188,14 @@ class ProbDist:
     def __post_init__(self):
         object.__setattr__(self, "probs", check_prob_rows(np.asarray(self.probs, dtype=float)[None])[0])
 
-    @classmethod
-    def rows(cls, probs) -> list["ProbDist"]:
-        """One distribution per row of an (n, d) stack, each row checked as the constructor checks one."""
-        return [_passed(cls, probs=p) for p in check_prob_rows(np.asarray(probs, dtype=float))]
-
     @property
     def dim(self) -> int:
         return self.probs.shape[0]
 
     def prob_of(self, label: BasisLabel | str) -> float:
-        n, index = _parsed_label(label) if isinstance(label, str) else (label.n_qutrits, label.index)
+        if isinstance(label, str):
+            label = BasisLabel.parse(label)
+        n, index = label.n_qutrits, label.index
         if DIM**n != self.dim:
             raise DimensionMismatchError(f"label {label} names {n} qutrits, the distribution has dimension {self.dim}")
         return float(self.probs[index])

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qutrit_core import DIM, ProbDist, QutritLabError, _passed, each_row, fail_first_row
+from .qutrit_core import DIM, ProbDist, QutritLabError, _passed, check_prob_rows, each_row, fail_first_row
 
 
 class MitigationError(QutritLabError, ValueError):
@@ -105,18 +105,19 @@ def _check_signed_rows(q: np.ndarray, shots) -> None:
                    lambda i: f"counts sum to {sums[i]}, expected {shots[i]}")
 
 
-def confuse_rows(probs: np.ndarray, matrix: ConfusionMatrix) -> list[ProbDist]:
-    """Distribution actually observed when measuring each row of an (n, d) stack of distributions."""
+def confuse_rows(probs: np.ndarray, matrix: ConfusionMatrix) -> np.ndarray:
+    """Distributions actually observed when measuring each row of an (n, d) stack of distributions,
+    stacked, each row checked as ProbDist checks one."""
     if probs.shape[1] != matrix.dim:
         raise MitigationError(f"distribution size {probs.shape[1]} does not match matrix {matrix.dim}")
     # one matrix-vector product per row: a matrix-matrix product may round differently
-    return ProbDist.rows(np.array([matrix.m @ p for p in probs]))
+    return check_prob_rows(np.array([matrix.m @ p for p in probs]))
 
 
 def apply_confusion(true_probs, matrix: ConfusionMatrix) -> ProbDist:
     """Distribution actually observed when measuring `true_probs`."""
     p = true_probs.probs if isinstance(true_probs, ProbDist) else np.asarray(true_probs, dtype=float)
-    return confuse_rows(p[None], matrix)[0]
+    return _passed(ProbDist, probs=confuse_rows(p[None], matrix)[0])
 
 
 def _invert_rows(counts: np.ndarray, matrix: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:

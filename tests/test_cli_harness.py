@@ -37,6 +37,7 @@ from reference_model import (PAIR_LABELS, json_text, reference_algorithm, refere
                              runner_circuits)
 from qutritlab.cli_harness import (
     ConfigError,
+    DocumentError,
     ExperimentConfig,
     ResultBundle,
     _load_counts_file,
@@ -454,7 +455,25 @@ class TestJsonWriter:
     def test_random_documents_match_the_stdlib(self):
         for seed in range(300):
             doc = random_document(random.Random(seed))
-            assert cli_harness._json_text(doc) == json_text(doc), seed
+            try:
+                want = json_text(doc)
+            except ValueError as exc:  # a nan or an infinity somewhere in the document
+                with pytest.raises(DocumentError, match=re.escape(str(exc))):
+                    cli_harness._json_text(doc)
+            else:
+                assert cli_harness._json_text(doc) == want, seed
+
+    def test_nan_and_infinity_are_not_written(self, tmp_path, monkeypatch, capsys):
+        # JSON has no token for them: the stdlib's default would write bare NaN and Infinity
+        bundle = ResultBundle("x", "h", ({"name": "a", "fidelity": float("nan")},), {"k": float("inf")}, "")
+        with pytest.raises(DocumentError, match="Out of range float values are not JSON compliant: "):
+            bundle.to_json()
+        monkeypatch.setattr(cli_harness, "run_dj", lambda config: bundle)
+        for argv in (["sim", "dj"], ["sim", "dj", "--out", str(tmp_path / "out")]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and [json.loads(line)["error"] for line in err.splitlines()] == ["DocumentError"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc", [
         {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}], 1.5, "x", None, {"": ""},

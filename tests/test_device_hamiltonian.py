@@ -21,17 +21,15 @@ from qutritlab.device_hamiltonian import (
     FluxRangeError,
     LabelingError,
     NormalFormError,
-    SWEEP_CSV_HEADER,
     TruncationError,
     build_full_hamiltonian,
     capacitance_matrix,
     flux_sweep,
     labeled_spectrum,
     normal_mode_transform,
-    sweep_to_csv,
     toy_couplings,
 )
-from qutritlab.cli_harness import main
+from qutritlab.cli_harness import ExperimentConfig, main, run_device_report
 from reference_model import REQUIRED_LABELS, junction_quadratic, kron_hamiltonian, reference_spectrum
 
 FLOAT_FIELDS = ("c_q1", "c_q2", "c_c", "c_q12", "e_j1", "e_j2", "e_jc", "flux")
@@ -65,6 +63,16 @@ class TestParams:
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(DeviceModelError, match=f"{name} must be a finite number"):
             DeviceParams(n_levels=6, **{name: value})
+
+    @pytest.mark.parametrize("n_levels", [3, 21])
+    def test_truncation_outside_4_to_20_rejected(self, n_levels):
+        # below 4 no |3 1 0> exists to label; above 20 one spectrum takes tens of seconds and GBs.
+        # Both are refused where the parameters are made, so a profile fails at load
+        with pytest.raises(TruncationError, match="between 4 and 20"):
+            DeviceParams(n_levels=n_levels)
+        with pytest.raises(TruncationError, match="between 4 and 20"):
+            ExperimentConfig.from_mapping({"device": {"n_levels": n_levels}})
+        assert [DeviceParams(n_levels=n).n_levels for n in (4, 20)] == [4, 20]
 
     @pytest.mark.parametrize("n_levels", [6.0, True, "6"], ids=["float", "bool", "str"])
     def test_non_integer_truncation_rejected(self, n_levels):
@@ -174,10 +182,13 @@ class TestFullHamiltonian:
         h = build_full_hamiltonian(DeviceParams(n_levels=5))
         assert np.allclose(h, h.T, atol=1e-12)
 
-    def test_linearized_spectrum_is_harmonic(self):
-        p = DeviceParams(n_levels=6)
+    @pytest.mark.parametrize("n_levels", [5, 6, 8, 10])
+    @pytest.mark.parametrize("flux", [0.0, 0.185, 0.3])
+    def test_linearized_spectrum_is_harmonic(self, n_levels, flux):
+        # the reference model's harmonic limit: the junction cosines replaced by their quadratic expansions
+        p = DeviceParams(n_levels=n_levels, flux=flux)
         nf = normal_mode_transform(p)
-        h = build_full_hamiltonian(p, linearize=True)
+        h = kron_hamiltonian(p, linearize=True)
         off = h - np.diag(np.diag(h))
         assert np.max(np.abs(off)) < 1e-9
         # interior ladder spacing of each mode equals its normal frequency;
@@ -192,7 +203,7 @@ class TestFullHamiltonian:
     def test_cosine_model_lies_below_harmonic_limit(self):
         p = DeviceParams(n_levels=6)
         full = np.linalg.eigvalsh(build_full_hamiltonian(p))
-        harmonic = np.linalg.eigvalsh(build_full_hamiltonian(p, linearize=True))
+        harmonic = np.linalg.eigvalsh(kron_hamiltonian(p, linearize=True))
         offset = p.e_j1 + p.e_j2 + p.coupler_energy()
         # the cosine wells subtract their depth and compress the ladder
         assert full[0] + offset < harmonic[0]
@@ -202,10 +213,6 @@ class TestFullHamiltonian:
 class TestHamiltonianAssembly:
     """build_full_hamiltonian contracts single-mode factors and takes the
     cosines as real parts; the dense Kronecker form is the reference."""
-
-    def test_linearized_equals_kron_form_exactly(self):
-        p = DeviceParams(n_levels=6)
-        assert np.array_equal(build_full_hamiltonian(p, linearize=True), kron_hamiltonian(p, linearize=True))
 
     @pytest.mark.parametrize("n_levels", [5, 8])
     @pytest.mark.parametrize("flux", [0.0, 0.185, 0.3])
@@ -219,8 +226,8 @@ def parity_of(n: int) -> np.ndarray:
     return np.array([sum(np.unravel_index(i, (n, n, n))) % 2 for i in range(n**3)])
 
 
-def factors_of(p: DeviceParams, linearize: bool = False):
-    return device_hamiltonian._factors(p, normal_mode_transform(p), linearize)
+def factors_of(p: DeviceParams):
+    return device_hamiltonian._factors(p, normal_mode_transform(p))
 
 
 class TestParitySectors:
@@ -229,16 +236,15 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("n_levels", [5, 6, 8, 10])
     @pytest.mark.parametrize("flux", [0.0, 0.185, 0.3])
-    @pytest.mark.parametrize("linearize", [False, True], ids=["cosine", "linearized"])
-    def test_sector_blocks_match_full_matrix(self, n_levels, flux, linearize):
+    def test_sector_blocks_match_full_matrix(self, n_levels, flux):
         p = DeviceParams(n_levels=n_levels, flux=flux)
-        h = build_full_hamiltonian(p, linearize=linearize)
+        h = build_full_hamiltonian(p)
         parity = parity_of(n_levels)
         _, sectors = device_hamiltonian._sector_tables(n_levels)
         assert np.array_equal(np.sort(np.concatenate([m for _, m in sectors])), np.arange(n_levels**3))
         for s, (grid, members) in enumerate(sectors):
             assert np.all(parity[members] == s)
-            block = device_hamiltonian._contract(factors_of(p, linearize), grid)
+            block = device_hamiltonian._contract(factors_of(p), grid)
             assert np.max(np.abs(block - h[np.ix_(members, members)])) <= 1e-12
 
     def test_labeling_never_builds_the_full_matrix(self, monkeypatch):
@@ -411,9 +417,10 @@ class TestOperatingPoint:
             assert report.energies[(m, 0)] < report.energies[(m, 1)] < report.energies[(m, 2)]
 
     def test_row_format(self, report):
-        row = report.to_row()
+        # cli_harness writes the device figure: one %.9g row per flux point
+        header, row = run_device_report(ExperimentConfig.from_mapping({}), [0.185]).figure_csv.strip().split("\n")
         fields = row.split(",")
-        assert len(fields) == len(SWEEP_CSV_HEADER.split(","))
+        assert len(fields) == len(header.split(","))
         assert float(fields[0]) == 0.185
         assert float(fields[1]) == pytest.approx(report.w01_q1, rel=1e-8)
         assert float(fields[5]) == pytest.approx(report.j11, rel=1e-8)
@@ -565,10 +572,10 @@ class TestFluxSweep:
         k = int(np.argmin(j11s))
         assert 0 < k < len(sweep) - 1
 
-    def test_csv_shape(self, sweep):
-        text = sweep_to_csv(sweep)
+    def test_csv_shape(self):
+        text = run_device_report(ExperimentConfig.from_mapping({}), np.linspace(0.0, 0.3, 13)).figure_csv
         lines = text.strip().split("\n")
-        assert lines[0] == SWEEP_CSV_HEADER
+        assert lines[0] == "flux,w01_q1,w12_q1,w01_q2,w12_q2,J11,J21,J12,J22"
         assert len(lines) == 14
         for line in lines[1:]:
             assert len(line.split(",")) == 9

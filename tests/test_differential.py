@@ -109,3 +109,8 @@ def test_device_report_matches_the_model():
     # flux and the four frequencies in GHz, then J11, J21, J12 and J22 in kHz
     slack = np.array([GHZ_TOL] * 5 + [J_TOL_KHZ] * 4)
     assert np.all(np.abs(printed_cells(bundle.figure_csv) - rows) <= PRINTED_REL * np.abs(rows) + slack)
+    # each figure row prints its bundle entry's nine numbers to 9 significant digits
+    header, *lines = bundle.figure_csv.splitlines()
+    assert header == "flux,w01_q1,w12_q1,w01_q2,w12_q2,J11,J21,J12,J22"
+    columns = ("flux", "w01_q1", "w12_q1", "w01_q2", "w12_q2", "j11_khz", "j21_khz", "j12_khz", "j22_khz")
+    assert lines == [",".join(f"{entry[c]:.9g}" for c in columns) for entry in json.loads(text)["entries"]]

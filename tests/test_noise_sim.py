@@ -769,7 +769,6 @@ class TestSharedPrefixWalk:
                 spelled.append((moment, duration))
                 slot = parent
             assert spelled[::-1] == list(zip(circuit.moments, circuit.durations))
-        assert noise_sim._shared_prefixes(circuits) is noise_sim._shared_prefixes(tuple(circuits))
 
     @pytest.mark.parametrize("step_scale", [1, 2])
     @pytest.mark.parametrize("name", NOISE_MODELS)

@@ -17,7 +17,7 @@ from qutritlab import (
     tensor,
 )
 from qutritlab.gates_compiler import logical_gate
-from qutritlab.qutrit_core import check_density_rows, check_pure_rows, traces
+from qutritlab.qutrit_core import check_density_rows, check_prob_rows, check_pure_rows, traces
 from reference_model import checked_amplitudes
 
 
@@ -161,14 +161,14 @@ class TestRowChecks:
             stack = np.array([good] * 4)
             stack[row] = bad
             with pytest.raises(StateValidationError) as rows:
-                ProbDist.rows(stack)
+                check_prob_rows(stack)
             assert str(rows.value) == str(single.value)
             assert rows.value.row == row
 
     def test_prob_rows_hold_the_constructors_values(self):
         stack = np.array([[0.5, 0.5] + [0.0] * 7, [1.0 + 1e-7, -1e-10] + [0.0] * 7])
-        for dist, row in zip(ProbDist.rows(stack), stack):
-            assert dist.probs.tobytes() == ProbDist(row).probs.tobytes()
+        for probs, row in zip(check_prob_rows(stack), stack):
+            assert probs.tobytes() == ProbDist(row).probs.tobytes()
 
     @pytest.mark.parametrize("bad", [
         [np.nan] + [0.0] * 8, [1.0, np.inf] + [0.0] * 7, [1.001] + [0.0] * 8, [0.6, 0.8j + 1e-3] + [0.0] * 7,
