@@ -396,10 +396,11 @@ def _run_cases(config: ExperimentConfig, cases) -> list[dict]:
     final-state checks of simulate_lindblad (trace drift, then every
     DensityMatrix check), the diagonal probabilities and their ProbDist
     checks, the confusion, the sampling checks and one multinomial draw per
-    case, the inversion and its SignedCounts checks, the repair per case
-    and the mitigated distribution. Each check runs on every row, with its
-    own threshold, class and message, before the next check runs; it raises
-    for its first failing case, and the error carries a note naming it.
+    case, the inversion and its SignedCounts checks, one repair pass over
+    the whole stack and the mitigated distribution. Each check runs on
+    every row, with its own threshold, class and message, before the next
+    check runs; it raises for its first failing case, and the error carries
+    a note naming it.
     """
     matrix = synthetic_confusion(diagonal=config.readout_diagonal) if config.mitigate else None
     circuits, fields, scores, offsets = zip(*cases)

@@ -114,6 +114,15 @@ class TestInversion:
             with pytest.raises(MitigationError, match="counts must be finite"):
                 call(counts, synthetic_confusion())
 
+    def test_negative_counts_rejected(self):
+        # inverted and repaired, these came back as [100.0, 2966.6, 2007.3, ...]
+        counts = np.array([-500.0, 3000, 2000, 1000, 500, 500, 500, 500, 2500])
+        for call in (invert_confusion, mitigate_counts):
+            with pytest.raises(MitigationError, match="counts must be non-negative"):
+                call(counts, synthetic_confusion())
+        # fractional counts, which the counts-file loader accepts too, stay valid
+        assert mitigate_counts(counts + 500.5, synthetic_confusion()).sum() == pytest.approx(counts.sum() + 9 * 500.5)
+
     def test_singular_matrix_rejected(self):
         # all columns identical: nothing to invert
         flat = ConfusionMatrix(np.full((9, 9), 1.0 / 9.0))
@@ -332,12 +341,38 @@ class TestPipeline:
 
 class TestStackedMitigation:
     def test_rows_give_the_per_vector_bytes(self):
+        # one stack through every branch: counts in 9 - j of the bins, so that j entries end floored
+        # for j = 0 ... 8, at 2e4 and 1e9 shots (the large totals leave a slack to spread), the single
+        # feasible point np.full(9, 9.0) at n = 81, and a total just below 81 that floors every entry;
+        # in shuffled order, so rows with different numbers of free entries step together
         matrix = synthetic_confusion(0.6)
         rng = np.random.default_rng(3)
-        counts = rng.multinomial(20000, rng.dirichlet(np.full(9, 0.3), size=40)[0], size=40)
-        counts[5] = rng.multinomial(20000, np.eye(9)[4])
-        rows = mitigate_rows(counts, matrix)
-        assert rows.tobytes() == np.array([mitigate_counts(c, matrix) for c in counts]).tobytes()
+        rows = list(rng.multinomial(20000, rng.dirichlet(np.full(9, 0.3), size=40)[0], size=40))
+        rows.append(rng.multinomial(20000, np.full(9, 1.0 / 9.0)))
+        for kept in range(1, 10):
+            for n in (20000, 10**9):
+                for _ in range(3):
+                    row = np.zeros(9)
+                    row[rng.choice(9, kept, replace=False)] = rng.multinomial(n, np.full(kept, 1.0 / kept))
+                    rows.append(row)
+        rows += [np.full(9, 9.0), np.full(9, (81.0 - 1e-9) / 9.0)]
+        counts = np.array(rows, dtype=float)
+        rng.shuffle(counts)
+        out = mitigate_rows(counts, matrix)
+        taken = set()
+        floored = set()
+        for c, got in zip(counts, out):
+            want = reference_repair(invert_confusion(c, matrix).q, float(c.sum()), None, taken)
+            assert got.tobytes() == want.tobytes(), c
+            floored.add(int(np.count_nonzero(got == math.sqrt(c.sum()))))
+        assert taken == {"floored", "all floored", "slack"}
+        assert floored == set(range(10))
+        assert out.tobytes() == np.array([mitigate_counts(c, matrix) for c in counts]).tobytes()
+        # a total below 81 cannot hold nine entries at the sqrt(N) floor
+        counts[17] = np.full(9, 8.0)
+        with pytest.raises(InfeasibleError) as infeasible:
+            mitigate_rows(counts, matrix)
+        assert infeasible.value.row == 17
 
     def test_first_failing_row_raises(self):
         counts = np.full((4, 9), 100.0)
@@ -345,6 +380,15 @@ class TestStackedMitigation:
         with pytest.raises(MitigationError, match="counts must be finite") as rows:
             mitigate_rows(counts, synthetic_confusion())
         assert rows.value.row == 2
+        counts[2, 3] = 100.0
+        counts[1, 4] = -1.0
+        with pytest.raises(MitigationError, match="counts must be finite") as rows:
+            mitigate_rows(counts, synthetic_confusion())
+        assert rows.value.row == 3
+        counts[3, 0] = 100.0
+        with pytest.raises(MitigationError, match="counts must be non-negative") as rows:
+            mitigate_rows(counts, synthetic_confusion())
+        assert rows.value.row == 1
 
 
 class TestPersistence:
