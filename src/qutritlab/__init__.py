@@ -25,7 +25,6 @@ from .gates_compiler import (
     Circuit,
     CompileError,
     GateInstruction,
-    PhaseFrame,
     calibrate_frame_phases,
     circuit_unitary,
     compile_cphase,
@@ -33,7 +32,6 @@ from .gates_compiler import (
     decompose_single,
     equal_up_to_global_phase,
     frame_equivalence_check,
-    gate_duration,
     logical_gate,
     lower_frames,
     merge_streams,

@@ -104,13 +104,9 @@ class DeviceParams:
     def with_flux(self, flux: float) -> "DeviceParams":
         return replace(self, flux=float(flux))
 
-    def squid_cos(self) -> float:
-        """Flux factor of the coupler junction energy."""
-        return math.cos(math.pi * self.flux)
-
     def coupler_energy(self) -> float:
         """Effective coupler Josephson energy at the current bias."""
-        value = self.e_jc * self.squid_cos()
+        value = self.e_jc * math.cos(math.pi * self.flux)
         # cos(pi / 2) rounds to 6.1e-17 > 0, so the sign at and beyond half a
         # flux quantum (mod 2) is read from the flux itself
         if abs(math.remainder(self.flux, 2.0)) >= 0.5:
@@ -137,16 +133,9 @@ def capacitance_matrix(params: DeviceParams) -> np.ndarray:
     return m
 
 
-def _charging_form(params: DeviceParams) -> np.ndarray:
-    return 4.0 * K_C * np.linalg.inv(capacitance_matrix(params))
-
-
-def _inductive_form(params: DeviceParams, decoupled: bool = False) -> np.ndarray:
+def _inductive_form(params: DeviceParams) -> np.ndarray:
     ej1, ej2 = params.e_j1, params.e_j2
     ejc_eff = params.coupler_energy()
-    if decoupled:
-        # diagnostic limit: every junction to ground, no coupling structure
-        return 0.5 * np.diag([ej1, ej2, ej1 + ej2 + ejc_eff])
     return 0.5 * np.array(
         [
             [ej1, 0.0, -ej1],
@@ -161,30 +150,27 @@ class NormalForm:
     """Simultaneous normal form of the charging and inductive quadratics.
 
     phi = u @ phi_tilde and n = inv(u).T @ n_tilde turn the quadratic
-    Hamiltonian into sum_k (c_tilde_k n_k**2 + d_tilde_k phi_k**2) with
-    every c_tilde_k equal to 1.
+    Hamiltonian into sum_k (n_k**2 + d_tilde_k phi_k**2).
     """
 
     u: np.ndarray
-    c_tilde: np.ndarray
     d_tilde: np.ndarray
-    orthogonal: np.ndarray
     mode_to_node: tuple[int, ...]
 
     @property
     def mode_freqs(self) -> np.ndarray:
-        """2 sqrt(c d) per mode, in GHz."""
-        return 2.0 * np.sqrt(self.c_tilde * self.d_tilde)
+        """2 sqrt(d) per mode, in GHz."""
+        return 2.0 * np.sqrt(self.d_tilde)
 
 
-def normal_mode_transform(params: DeviceParams, decoupled: bool = False) -> NormalForm:
+def normal_mode_transform(params: DeviceParams) -> NormalForm:
     """Diagonalize the charging and quadratic inductive forms together.
 
     Charges and fluxes are rescaled so the charging part becomes the
-    identity, then the inductive part is orthogonally diagonalized.
+    identity, then the rescaled inductive part is diagonalized by eigh.
     """
-    a = _charging_form(params)
-    b = _inductive_form(params, decoupled)
+    a = 4.0 * K_C * np.linalg.inv(capacitance_matrix(params))
+    b = _inductive_form(params)
     wa, va = np.linalg.eigh(a)
     if wa.min() <= 0:
         raise NormalFormError("charging form is not positive definite")
@@ -196,7 +182,7 @@ def normal_mode_transform(params: DeviceParams, decoupled: bool = False) -> Norm
         )
     u = a_half @ orth
     mode_to_node = tuple(int(np.argmax(np.abs(u[:, k]))) for k in range(3))
-    return NormalForm(u=u, c_tilde=np.ones(3), d_tilde=lam, orthogonal=orth, mode_to_node=mode_to_node)
+    return NormalForm(u=u, d_tilde=lam, mode_to_node=mode_to_node)
 
 
 def _factors(params: DeviceParams, nf: NormalForm):
@@ -379,7 +365,7 @@ def _label_eigenstates(params: DeviceParams):
     wanted = np.ravel_multi_index(nodes[list(nf.mode_to_node)], (n, n, n))
     scores = np.where(dominant == wanted[:, None], overlaps, -1.0)
     energy, overlap = evals[scores.argmax(axis=1)] - evals.min(), scores.max(axis=1)
-    for array in (nf.u, nf.c_tilde, nf.d_tilde, nf.orthogonal, energy, overlap):
+    for array in (nf.u, nf.d_tilde, energy, overlap):
         array.flags.writeable = False
     return nf, energy, overlap
 

@@ -68,11 +68,6 @@ def rotation_duration(qutrit: int, transition: str, theta: float) -> float:
     return max(d, MIN_PULSE_NS)
 
 
-def gate_duration(instruction: "GateInstruction") -> float:
-    """Duration in ns implied by an instruction's kind, targets and params."""
-    return instruction.duration
-
-
 def _calibrated_duration(kind: str, targets: tuple[int, ...], params: tuple[float, ...]) -> float:
     if kind == "VPhase":
         return 0.0
@@ -491,23 +486,6 @@ def native_cphase_pulse_model(theta: float) -> float:
 # ---------------------------------------------------------------------------
 # Phase frames
 
-class PhaseFrame:
-    """Accumulated virtual phase advances per qutrit, one pair (01, 12) each."""
-
-    def __init__(self, n_qutrits: int):
-        if n_qutrits < 1:
-            raise CompileError("a frame needs at least one qutrit")
-        self.n_qutrits = n_qutrits
-        self._acc = np.zeros((n_qutrits, 2), dtype=float)
-
-    def advance(self, qutrit: int, x: float, y: float) -> None:
-        self._acc[qutrit, 0] += x
-        self._acc[qutrit, 1] += y
-
-    def phases(self, qutrit: int) -> tuple[float, float]:
-        return (float(self._acc[qutrit, 0]), float(self._acc[qutrit, 1]))
-
-
 def lower_frames(circuit: Circuit) -> Circuit:
     """Rewrite a circuit so no VPhase instruction is physically executed.
 
@@ -517,15 +495,16 @@ def lower_frames(circuit: Circuit) -> Circuit:
     of VPhase instructions. The lowered circuit equals the original
     exactly.
     """
-    frame = PhaseFrame(circuit.n_qutrits)
+    # accumulated virtual phase advances per qutrit, one pair (01, 12) each
+    frame = np.zeros((circuit.n_qutrits, 2))
     moments = []
     for moment in circuit.moments:
         kept = []
         for instr in moment:
             if instr.kind == "VPhase":
-                frame.advance(instr.targets[0], *instr.params)
+                frame[instr.targets[0]] += instr.params
             elif instr.kind in _ROTATION_LOWER:
-                advance = frame.phases(instr.targets[0])[_ROTATION_LOWER[instr.kind]]
+                advance = frame[instr.targets[0], _ROTATION_LOWER[instr.kind]]
                 kept.append(GateInstruction(instr.kind, instr.targets, (instr.params[0] - advance, instr.params[1])))
             else:
                 # the natives are diagonal and commute with every frame:
@@ -534,7 +513,7 @@ def lower_frames(circuit: Circuit) -> Circuit:
             moments.append(tuple(kept))
     residual = []
     for q in range(circuit.n_qutrits):
-        x, y = frame.phases(q)
+        x, y = frame[q]
         if x != 0.0 or y != 0.0:
             residual.append(pulse_vphase(q, x, y))
     if residual:

@@ -25,8 +25,10 @@ step_scale), the only route to a pair engine; a run with a new noise
 model replaces it. The engine holds the generator, one propagator per
 distinct duration, one map per moment and, per tuple of circuits it has
 walked, the map of each step of that walk; a moment's calibrated unitary
-is formed only to build its map. Cached arrays are read-only; reuse
-changes no output byte.
+is formed only to build its map. The three memos are bounded and drop
+their oldest entry first, so a sweep over many distinct angles does not
+grow the engine without end. Cached arrays are read-only; reuse changes
+no output byte, and an evicted entry is rebuilt to the same floats.
 
 There is one walk, shared by both backends (`_walk_prefixes`). Circuits
 walked together are walked as the tree of their distinct moment prefixes:
@@ -275,12 +277,27 @@ def _whole_number(name: str, value, minimum: int, error: type[QutritLabError]) -
     return int(value)
 
 
+# Bounds of an engine's memos. No benchmark op or test puts more than 10
+# propagators, 44 moment maps or 61 walked tuples through one engine;
+# a propagator or a map holds about 105 KB.
+_PROPAGATOR_MEMO = 32
+_MAP_MEMO = 128
+_PLAN_MEMO = 128
+
+
+def _remember(memo: dict, bound: int, key, value):
+    """memo[key] = value, the oldest entries dropped first so that at most `bound` remain; returns value."""
+    while len(memo) >= bound:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 class LindbladEngine:
     """Caches the propagators and moment maps of a fixed noise model.
 
     `walk` takes a tuple of circuits through their shared moment prefixes,
-    with the maps of the tuple's steps built once per tuple: `run` walks
-    one circuit from a state and `channel` from the 81x81 identity.
+    with the maps of the tuple's steps built once per tuple.
     """
 
     n_qutrits = 2  # the register the generator acts on
@@ -321,8 +338,7 @@ class LindbladEngine:
         prop = np.zeros_like(self.generator)
         prop[entries] = np.linalg.matrix_power(step, n_steps)[slots]
         prop.flags.writeable = False
-        self._cache[key] = prop
-        return prop
+        return _remember(self._cache, _PROPAGATOR_MEMO, key, prop)
 
     def _calibrated_unitary(self, moment: tuple, duration: float) -> np.ndarray:
         """Unitary of one moment, with the coupling phase accrued over its window undone.
@@ -360,7 +376,7 @@ class LindbladEngine:
                 d = np.diagonal(u)
                 s = np.outer(d, d.conj()).reshape(-1)
             s.flags.writeable = False
-            self._superops[moment] = s
+            _remember(self._superops, _MAP_MEMO, moment, s)
         return s
 
     def walk(self, circuits: tuple[Circuit, ...], initial: np.ndarray) -> np.ndarray:
@@ -373,16 +389,8 @@ class LindbladEngine:
         if plan is None:
             fail_first_row([c.n_qutrits != 2 for c in circuits], SimulationError,
                            lambda i: "the noise model is calibrated for a two-qutrit register")
-            plan = self._plans[circuits] = _plan(circuits, self._superop)
+            plan = _remember(self._plans, _PLAN_MEMO, circuits, _plan(circuits, self._superop))
         return _walk_prefixes(plan, initial)
-
-    def run(self, circuit: Circuit, initial=None) -> np.ndarray:
-        """Density matrix after the circuit, from |00> or the given state."""
-        return self.walk((circuit,), _initial_rho(initial).reshape(-1))[0].reshape(DIM2, DIM2)
-
-    def channel(self, circuit: Circuit) -> np.ndarray:
-        """81x81 superoperator of a two-qutrit circuit: the product of its moment maps."""
-        return self.walk((circuit,), np.eye(DIM2 * DIM2, dtype=complex))[0]
 
 
 class QutritEngine(LindbladEngine):
@@ -393,8 +401,8 @@ class QutritEngine(LindbladEngine):
     operators |k><l| (x) |0><0| only among themselves. On them it is this
     engine's 9x9 generator, formed from the qutrit's collapse operators
     with no Hamiltonian, and the coupling phase that calibration undoes is
-    1. The engine serves its own `channel` alone; `run` does not apply to
-    it.
+    1. The engine serves its own `channel` alone; `walk` does not apply
+    to it.
     """
 
     n_qutrits = 1
@@ -526,7 +534,8 @@ def simulate_lindblad(circuit: Circuit, noise: NoiseModel, initial=None, step_sc
     integration drifts off trace one by more than 1e-6 or produces an
     eigenvalue below -1e-6.
     """
-    rho = _checked_states(_engine(noise, step_scale).run(circuit, initial)[None])[0]
+    walked = _engine(noise, step_scale).walk((circuit,), _initial_rho(initial).reshape(-1))
+    rho = _checked_states(walked.reshape(1, DIM2, DIM2))[0]
     return _passed(DensityMatrix, matrix=rho)
 
 
@@ -755,7 +764,8 @@ def circuit_channel(circuit: Circuit, noise: NoiseModel, step_scale: int = 1,
             engine = _qutrit_engine(noise.q2 if qutrit else noise.q1, step_scale)
             return QuantumChannel(engine.channel(circuit), DIM)
         return reduced_qutrit_channel(circuit_channel(circuit, noise, step_scale), qutrit)
-    return QuantumChannel(_engine(noise, step_scale).channel(circuit), DIM2)
+    engine = _engine(noise, step_scale)
+    return QuantumChannel(engine.walk((circuit,), np.eye(DIM2 * DIM2, dtype=complex))[0], DIM2)
 
 
 def reduced_qutrit_channel(channel: QuantumChannel, qutrit: int) -> QuantumChannel:

@@ -252,6 +252,9 @@ def check_prob_rows(probs: np.ndarray) -> np.ndarray:
     return p
 
 
+_TENSOR_FIELDS = {PureState: "amplitudes", DensityMatrix: "matrix", ProbDist: "probs"}
+
+
 def tensor(*operands):
     """Kronecker product of states, operators or distributions.
 
@@ -259,26 +262,13 @@ def tensor(*operands):
     """
     if len(operands) < 1:
         raise DimensionMismatchError("tensor needs at least one operand")
-    if all(isinstance(op, PureState) for op in operands):
-        amps = operands[0].amplitudes
-        for op in operands[1:]:
-            amps = np.kron(amps, op.amplitudes)
-        return PureState(amps)
-    if all(isinstance(op, DensityMatrix) for op in operands):
-        rho = operands[0].matrix
-        for op in operands[1:]:
-            rho = np.kron(rho, op.matrix)
-        return DensityMatrix(rho)
-    if all(isinstance(op, ProbDist) for op in operands):
-        p = operands[0].probs
-        for op in operands[1:]:
-            p = np.kron(p, op.probs)
-        return ProbDist(p)
-    arrs = [np.asarray(op) for op in operands]
+    kind = type(operands[0])
+    field = _TENSOR_FIELDS.get(kind) if all(isinstance(op, kind) for op in operands) else None
+    arrs = [np.asarray(op) if field is None else getattr(op, field) for op in operands]
     out = arrs[0]
     for a in arrs[1:]:
         out = np.kron(out, a)
-    return out
+    return out if field is None else kind(out)
 
 
 def _coerce_state(state):
@@ -303,12 +293,11 @@ def fidelity(a, b) -> float:
         raise DimensionMismatchError(f"state dims differ: {a.dim} vs {b.dim}")
     if isinstance(a, PureState) and isinstance(b, PureState):
         return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    if isinstance(b, PureState):
+        a, b = b, a
     if isinstance(a, PureState):
         psi = a.amplitudes
         return float(np.real(np.vdot(psi, b.matrix @ psi)))
-    if isinstance(b, PureState):
-        psi = b.amplitudes
-        return float(np.real(np.vdot(psi, a.matrix @ psi)))
     sqrt_a = _psd_sqrt(a.matrix)
     inner = _psd_sqrt(sqrt_a @ b.matrix @ sqrt_a)
     val = float(np.real(np.trace(inner)) ** 2)

@@ -117,8 +117,9 @@ def _check_signed_rows(q: np.ndarray, shots) -> None:
 def confuse_rows(probs: np.ndarray, matrix: ConfusionMatrix) -> np.ndarray:
     """Distributions actually observed when measuring each row of an (n, d) stack of distributions,
     stacked, each row checked as ProbDist checks one."""
-    if probs.shape[1] != matrix.dim:
-        raise MitigationError(f"distribution size {probs.shape[1]} does not match matrix {matrix.dim}")
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 2 or probs.shape[1] != matrix.dim:
+        raise MitigationError(f"distributions of shape {probs.shape} are not an (n, {matrix.dim}) stack")
     # one matrix-vector product per row: a matrix-matrix product may round differently
     return check_prob_rows(np.array([matrix.m @ p for p in probs]))
 
@@ -131,8 +132,8 @@ def apply_confusion(true_probs, matrix: ConfusionMatrix) -> ProbDist:
 
 def _invert_rows(counts: np.ndarray, matrix: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Inverted counts and total of each row of a float (n, d) stack of counts, each checked as SignedCounts."""
-    if counts.shape[1] != matrix.dim:
-        raise MitigationError("counts size does not match the matrix")
+    if counts.ndim != 2 or counts.shape[1] != matrix.dim:
+        raise MitigationError(f"counts of shape {counts.shape} are not an (n, {matrix.dim}) stack")
     fail_first_row(~np.isfinite(counts).all(axis=1), MitigationError, lambda i: "counts must be finite")
     fail_first_row((counts < 0).any(axis=1), MitigationError, lambda i: "counts must be non-negative")
     cond = matrix.condition_number()

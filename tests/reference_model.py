@@ -7,8 +7,10 @@ and repair one 9-vector at a time; the Fock device Hamiltonian as dense
 Kronecker products with one full eigh; bundle text from the stdlib's JSON
 writer. The physics inputs (collapse operators, coupling, moment
 unitaries, compiled circuits, algorithm tables, normal form) are the
-package's. Test modules import their references from here and keep no
-copy; a new reference (an exact propagator, a converged basis) goes here.
+package's, apart from correlated_collapse_ops, a dephasing variant the
+package does not have. Test modules import their references from here
+and keep no copy; a new reference (an exact propagator, a converged
+basis) goes here.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from qutritlab.gates_compiler import (
     moment_unitary,
     single_qutrit_circuit,
 )
-from qutritlab.noise_sim import build_collapse_ops, idle_hamiltonian
+from qutritlab.noise_sim import build_collapse_ops, dephasing_rates, idle_hamiltonian
 from qutritlab.algorithms import (
     BVString,
     GroverSpec,
@@ -55,12 +57,34 @@ PAIR_LABELS = [str(BasisLabel.from_index(i, 2)) for i in range(DIM2)]
 # ---------------------------------------------------------------------------
 # Lindblad evolution
 
-def dense_generator(noise) -> np.ndarray:
-    """The textbook generator from whole 81x81 krons, on the row-major vectorized density matrix."""
+def correlated_collapse_ops(noise, root: str) -> list[np.ndarray]:
+    """The pair's collapse operators with each qutrit dephased by one correlated operator
+    sqrt(2) diag(0, g1, g2): g1 = sqrt(gamma_a) and g2 = g1 - sqrt(gamma_a + gamma_b) for root "-",
+    g1 + sqrt(gamma_a + gamma_b) for root "+". Either root gives the 01 coherence the rate gamma_a and
+    the 12 coherence gamma_a + gamma_b, as the package's operators do; they differ in the 02 rate."""
+    sign = {"-": -1.0, "+": 1.0}[root]
+    eye = np.eye(DIM, dtype=complex)
+    ops = []
+    for qutrit, coh in enumerate((noise.q1, noise.q2)):
+        local = []
+        for lower, t1 in ((0, coh.t1_01), (1, coh.t1_12)):
+            relax = np.zeros((DIM, DIM), dtype=complex)
+            relax[lower, lower + 1] = math.sqrt(1.0 / t1)
+            local.append(relax)
+        gamma_a, gamma_b = dephasing_rates(coh)
+        g1 = math.sqrt(gamma_a)
+        local.append(math.sqrt(2.0) * np.diag([0.0, g1, g1 + sign * math.sqrt(gamma_a + gamma_b)]).astype(complex))
+        ops += [np.kron(op, eye) if qutrit == 0 else np.kron(eye, op) for op in local]
+    return ops
+
+
+def dense_generator(noise, root: str | None = None) -> np.ndarray:
+    """The textbook generator from whole 81x81 krons, on the row-major vectorized density matrix; with a
+    root, under correlated_collapse_ops."""
     eye = np.eye(DIM2, dtype=complex)
     h = idle_hamiltonian(noise)
     gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for op in build_collapse_ops(noise):
+    for op in build_collapse_ops(noise) if root is None else correlated_collapse_ops(noise, root):
         herm = op.conj().T @ op
         gen += np.kron(op, op.conj())
         gen -= 0.5 * (np.kron(herm, eye) + np.kron(eye, herm.T))
@@ -77,9 +101,10 @@ def dense_propagator(gen: np.ndarray, duration_ns: float, step_scale: int) -> np
 
 
 @functools.lru_cache(maxsize=256)
-def propagator(noise, step_scale: int, duration_ns: float) -> np.ndarray:
-    """dense_propagator of the noise model's dense generator, kept per (model, step_scale, duration)."""
-    return dense_propagator(dense_generator(noise), duration_ns, step_scale)
+def propagator(noise, step_scale: int, duration_ns: float, root: str | None) -> np.ndarray:
+    """dense_propagator of the noise model's dense generator (with a root, under correlated_collapse_ops),
+    kept per (model, step_scale, duration, root)."""
+    return dense_propagator(dense_generator(noise, root), duration_ns, step_scale)
 
 
 def calibrated_steps(noise, circuit):
@@ -92,11 +117,11 @@ def calibrated_steps(noise, circuit):
         yield duration, u
 
 
-def stepwise_state(noise, circuit, rho: np.ndarray, step_scale: int = 1) -> np.ndarray:
+def stepwise_state(noise, circuit, rho: np.ndarray, step_scale: int = 1, root: str | None = None) -> np.ndarray:
     """State walk: per moment the propagator, a hermitization, then u rho u^dag; at the end over the trace."""
     for duration, u in calibrated_steps(noise, circuit):
         if duration > 0.0:
-            rho = (propagator(noise, step_scale, duration) @ rho.reshape(-1)).reshape(rho.shape)
+            rho = (propagator(noise, step_scale, duration, root) @ rho.reshape(-1)).reshape(rho.shape)
             rho = (rho + rho.conj().T) / 2.0
         rho = u @ rho @ u.conj().T
     rho = (rho + rho.conj().T) / 2.0
@@ -111,7 +136,7 @@ def stepwise_channel(noise, circuit, step_scale: int = 1, units=None) -> np.ndar
     x = np.eye(n, dtype=complex)[units].reshape(len(units), DIM2, DIM2)
     for duration, u in calibrated_steps(noise, circuit):
         if duration > 0.0:
-            x = (x.reshape(len(units), n) @ propagator(noise, step_scale, duration).T).reshape(x.shape)
+            x = (x.reshape(len(units), n) @ propagator(noise, step_scale, duration, None).T).reshape(x.shape)
         x = u @ x @ u.conj().T
     return x.reshape(len(units), n).T
 
@@ -316,13 +341,14 @@ def runner_circuits(name: str) -> tuple:
     return tuple(circuit for circuit, *_ in CASES[name]())
 
 
-def final_probabilities(config, circuit, walk: str) -> np.ndarray:
+def final_probabilities(config, circuit, walk: str, root: str | None = None) -> np.ndarray:
     """Outcome probabilities of one circuit from |00>, clipped at 0.
 
     walk "engine": the pure backend's moment walk, or the Lindblad
     engine's moment maps one at a time, then the Hermitian part over its
     trace (the package promises these bytes). walk "textbook":
-    stepwise_state on the dense propagators (within a tolerance).
+    stepwise_state on the dense propagators (within a tolerance), with a
+    root under correlated_collapse_ops.
     """
     if not config.noisy:
         probs = np.abs(per_case_pure(circuit)) ** 2
@@ -334,7 +360,7 @@ def final_probabilities(config, circuit, walk: str) -> np.ndarray:
     else:
         ground = np.zeros((DIM2, DIM2), dtype=complex)
         ground[0, 0] = 1.0
-        probs = np.diagonal(stepwise_state(config.noise, circuit, ground, config.step_scale)).real
+        probs = np.diagonal(stepwise_state(config.noise, circuit, ground, config.step_scale, root)).real
     return np.clip(probs, 0.0, None)
 
 
@@ -342,13 +368,15 @@ def _by_label(values) -> dict:
     return {label: float(v) for label, v in zip(PAIR_LABELS, values)}
 
 
-def reference_run_cases(config, cases, walk: str = "engine", replaced: dict | None = None) -> list[dict]:
+def reference_run_cases(config, cases, walk: str = "engine", replaced: dict | None = None,
+                        root: str | None = None) -> list[dict]:
     """One entry per case, each case walked, measured, confused, sampled (the distribution over its sum),
-    inverted and repaired on its own; `replaced` maps a case index to probabilities taken in place of its walk."""
+    inverted and repaired on its own; `replaced` maps a case index to probabilities taken in place of its walk;
+    `root` as final_probabilities takes it."""
     m = confusion(config.readout_diagonal) if config.mitigate else None
     replaced, entries = replaced or {}, []
     for index, (circuit, fields, score, offset) in enumerate(cases):
-        p = replaced[index] if index in replaced else final_probabilities(config, circuit, walk)
+        p = replaced[index] if index in replaced else final_probabilities(config, circuit, walk, root)
         entry = {**fields(p), "sp": score(p), "duration_ns": circuit.total_duration, "distribution": _by_label(p)}
         if config.shots is not None:
             measured = p if m is None else np.clip(m @ p, 0.0, None)
@@ -366,9 +394,10 @@ def _mean(entries, key, **where) -> float:
     return float(np.mean([e[key] for e in entries if all(e[k] == v for k, v in where.items())]))
 
 
-def reference_algorithm(name: str, config, walk: str = "engine", replaced: dict | None = None) -> tuple[dict, str]:
+def reference_algorithm(name: str, config, walk: str = "engine", replaced: dict | None = None,
+                        root: str | None = None) -> tuple[dict, str]:
     """The bundle document and figure CSV of sim dj, bv or grover."""
-    entries = reference_run_cases(config, CASES[name](), walk, replaced)
+    entries = reference_run_cases(config, CASES[name](), walk, replaced, root)
     baselines = classical_baselines()
     mitigated = ("sp", "sp_mitigated") if config.mitigate else ("sp",)
     if name == "dj":

@@ -29,6 +29,7 @@ from qutritlab.algorithms import (
     oracle_annotation,
     oracle_classical_function,
 )
+from reference_model import reference_algorithm
 
 ALL_LABELS = [str(BasisLabel.from_index(i, 2)) for i in range(9)]
 
@@ -224,6 +225,16 @@ class TestTwoStageMargin:
         assert summary["round1_avg"] == pytest.approx(round1, abs=1e-6)
         assert summary["round2_avg"] == pytest.approx(round2, abs=1e-6)
         assert summary["round2_exceeds_round1"] is (scale != 0.9)
+
+    @pytest.mark.parametrize("root, round1, round2", [("-", 0.4880111, 0.5025255), ("+", 0.3137301, 0.2662192)])
+    def test_round_averages_under_one_correlated_operator_per_qutrit(self, root, round1, round2):
+        # the reference pipeline with both qutrits dephased by one correlated operator of either root:
+        # the inputs fix the 01 and 12 rates, the root the 02 rate (README, "Two Grover rounds against one")
+        config = ExperimentConfig.from_mapping({"noisy": True, "shots": None})
+        summary = reference_algorithm("grover", config, walk="textbook", root=root)[0]["summary"]
+        assert summary["round1_avg"] == pytest.approx(round1, abs=1e-6)
+        assert summary["round2_avg"] == pytest.approx(round2, abs=1e-6)
+        assert summary["round2_exceeds_round1"] is (root != "+")
 
 
 class TestBaselines:

@@ -142,8 +142,6 @@ class TestNormalForm:
         assert np.allclose(nf.u @ nf.u.T, charging, rtol=1e-10, atol=1e-12)
         inductive = nf.u.T @ junction_quadratic(p) @ nf.u
         assert np.allclose(inductive, np.diag(nf.d_tilde), atol=1e-10)
-        assert np.allclose(nf.c_tilde, 1.0)
-        assert np.allclose(nf.orthogonal @ nf.orthogonal.T, np.eye(3), atol=1e-12)
 
     def test_frozen_mode_constants(self):
         nf = normal_mode_transform(DeviceParams())
@@ -154,14 +152,6 @@ class TestNormalForm:
     def test_mode_frequencies_definition(self):
         nf = normal_mode_transform(DeviceParams())
         assert np.allclose(nf.mode_freqs, 2.0 * np.sqrt(nf.d_tilde))
-
-    def test_decoupled_limit_is_permutation(self):
-        # no bridge capacitance and grounded junctions: modes are the bare nodes
-        p = DeviceParams(c_q12=0.0)
-        nf = normal_mode_transform(p, decoupled=True)
-        perm = np.abs(nf.orthogonal)
-        assert np.allclose(perm @ perm.T, np.eye(3), atol=1e-12)
-        assert np.allclose(np.sort(perm, axis=0)[:2], 0.0, atol=1e-12)
 
     def test_transmon_junctions_off_has_no_normal_form(self):
         # only the coupler junction left: the inductive form is rank one

@@ -20,7 +20,6 @@ from qutritlab.gates_compiler import (
     Circuit,
     CompileError,
     GateInstruction,
-    PhaseFrame,
     PulseShapeError,
     calibrate_frame_phases,
     circuit_unitary,
@@ -31,7 +30,6 @@ from qutritlab.gates_compiler import (
     embed_operator,
     equal_up_to_global_phase,
     frame_equivalence_check,
-    gate_duration,
     instruction_matrix,
     logical_gate,
     lower_frames,
@@ -269,11 +267,11 @@ class TestDurations:
         assert rotation_duration(0, "01", 1e-4) == pytest.approx(10.0)
 
     def test_virtual_phase_takes_no_time(self):
-        assert gate_duration(pulse_vphase(0, 1.0, 2.0)) == 0.0
+        assert pulse_vphase(0, 1.0, 2.0).duration == 0.0
 
     def test_native_cphase_durations(self):
-        assert gate_duration(native_cphase("21", math.pi)) == pytest.approx(55.9)
-        assert gate_duration(native_cphase("22", math.pi)) == pytest.approx(94.0)
+        assert native_cphase("21", math.pi).duration == pytest.approx(55.9)
+        assert native_cphase("22", math.pi).duration == pytest.approx(94.0)
 
     def test_compiled_hadamard_totals(self):
         assert single_qutrit_circuit("H", 0, 1).total_duration == pytest.approx(141.879, abs=0.01)
@@ -481,12 +479,6 @@ class TestMomentCache:
 
 
 class TestPhaseFrames:
-    def test_advance_then_retreat_restores(self):
-        frame = PhaseFrame(2)
-        frame.advance(0, 0.4, -1.2)
-        frame.advance(0, -0.4, 1.2)
-        assert frame.phases(0) == pytest.approx((0.0, 0.0))
-
     def test_lowered_circuit_has_no_interior_vphase(self):
         circ = single_qutrit_circuit("Z", 0, 1).then(single_qutrit_circuit("H", 0, 1))
         lowered = lower_frames(circ)

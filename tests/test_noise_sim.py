@@ -348,7 +348,7 @@ class TestLindbladBackend:
             assert np.trace(bad).real == pytest.approx(1.0, abs=1e-12)
         else:
             bad = np.diag([1.0 + 1e-3] + [0.0] * 8).astype(complex)
-        monkeypatch.setattr(LindbladEngine, "run", lambda self, circuit, initial=None: bad.copy())
+        monkeypatch.setattr(LindbladEngine, "walk", lambda self, circuits, initial: bad.reshape(1, -1).copy())
         with pytest.raises(SimulationError):
             simulate_lindblad(dj_circuit(DJOracle("Z", "X")), NoiseModel.none())
 
@@ -727,8 +727,24 @@ class TestStateWalk:
         monkeypatch.setattr(engine, "_calibrated_unitary", lambda m, d: formed.append(m) or calibrated(m, d))
         for _ in range(2):
             for circ in algorithm_circuits():
-                engine.run(circ)
+                engine.walk((circ,), vectorized_ground())
         assert len(formed) == len(set(formed)) == len(engine._superops)
+
+    def test_memos_stay_bounded_over_a_sweep_of_angles(self):
+        # each angle has its own plan and map, and above the 10 ns pulse floor its own propagator:
+        # without bounds the sweep would leave 2,000 plans, 2,000 maps and 1,935 propagators (about 400 MB)
+        noise = ExperimentConfig.default().noise
+        noise_sim._engine.cache_clear()
+        circuits = [Circuit(2, ((pulse_r01(0, 0.0, 2 * math.pi * k / 2000),),)) for k in range(2000)]
+        fresh = simulate_lindblad(circuits[0], noise).matrix.tobytes()
+        for circ in circuits[1:]:
+            simulate_lindblad(circ, noise)
+        engine = noise_sim._engine(noise, 1)
+        assert len(engine._plans) <= noise_sim._PLAN_MEMO
+        assert len(engine._superops) <= noise_sim._MAP_MEMO
+        assert len(engine._cache) <= noise_sim._PROPAGATOR_MEMO
+        assert (circuits[0],) not in engine._plans and circuits[0].moments[0] not in engine._superops
+        assert simulate_lindblad(circuits[0], noise).matrix.tobytes() == fresh
 
     def test_zero_duration_maps(self):
         engine = LindbladEngine(ExperimentConfig.default().noise)

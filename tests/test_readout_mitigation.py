@@ -17,6 +17,7 @@ from qutritlab.readout_mitigation import (
     SignedCounts,
     _check_signed_rows,
     apply_confusion,
+    confuse_rows,
     invert_confusion,
     load_confusion,
     mitigate_counts,
@@ -389,6 +390,14 @@ class TestStackedMitigation:
         with pytest.raises(MitigationError, match="counts must be non-negative") as rows:
             mitigate_rows(counts, synthetic_confusion())
         assert rows.value.row == 1
+
+    @pytest.mark.parametrize("shape", [(9,), (1, 1, 9), ()])
+    def test_a_stack_is_rows_by_labels(self, shape):
+        # a single vector too is refused: the stacked routes index its second axis
+        with pytest.raises(MitigationError, match="stack"):
+            mitigate_rows(np.full(shape, 100.0), synthetic_confusion())
+        with pytest.raises(MitigationError, match="stack"):
+            confuse_rows(np.full(shape, 1 / 9), synthetic_confusion())
 
 
 class TestPersistence:
