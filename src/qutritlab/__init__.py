@@ -12,6 +12,7 @@ from .qutrit_core import (
     BasisLabel,
     DensityMatrix,
     DimensionMismatchError,
+    KindMismatchError,
     ProbDist,
     PureState,
     QutritLabError,

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .qutrit_core import DIM, BasisLabel, ProbDist, QutritLabError, check_prob_rows
+from .qutrit_core import DIM, BasisLabel, ProbDist, QutritLabError, _passed, check_prob_rows
 from .gates_compiler import (
     LOGICAL_GATE_NAMES,
     circuit_unitary,
@@ -385,9 +385,10 @@ def _by_label(values: np.ndarray) -> dict:
 def _run_cases(config: ExperimentConfig, cases) -> list[dict]:
     """One entry per (circuit, fields, score, seed_offset) case.
 
-    fields(probs) gives the case's own entry fields and score(probs) its
-    success probability, of its row of the exact distributions and, when
-    mitigating, of the mitigated ones. Sampling uses seed + seed_offset.
+    fields(probs) gives the case's own entry fields, a new dict on each
+    call, and score(probs) its success probability, of its row of the
+    exact distributions and, when mitigating, of the mitigated ones.
+    Sampling uses seed + seed_offset.
 
     The cases' circuits are walked together, each shared moment prefix
     once (final_states, or pure_states for the pure backend, which checks
@@ -446,19 +447,27 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def run_dj(config: ExperimentConfig) -> ResultBundle:
-    """All 25 single-query oracles: 9 constant and 16 balanced."""
-    def case(idx, oracle, note):
+# The runners' case tables depend on no config, so each is built once per
+# process; each case's fields give a fresh entry dict on every run.
+
+@functools.cache
+def _dj_cases() -> tuple:
+    """run_dj's cases: the 9 constant oracles, then the 16 balanced ones."""
+    cases = []
+    for idx, (oracle, note) in enumerate([(o, "0") for o in constant_oracles()] + list(balanced_oracle_table())):
         fields = {"name": oracle.label(), "kind": oracle.kind, "function": note}
         if oracle.kind == "constant":
             fields["constant_value"] = oracle.constant_value
             score = lambda probs: float(probs[0])
         else:
             score = lambda probs: 1.0 - float(probs[0])
-        return dj_circuit(oracle), lambda probs: fields, score, idx
+        cases.append((dj_circuit(oracle), lambda probs, fields=fields: dict(fields), score, idx))
+    return tuple(cases)
 
-    oracles = [(o, "0") for o in constant_oracles()] + list(balanced_oracle_table())
-    entries = _run_cases(config, [case(idx, o, note) for idx, (o, note) in enumerate(oracles)])
+
+def run_dj(config: ExperimentConfig) -> ResultBundle:
+    """All 25 single-query oracles: 9 constant and 16 balanced."""
+    entries = _run_cases(config, _dj_cases())
     summary = _averages(entries, {"constant_avg": {"kind": "constant"}, "balanced_avg": {"kind": "balanced"}},
                         config.mitigate)
     summary.update(
@@ -470,19 +479,24 @@ def run_dj(config: ExperimentConfig) -> ResultBundle:
     return ResultBundle("dj", config.config_hash(), tuple(entries), summary, _csv("oracle,kind,function,sp", rows))
 
 
-def run_bv(config: ExperimentConfig) -> ResultBundle:
-    """All 9 hidden strings, decoded from the exact distribution."""
+@functools.cache
+def _bv_cases() -> tuple:
+    """run_bv's cases, one per hidden string in label order."""
     def case(idx):
         label = BasisLabel.from_index(idx, 2)
         s = BVString(label.digits)
 
         def fields(probs):
-            decoded = bv_decode(ProbDist(probs))
+            decoded = bv_decode(_passed(ProbDist, probs=probs))  # probs is a row _run_cases has checked
             return {"name": str(label), "decoded": "".join(str(t) for t in decoded),
                     "decoded_correctly": decoded == s.s}
         return bv_circuit(s), fields, lambda probs: float(probs[idx]), 100 + idx
+    return tuple(case(idx) for idx in range(DIM * DIM))
 
-    entries = _run_cases(config, [case(idx) for idx in range(DIM * DIM)])
+
+def run_bv(config: ExperimentConfig) -> ResultBundle:
+    """All 9 hidden strings, decoded from the exact distribution."""
+    entries = _run_cases(config, _bv_cases())
     summary = _averages(entries, {"average_sp": {}}, config.mitigate)
     summary.update(
         classical_baseline=classical_baselines()["bv"],
@@ -492,20 +506,25 @@ def run_bv(config: ExperimentConfig) -> ResultBundle:
     return ResultBundle("bv", config.config_hash(), tuple(entries), summary, _csv("string,sp,decoded", rows))
 
 
+@functools.cache
+def _grover_cases() -> tuple:
+    """run_grover's cases: the 9 targets for one round, then for two."""
+    def case(rounds, idx):
+        target = BasisLabel.from_index(idx, 2)
+        fields = {"name": f"k{rounds}_{target}", "rounds": rounds, "target": str(target),
+                  "ideal_sp": grover_ideal_success(rounds)}
+        return (grover_circuit(GroverSpec(target, rounds)), lambda probs: dict(fields),
+                lambda probs: float(probs[idx]), 200 + 9 * rounds + idx)
+    return tuple(case(k, idx) for k in (1, 2) for idx in range(DIM * DIM))
+
+
 def run_grover(config: ExperimentConfig) -> ResultBundle:
     """All 9 targets for one and two amplification rounds.
 
     The figure CSV holds both 9 x 9 probability matrices, one row per
     (rounds, target) pair.
     """
-    def case(rounds, idx):
-        target = BasisLabel.from_index(idx, 2)
-        fields = {"name": f"k{rounds}_{target}", "rounds": rounds, "target": str(target),
-                  "ideal_sp": grover_ideal_success(rounds)}
-        return (grover_circuit(GroverSpec(target, rounds)), lambda probs: fields,
-                lambda probs: float(probs[idx]), 200 + 9 * rounds + idx)
-
-    entries = _run_cases(config, [case(k, idx) for k in (1, 2) for idx in range(DIM * DIM)])
+    entries = _run_cases(config, _grover_cases())
     summary = _averages(entries, {"round1_avg": {"rounds": 1}, "round2_avg": {"rounds": 2}}, mitigated=False)
     baselines = classical_baselines()
     summary.update(

@@ -32,6 +32,10 @@ class StateValidationError(QutritLabError, ValueError):
     """A state or distribution failed its structural checks."""
 
 
+class KindMismatchError(QutritLabError, TypeError):
+    """Operands of different kinds (a state and an operator, say) were combined."""
+
+
 def fail_first_row(bad, error: type[QutritLabError], message) -> None:
     """Raise error(message(i)) for the first row i of a stack where `bad` holds, with its row set to i."""
     failing = np.flatnonzero(bad)
@@ -258,12 +262,18 @@ _TENSOR_FIELDS = {PureState: "amplitudes", DensityMatrix: "matrix", ProbDist: "p
 def tensor(*operands):
     """Kronecker product of states, operators or distributions.
 
-    Mixed input kinds are not combined; all operands must share a kind.
+    Mixed input kinds are not combined: when one operand is a PureState,
+    DensityMatrix or ProbDist, all must be of its kind, or
+    KindMismatchError names the first two kinds. Plain arrays combine
+    with each other.
     """
     if len(operands) < 1:
         raise DimensionMismatchError("tensor needs at least one operand")
     kind = type(operands[0])
     field = _TENSOR_FIELDS.get(kind) if all(isinstance(op, kind) for op in operands) else None
+    if field is None and any(isinstance(op, tuple(_TENSOR_FIELDS)) for op in operands):
+        other = next(type(op) for op in operands if not isinstance(op, kind))
+        raise KindMismatchError(f"tensor cannot combine {kind.__name__} and {other.__name__} operands")
     arrs = [np.asarray(op) if field is None else getattr(op, field) for op in operands]
     out = arrs[0]
     for a in arrs[1:]:

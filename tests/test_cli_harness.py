@@ -577,6 +577,31 @@ class TestRunners:
         assert bundle.to_json() == run_process_tomo(exact_config(), "H", 2).to_json()
 
 
+class TestCaseTables:
+    """Each runner's case table is built once per process, and every run gets entry dicts of its own."""
+
+    @pytest.mark.parametrize("runner, table", [(run_dj, "_dj_cases"), (run_bv, "_bv_cases"),
+                                               (run_grover, "_grover_cases")], ids=["dj", "bv", "grover"])
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "mitigated"])
+    def test_runs_share_the_table_but_no_entry(self, runner, table, sampled):
+        config = exact_config()
+        if sampled:
+            config = config.replace(mitigate=True, shots=2000, seed=7)
+        getattr(cli_harness, table).cache_clear()
+        first = runner(config)
+        text, figure = first.to_json(), first.figure_csv
+        for entry in first.entries:
+            for key in list(entry):
+                if isinstance(entry[key], dict):
+                    entry[key]["00"] = -1.0
+                entry[key] = "mutated"
+            entry["added"] = True
+        second = runner(config)
+        assert second.to_json() == text and second.figure_csv == figure
+        assert all(a is not b for a, b in zip(first.entries, second.entries))
+        assert getattr(cli_harness, table).cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
 class TestCompileReport:
     def test_direct_native_target(self):
         report = compile_report(math.pi, "21")
@@ -711,7 +736,8 @@ class TestRunnerLookups:
             counting("from_mapping", vars(ExperimentConfig)["from_mapping"].__func__)))
         for name in ("__post_init__", "to_json"):
             monkeypatch.setattr(ResultBundle, name, counting(name, vars(ResultBundle)[name]))
-        for cached in (cli_harness._gate_reference, cli_harness._pair_circuit):
+        for cached in (cli_harness._gate_reference, cli_harness._pair_circuit, cli_harness._dj_cases,
+                       cli_harness._bv_cases, cli_harness._grover_cases):
             cached.cache_clear()
         for argv in (["sim", "dj", "--noisy", "--mitigate", "--shots", "200", "--seed", "1"], ["sim", "bv"],
                      ["sim", "grover"], ["tomo", "process", "--gate", "H", "--qutrit", "1"],

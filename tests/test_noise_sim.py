@@ -588,6 +588,11 @@ class TestQutritChannel:
     """A pair circuit on one qutrit, the other in |0>, has the channel of that
     qutrit's own 9x9 generator: the partner's noise and the coupling drop out."""
 
+    def test_the_one_qutrit_engine_has_no_walk(self):
+        engine = QutritEngine(ExperimentConfig.default().noise.q1)
+        with pytest.raises(SimulationError, match="^the one-qutrit engine has no walk"):
+            engine.walk((Circuit(2, ()),), vectorized_ground())
+
     @pytest.mark.parametrize("name", NOISE_MODELS)
     def test_generator_keeps_the_partner_ground_block(self, name):
         noise = NOISE_MODELS[name]()
@@ -776,6 +781,14 @@ class TestSharedPrefixWalk:
         assert len(walk) == steps
         prefixes = {c.moments[:k] for c in circuits for k in range(1, len(c.moments) + 1)}
         assert len(prefixes) == steps
+        # the pure backend stacks level L's unitaries, those of the distinct prefixes of L + 1 moments
+        plan, _ = noise_sim._pure_plan(circuits)
+        assert len(plan) == {"dj": 13, "bv": 11, "grover": 53}[runner] == max(len(c.moments) for c in circuits)
+        for depth, (parents, unitaries) in enumerate(plan):
+            assert len(parents) == len({p for p in prefixes if len(p) == depth + 1})
+            assert unitaries.shape == (len(parents), DIM2, DIM2) and not unitaries.flags.writeable
+        expected = np.array([per_case_pure(c) for c in circuits])
+        assert noise_sim.pure_states(circuits).tobytes() == expected.tobytes()
         # following the parents back from a circuit's final slot spells out its moments
         for circuit, slot in zip(circuits, finals):
             spelled = []
@@ -847,13 +860,41 @@ class TestSharedPrefixWalk:
             def __matmul__(self, other):
                 products.append(1)
                 return np.asarray(self) @ other
-        plan = noise_sim._pure_plan(circuits)
-        counted = (plan[0], tuple(m.view(Counted) for m in plan[1]), plan[2])
+        levels, finals = noise_sim._pure_plan(circuits)
+        counted = (tuple((parents, unitaries.view(Counted)) for parents, unitaries in levels), finals)
         monkeypatch.setattr(noise_sim, "_pure_plan", lambda circuits: counted)
         first = noise_sim.pure_states(circuits)
         second = noise_sim.pure_states(circuits)
-        assert len(products) == 2 * 371
+        # 53 stacked products, one per level, apply the 371 steps
+        assert len(products) == 2 * 53
         assert first is not second and first.tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("n_qutrits", [1, 2, 3])
+    @pytest.mark.parametrize("initial", [False, True], ids=["ground", "explicit"])
+    def test_level_walk_of_any_register_matches_the_per_case_walks(self, n_qutrits, initial):
+        # duplicates, nested prefixes of different lengths and the empty circuit, on one register
+        h, x = (single_qutrit_circuit(name, min(n_qutrits - 1, 1), n_qutrits=n_qutrits) for name in ("H", "X"))
+        z = single_qutrit_circuit("Z", 0, n_qutrits=n_qutrits)
+        empty = Circuit(n_qutrits, ())
+        circuits = (h.then(x).then(z), h, empty, x.then(h), h.then(x), h.then(x).then(z), empty, h)
+        psi = None
+        if initial:
+            rng = np.random.default_rng(n_qutrits)
+            amps = rng.normal(size=DIM**n_qutrits) + 1j * rng.normal(size=DIM**n_qutrits)
+            psi = PureState(amps / np.linalg.norm(amps))
+        expected = np.array([per_case_pure(c, psi) for c in circuits])
+        walked = noise_sim.pure_states(circuits, psi)
+        assert walked.tobytes() == expected.tobytes()
+        assert walked[2].tobytes() == walked[6].tobytes() == per_case_pure(empty, psi).tobytes()
+
+    @pytest.mark.parametrize("initial", [False, True], ids=["ground", "explicit"])
+    def test_a_tuple_of_the_empty_circuit_alone_has_no_level(self, initial):
+        psi = uniform_pair() if initial else None
+        empty = Circuit(2, ())
+        assert noise_sim._pure_plan((empty,))[0] == ()
+        walked = noise_sim.pure_states((empty,), psi)
+        assert walked.shape == (1, DIM2)
+        assert walked.tobytes() == np.array([per_case_pure(empty, psi)]).tobytes()
 
     @pytest.mark.parametrize("row", [0, 7, 24])
     def test_one_qutrit_case_raises_as_the_per_case_loop(self, row):

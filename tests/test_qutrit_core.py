@@ -8,6 +8,7 @@ from qutritlab import (
     BasisLabel,
     DensityMatrix,
     DimensionMismatchError,
+    KindMismatchError,
     ProbDist,
     PureState,
     StateValidationError,
@@ -230,6 +231,22 @@ class TestTensor:
         rng = np.random.default_rng(11)
         a, b, c = (rng.normal(size=(3, 3)) for _ in range(3))
         assert np.allclose(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
+
+    @pytest.mark.parametrize("operands, kinds", [
+        ((basis_state("0"), DensityMatrix(np.eye(3) / 3)), "PureState and DensityMatrix"),
+        ((ProbDist(np.full(3, 1 / 3)), basis_state("1")), "ProbDist and PureState"),
+        ((np.eye(3), basis_state("2")), "ndarray and PureState"),
+        ((basis_state("2"), basis_state("0"), np.eye(3)), "PureState and ndarray"),
+    ])
+    def test_mixed_kinds_name_both(self, operands, kinds):
+        with pytest.raises(KindMismatchError, match=f"^tensor cannot combine {kinds} operands$"):
+            tensor(*operands)
+
+    def test_same_kinds_keep_their_kind(self):
+        joint = tensor(basis_state("1"), basis_state("2"))
+        assert isinstance(joint, PureState) and joint.amplitudes.tobytes() == basis_state("12").amplitudes.tobytes()
+        rho = tensor(DensityMatrix(np.eye(3) / 3), DensityMatrix(np.eye(3) / 3))
+        assert isinstance(rho, DensityMatrix) and np.array_equal(rho.matrix, np.eye(9) / 9)
 
     def test_action_matches_label_concatenation(self):
         for i in range(9):
