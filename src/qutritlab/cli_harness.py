@@ -4,8 +4,10 @@ Ties the other modules together: loads a configuration profile, runs the
 three ternary algorithms in ideal or noisy mode with optional readout
 mitigation, emits device spectra and process matrices, and writes every
 result as a machine-readable JSON document plus a flat CSV for plotting.
-Outputs carry no timestamps, so a rerun with the same configuration and
-seed reproduces them byte for byte.
+Every JSON document it writes, to a file, stdout or stderr, is one line
+of compact JSON with sorted keys (_json_text). Outputs carry no
+timestamps, so a rerun with the same configuration and seed reproduces
+them byte for byte.
 
 On the command line each subcommand's parser names its handler, and main
 calls it. `sim`, `device sweep` and `tomo process` share `--config`,
@@ -21,7 +23,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import json.encoder
 import math
 import numbers
 import os
@@ -295,70 +296,14 @@ class ResultBundle:
                                             f"{self.experiment}_figure.csv": self.figure_csv}))
 
 
-# the types json writes without a default hook, exact: a subclass such as np.float64 takes the stdlib route
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
-_STR = frozenset({str})
-
-
-class _NotFlat(Exception):
-    """A value _indented leaves to the stdlib encoder."""
-
-
-@functools.cache
-def _flat_encoder(level: int):
-    """The C encoder writing one container of scalars at nesting `level`, one item per line, keys sorted.
-
-    It ignores indent, so the newline and indent go into its item
-    separator; _indented adds the ones after the opening bracket and
-    before the closing one.
-    """
-    return json.encoder.c_make_encoder(None, None, json.encoder.encode_basestring_ascii, None,
-                                       ": ", ",\n" + "  " * (level + 1), True, False, False)
-
-
-def _indented(o, level: int) -> str:
-    """json.dumps(o, sort_keys=True, indent=2) of a value at nesting `level`; _NotFlat for anything else."""
-    kind = type(o)
-    if kind in _JSON_SCALARS:
-        return _flat_encoder(level)(o, level)[0]
-    if kind is dict:
-        if not _STR.issuperset(map(type, o)):
-            raise _NotFlat
-        values = o.values()
-    elif kind is list or kind is tuple:
-        values = o
-    else:
-        raise _NotFlat
-    if not o:
-        return "{}" if kind is dict else "[]"
-    pad = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level
-    if _JSON_SCALARS.issuperset(map(type, values)):
-        text = "".join(_flat_encoder(level)(o, level))
-        return text[0] + pad + text[1:-1] + close + text[-1]
-    if kind is dict:
-        items = [json.encoder.encode_basestring_ascii(key) + ": " + _indented(value, level + 1)
-                 for key, value in sorted(o.items())]
-        return "{" + pad + ("," + pad).join(items) + close + "}"
-    return "[" + pad + ("," + pad).join([_indented(v, level + 1) for v in o]) + close + "]"
-
-
 def _json_text(doc) -> str:
-    """json.dumps(doc, sort_keys=True, indent=2) plus a newline, byte for byte.
+    """The one JSON format the command line writes: compact, keys sorted, ASCII, and a newline.
 
-    indent forces the stdlib's pure-Python encoder; here every container
-    of scalars goes through one call of the C encoder instead. A document
-    holding anything else (a non-str key, a numpy scalar) is written by
-    the stdlib call itself, which also raises its errors; so is one nested
-    too deep (a container that holds itself) or holding a nan or an
-    infinity, which JSON has no token for. Those two raise DocumentError,
-    with the stdlib's message.
+    A nan or an infinity, which JSON has no token for, and a container
+    that holds itself raise DocumentError with the stdlib's message.
     """
     try:
-        try:
-            return _indented(doc, 0) + "\n"
-        except (_NotFlat, RecursionError, ValueError):
-            return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
 
@@ -720,7 +665,7 @@ def _emit_document(doc: dict, out_dir, name: str) -> None:
         sys.stdout.write(text)
         return
     (path,) = _write_files(out_dir, {name: text})
-    print(json.dumps({"written": str(path)}, sort_keys=True))
+    sys.stdout.write(_json_text({"written": str(path)}))
 
 
 def _compile(args) -> None:
@@ -796,7 +741,7 @@ def main(argv=None) -> int:
     try:
         args.run(args)
     except QutritLabError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True), file=sys.stderr)
+        sys.stderr.write(_json_text({"error": type(exc).__name__, "message": str(exc)}))
         return 1
     return 0
 

@@ -106,10 +106,13 @@ class DeviceParams:
 
     def coupler_energy(self) -> float:
         """Effective coupler Josephson energy at the current bias."""
-        value = self.e_jc * math.cos(math.pi * self.flux)
+        # the flux reduced to [-1, 1], where it is itself: pi times a huge
+        # finite flux overflows, and the cosine of inf is a domain error
+        reduced = math.remainder(self.flux, 2.0)
+        value = self.e_jc * math.cos(math.pi * reduced)
         # cos(pi / 2) rounds to 6.1e-17 > 0, so the sign at and beyond half a
         # flux quantum (mod 2) is read from the flux itself
-        if abs(math.remainder(self.flux, 2.0)) >= 0.5:
+        if abs(reduced) >= 0.5:
             value = min(value, 0.0)
         if value <= 0.0:
             raise FluxRangeError(

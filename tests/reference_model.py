@@ -542,9 +542,10 @@ def bundle_document(experiment: str, config, entries: list, summary: dict) -> di
 
 
 def json_text(doc) -> str:
-    """The bundle and report text format: the stdlib's sorted, two-space-indented JSON and a newline.
-    Strict JSON: a nan or an infinity raises ValueError instead of being written as a bare NaN or Infinity."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The text format of every JSON document the command line writes: the stdlib's compact, sorted JSON
+    on one line and a newline. Strict JSON: a nan or an infinity raises ValueError instead of being
+    written as a bare NaN or Infinity."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def assert_documents_close(got, want, tol: float, key_tols: dict | None = None, path: str = "") -> None:

@@ -29,7 +29,6 @@ from qutritlab.gates_compiler import LOGICAL_GATE_NAMES, _moment_unitary, moment
 from qutritlab.noise_sim import SimulationError, measure_probs, sample_counts, simulate_lindblad
 from qutritlab.readout_mitigation import (
     IllConditionedError,
-    mitigate_counts,
     save_confusion,
     synthetic_confusion,
 )
@@ -448,25 +447,70 @@ def random_document(rng: random.Random, depth: int = 0):
     return items if kind == "list" else tuple(items)
 
 
+def as_parsed(doc):
+    """The value the stdlib parser gives back for doc written with sorted keys:
+    tuples become lists, numpy floats plain floats."""
+    if isinstance(doc, dict):
+        return {key: as_parsed(doc[key]) for key in sorted(doc)}
+    if isinstance(doc, (list, tuple)):
+        return [as_parsed(value) for value in doc]
+    return float(doc) if isinstance(doc, np.floating) else doc
+
+
+def assert_written_losslessly(doc):
+    """The text is one ASCII line and a newline, with no whitespace outside its strings,
+    and it parses back to the document's value: keys in sorted order, every float to the same bits."""
+    text = cli_harness._json_text(doc)
+    assert text.endswith("\n") and text.isascii()
+    assert not re.search(r"\s", re.sub(r'"(?:[^"\\]|\\.)*"', '""', text[:-1])), text
+    parsed = json.loads(text)
+    # repr tells the key order, and -0.0 from 0.0, which == does not
+    assert parsed == as_parsed(doc) and repr(parsed) == repr(as_parsed(doc))
+
+
 class TestJsonWriter:
-    """Bundles and reports are json.dumps(doc, sort_keys=True, indent=2) text,
-    byte for byte, written with the C encoder per flat container."""
+    """Every JSON document is json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    text on one line, and a newline."""
 
     def test_random_documents_match_the_stdlib(self):
+        # the stdlib's parser reads every document back to its value, or the writer refuses it
         for seed in range(300):
             doc = random_document(random.Random(seed))
             try:
-                want = json_text(doc)
+                json.dumps(doc, allow_nan=False)
             except ValueError as exc:  # a nan or an infinity somewhere in the document
-                with pytest.raises(DocumentError, match=re.escape(str(exc))):
+                with pytest.raises(DocumentError, match=f"^{re.escape(str(exc))}$"):
                     cli_harness._json_text(doc)
             else:
-                assert cli_harness._json_text(doc) == want, seed
+                assert_written_losslessly(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}], 1.5, "x", None, {"": ""},
+        {"b": 1, "a": [1, 2.5, "x", None, True]}, {"z": {"y": {"x": [0.1, {"w": -0.0}]}}},
+    ], ids=repr)
+    def test_edge_documents_match_the_stdlib(self, doc):
+        assert_written_losslessly(doc)
+
+    @pytest.mark.parametrize("doc, text", [
+        ({1: "a"}, '{"1":"a"}\n'),
+        ({"b": [1], 2.5: None, True: 1, None: 0}, None),
+        ({"a": [np.float64(0.5), {"b": np.float64(1.0)}]}, '{"a":[0.5,{"b":1.0}]}\n'),
+        ([{"k": 1}, np.float64(2.0)], '[{"k":1},2.0]\n'),
+    ], ids=["int_key", "mixed_keys", "nested_numpy", "numpy_in_mixed_list"])
+    def test_what_the_fast_path_leaves_is_written_by_the_stdlib(self, doc, text):
+        # what plain JSON does not hold: a number key is written as its text, keys of several
+        # types cannot be sorted, and a numpy float is written as the float it is
+        if text is None:
+            with pytest.raises(TypeError, match="not supported between instances of"):
+                cli_harness._json_text(doc)
+        else:
+            assert cli_harness._json_text(doc) == text
 
     def test_nan_and_infinity_are_not_written(self, tmp_path, monkeypatch, capsys):
         # JSON has no token for them: the stdlib's default would write bare NaN and Infinity
         bundle = ResultBundle("x", "h", ({"name": "a", "fidelity": float("nan")},), {"k": float("inf")}, "")
-        with pytest.raises(DocumentError, match="Out of range float values are not JSON compliant: "):
+        # the C encoder's message, which names no value
+        with pytest.raises(DocumentError, match="^Out of range float values are not JSON compliant$"):
             bundle.to_json()
         monkeypatch.setattr(cli_harness, "run_dj", lambda config: bundle)
         for argv in (["sim", "dj"], ["sim", "dj", "--out", str(tmp_path / "out")]):
@@ -474,26 +518,6 @@ class TestJsonWriter:
             out, err = capsys.readouterr()
             assert out == "" and [json.loads(line)["error"] for line in err.splitlines()] == ["DocumentError"]
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("doc", [
-        {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}], 1.5, "x", None, {"": ""},
-        {"b": 1, "a": [1, 2.5, "x", None, True]}, {"z": {"y": {"x": [0.1, {"w": -0.0}]}}},
-    ], ids=repr)
-    def test_edge_documents_match_the_stdlib(self, doc):
-        assert cli_harness._json_text(doc) == json_text(doc)
-
-    @pytest.mark.parametrize("doc", [
-        {1: "a"}, {"b": [1], 2.5: None, True: 1, None: 0}, {"a": [np.float64(0.5), {"b": np.float64(1.0)}]},
-        [{"k": 1}, np.float64(2.0)],
-    ], ids=["int_key", "mixed_keys", "nested_numpy", "numpy_in_mixed_list"])
-    def test_what_the_fast_path_leaves_is_written_by_the_stdlib(self, doc):
-        try:
-            want = json_text(doc)
-        except TypeError as exc:  # sort_keys over keys of several types
-            with pytest.raises(TypeError, match=re.escape(str(exc))):
-                cli_harness._json_text(doc)
-        else:
-            assert cli_harness._json_text(doc) == want
 
     def test_errors_are_the_stdlib_errors(self):
         circular = {"a": [1]}
@@ -505,27 +529,39 @@ class TestJsonWriter:
             with pytest.raises(error) as ours:
                 cli_harness._json_text(doc)
             assert str(ours.value) == str(stdlib.value)
-
-    def test_reports_take_the_fast_path(self):
-        corrected = mitigate_counts(np.arange(1.0, 10.0) * 100.0, synthetic_confusion())
-        mitigated = {"total": float(corrected.sum()), "corrected": cli_harness._by_label(corrected)}
-        for doc in (compile_report(1.0, "21"), mitigated):
-            assert cli_harness._indented(doc, 0) + "\n" == json_text(doc)
+        with pytest.raises(DocumentError, match="^Circular reference detected$"):
+            cli_harness._json_text(circular)
 
     def test_command_line_documents_match_the_stdlib(self, tmp_path, capsys):
         save_confusion(synthetic_confusion(), tmp_path / "matrix.txt")
         (tmp_path / "counts.txt").write_text("".join(f"{lbl} {100 * (i + 1)}\n"
                                                      for i, lbl in enumerate(cli_harness._PAIR_LABELS)))
-        commands = [["sim", "bv", "--noisy", "--mitigate", "--shots", "2000", "--seed", "3"],
-                    ["sim", "dj", "--out", str(tmp_path / "sim")],
-                    ["compile", "cphase", "--theta", "1.0", "--target", "21"],
-                    ["mitigate", "--counts", str(tmp_path / "counts.txt"), "--matrix", str(tmp_path / "matrix.txt")]]
-        for argv in commands:
-            assert main(argv) == 0
-            printed = capsys.readouterr().out
-            assert printed == json_text(json.loads(printed)), argv
-        written = (tmp_path / "sim" / "dj_result.json").read_text()
-        assert written == json_text(json.loads(written))
+        mitigate = ["mitigate", "--counts", str(tmp_path / "counts.txt"), "--matrix", str(tmp_path / "matrix.txt")]
+        compile_ = ["compile", "cphase", "--theta", "1.0", "--target", "21"]
+        # (arguments, exit status, the stream the document goes to)
+        commands = [(["sim", "bv", "--noisy", "--mitigate", "--shots", "2000", "--seed", "3"], 0, "out"),
+                    (["sim", "dj", "--out", str(tmp_path / "sim")], 0, "out"),
+                    (compile_, 0, "out"),
+                    ([*compile_, "--out", str(tmp_path / "compile")], 0, "out"),
+                    (mitigate, 0, "out"),
+                    ([*mitigate, "--out", str(tmp_path / "mitigate")], 0, "out"),
+                    (["sim", "dj", "--shots", "0"], 1, "err")]
+        texts = []
+        for argv, status, stream in commands:
+            assert main(argv) == status
+            streams = capsys.readouterr()
+            assert (streams.err if stream == "out" else streams.out) == "", argv
+            texts.append(streams.out if stream == "out" else streams.err)
+        texts += [(tmp_path / name).read_text() for name in ("sim/dj_result.json", "compile/cphase_21_compiled.json",
+                                                             "mitigate/mitigated_counts.json")]
+        docs = [json.loads(text) for text in texts]
+        assert docs[0]["experiment"] == "bv" and "result_json" in docs[1]
+        assert docs[3] == {"written": str(tmp_path / "compile" / "cphase_21_compiled.json")}
+        assert docs[5] == {"written": str(tmp_path / "mitigate" / "mitigated_counts.json")}
+        assert docs[6]["error"] == "ConfigError"
+        for text in texts:
+            assert text.endswith("\n") and text.count("\n") == 1, text
+            assert text == json_text(json.loads(text)), text
 
 
 class TestRunners:
@@ -1155,7 +1191,7 @@ class TestCommandLineRoute:
             "summary": doc["summary"],
             "result_json": str(result),
             "figure_csv": str(figure),
-        }, sort_keys=True, indent=2) + "\n"
+        }, sort_keys=True, separators=(",", ":")) + "\n"
         assert sorted(tmp_path.iterdir()) == [figure, result]
 
     def test_document_receipt_unchanged(self, tmp_path, capsys):
@@ -1164,8 +1200,9 @@ class TestCommandLineRoute:
         printed = capsys.readouterr().out
         assert main([*argv, "--out", str(tmp_path)]) == 0
         path = tmp_path / "cphase_21_compiled.json"
-        assert capsys.readouterr().out == '{"written": "' + str(path) + '"}\n'
-        assert path.read_text() == printed == json.dumps(compile_report(1.0, "21"), sort_keys=True, indent=2) + "\n"
+        assert capsys.readouterr().out == '{"written":"' + str(path) + '"}\n'
+        assert path.read_text() == printed == json.dumps(compile_report(1.0, "21"), sort_keys=True,
+                                                         separators=(",", ":")) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ["sim", "dj", "--out", ""],
@@ -1198,6 +1235,16 @@ class TestMain:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "ConfigError"
+
+    def test_device_sweep_takes_a_huge_finite_flux(self, capsys):
+        # flux 1e308 is an even number of flux quanta: the spectrum of flux 0, and no traceback
+        assert main(["device", "sweep", "--from", "0", "--to", "1e308", "--steps", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and len(out.splitlines()) == 1
+        first, last = json.loads(out)["entries"]
+        assert (first.pop("flux"), first.pop("name"), last.pop("flux"), last.pop("name")) == (
+            0.0, "flux_0", 1e308, "flux_1e+308")
+        assert first == last
 
     @pytest.mark.parametrize("steps", ["10001", "100000000000"])
     def test_device_sweep_rejects_too_many_steps(self, capsys, steps):

@@ -119,6 +119,18 @@ class TestParams:
         assert DeviceParams(flux=2.0).coupler_energy() == pytest.approx(1140.0)
         assert DeviceParams(flux=-1.815).coupler_energy() == pytest.approx(DeviceParams().coupler_energy())
 
+    def test_huge_finite_flux_is_reduced_before_the_cosine(self):
+        # pi * 1e308 overflows to inf; every double from 2**53 on is an even integer, so flux 0 in effect
+        for flux in (1e308, -1.7976931348623157e308, 2.0**53):
+            assert DeviceParams(flux=flux).coupler_energy() == 1140.0
+        with pytest.raises(FluxRangeError):
+            DeviceParams(flux=2.0**53 - 1.0).coupler_energy()  # an odd integer: a whole flux quantum
+
+    def test_flux_within_one_quantum_is_taken_as_given(self):
+        for flux in np.linspace(-1.0, 1.0, 2001):
+            if abs(flux) < 0.5:
+                assert DeviceParams(flux=flux).coupler_energy() == 1140.0 * math.cos(math.pi * flux)
+
 
 class TestCapacitance:
     def test_entries(self):

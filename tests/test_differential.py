@@ -48,13 +48,6 @@ SETTINGS = {
 }
 
 
-def fast_path_text(bundle) -> str:
-    """The bundle's text from the C-encoder path alone, which raises for anything it would leave to the stdlib."""
-    doc = {"experiment": bundle.experiment, "config_hash": bundle.config_hash,
-           "package_version": cli_harness.PACKAGE_VERSION, "entries": list(bundle.entries), "summary": bundle.summary}
-    return cli_harness._indented(doc, 0) + "\n"
-
-
 def printed_cells(csv: str) -> np.ndarray:
     return np.array([line.split(",") for line in csv.splitlines()[1:]], dtype=float)
 
@@ -65,10 +58,9 @@ def printed_cells(csv: str) -> np.ndarray:
 def test_algorithm_runner_matches_the_model(name, runner, setting):
     config = ExperimentConfig.default().replace(**SETTINGS[setting])
     bundle = runner(config)
-    # the per-moment walk and the per-vector readout give the prefix walk's and
-    # the stacked pass's bytes, and the C-encoder path writes the stdlib's text
+    # the per-moment walk and the per-vector readout give the prefix walk's and the stacked pass's bytes
     doc, csv = reference_algorithm(name, config)
-    assert bundle.to_json() == fast_path_text(bundle) == json_text(doc)
+    assert bundle.to_json() == json_text(doc)
     assert bundle.figure_csv == csv
     if config.noisy:
         textbook, _ = reference_algorithm(name, config, walk="textbook")
@@ -86,7 +78,7 @@ def test_process_tomography_matches_the_model(gate, qutrit, profile):
     bundle = run_process_tomo(config, gate, qutrit)
     text = bundle.to_json()
     doc, chi = reference_tomo(config, gate, qutrit)
-    assert text == fast_path_text(bundle) == json_text(json.loads(text))
+    assert text == json_text(json.loads(text))
     assert_documents_close(json.loads(text), doc, STATE_TOL)
     # the figure is the per-row formatter's text of the runner's own chi, and the model's chi as printed
     pair = cli_harness._pair_circuit(gate, qutrit - 1)
@@ -102,7 +94,7 @@ def test_device_report_matches_the_model():
     bundle = run_device_report(config, grid)
     text = bundle.to_json()
     doc, rows = reference_device(config, grid)
-    assert text == fast_path_text(bundle) == json_text(json.loads(text))
+    assert text == json_text(json.loads(text))
     assert_documents_close(json.loads(text), doc, GHZ_TOL,
                            {key: J_TOL_KHZ for key in ("j11_khz", "j21_khz", "j12_khz", "j22_khz",
                                                        "operating_j11_khz")})
