@@ -4,10 +4,12 @@ Ties the other modules together: loads a configuration profile, runs the
 three ternary algorithms in ideal or noisy mode with optional readout
 mitigation, emits device spectra and process matrices, and writes every
 result as a machine-readable JSON document plus a flat CSV for plotting.
-Every JSON document it writes, to a file, stdout or stderr, is one line
-of compact JSON with sorted keys (_json_text). Outputs carry no
-timestamps, so a rerun with the same configuration and seed reproduces
-them byte for byte.
+An algorithm runner's cases are plain data, each success one outcome's
+probability (or its complement), so a run scores all its cases as
+indexed columns of one stack of distributions. Every JSON document it
+writes, to a file, stdout or stderr, is one line of compact JSON with
+sorted keys (_json_text). Outputs carry no timestamps, so a rerun with
+the same configuration and seed reproduces them byte for byte.
 
 On the command line each subcommand's parser names its handler, and main
 calls it. `sim`, `device sweep` and `tomo process` share `--config`,
@@ -61,7 +63,6 @@ from .noise_sim import (
 # no runner calls these; they are kept as names here for wrappers that trace them
 from .noise_sim import measure_probs, reduced_qutrit_channel, sample_counts, simulate_lindblad, simulate_pure
 from .algorithms import (
-    BVString,
     GroverSpec,
     balanced_oracle_table,
     bv_circuit,
@@ -327,13 +328,14 @@ def _by_label(values: np.ndarray) -> dict:
     return dict(zip(_PAIR_LABELS, np.asarray(values, dtype=float).tolist(), strict=True))
 
 
-def _run_cases(config: ExperimentConfig, cases) -> list[dict]:
-    """One entry per (circuit, fields, score, seed_offset) case.
+def _run_cases(config: ExperimentConfig, cases) -> tuple[list[dict], np.ndarray]:
+    """One entry per (circuit, fields, success, seed_offset) case, and the checked (cases, 9) exact stack.
 
-    fields(probs) gives the case's own entry fields, a new dict on each
-    call, and score(probs) its success probability, of its row of the
-    exact distributions and, when mitigating, of the mitigated ones.
-    Sampling uses seed + seed_offset.
+    An entry is a copy of the case's fields plus its success probability
+    sp: the probability of outcome `success`, or 1 - p(00) where success
+    is None (a balanced DJ oracle); from the exact distributions and,
+    when mitigating, as sp_mitigated from the mitigated ones. Sampling
+    uses seed + seed_offset.
 
     The cases' circuits are walked together, each shared moment prefix
     once (final_states, or pure_states for the pure backend, which checks
@@ -349,20 +351,17 @@ def _run_cases(config: ExperimentConfig, cases) -> list[dict]:
     a note naming it.
     """
     matrix = synthetic_confusion(diagonal=config.readout_diagonal) if config.mitigate else None
-    circuits, fields, scores, offsets = zip(*cases)
+    circuits, fields, success, offsets = zip(*cases)
     try:
         if config.noisy:
             probs = final_states(circuits, config.noise, config.step_scale).diagonal(axis1=1, axis2=2).real
         else:
             probs = np.abs(pure_states(circuits)) ** 2
         probs = check_prob_rows(probs)
-        entries = []
-        for circ, field, score, p in zip(circuits, fields, scores, probs):
-            entry = field(p)
-            entry.update(sp=score(p), duration_ns=circ.total_duration, distribution=_by_label(p))
-            entries.append(entry)
+        entries = [dict(field, sp=sp, duration_ns=circ.total_duration, distribution=_by_label(p))
+                   for circ, field, sp, p in zip(circuits, fields, _success(probs, success), probs)]
         if config.shots is None:
-            return entries
+            return entries, probs
         measured = probs if matrix is None else confuse_rows(probs, matrix)
         counts = sample_rows(measured, config.shots, [config.seed + offset for offset in offsets])
         for entry, row in zip(entries, counts):
@@ -370,14 +369,19 @@ def _run_cases(config: ExperimentConfig, cases) -> list[dict]:
         if matrix is not None:
             corrected = mitigate_rows(counts, matrix)
             mitigated = check_prob_rows(corrected / corrected.sum(axis=1)[:, None])
-            for entry, score, p in zip(entries, scores, mitigated):
-                entry["mitigated_distribution"] = _by_label(p)
-                entry["sp_mitigated"] = score(p)
-        return entries
+            for entry, sp, p in zip(entries, _success(mitigated, success), mitigated):
+                entry.update(mitigated_distribution=_by_label(p), sp_mitigated=sp)
+        return entries, probs
     except QutritLabError as exc:
         if exc.row is not None:
             exc.add_note(f"raised for case {exc.row} of {len(cases)}")
         raise
+
+
+def _success(probs: np.ndarray, success: tuple) -> list[float]:
+    """Each row's probability at its case's success outcome, or 1 - p(00) where that is None."""
+    picked = probs[np.arange(len(probs)), [0 if s is None else s for s in success]]
+    return np.where([s is None for s in success], 1.0 - picked, picked).tolist()
 
 
 def _averages(entries: list[dict], groups: dict, mitigated: bool) -> dict:
@@ -393,26 +397,25 @@ def _csv(header: str, rows) -> str:
 
 
 # The runners' case tables depend on no config, so each is built once per
-# process; each case's fields give a fresh entry dict on every run.
+# process; each run copies a case's fields into an entry of its own.
 
 @functools.cache
 def _dj_cases() -> tuple:
-    """run_dj's cases: the 9 constant oracles, then the 16 balanced ones."""
+    """run_dj's cases: the 9 constant oracles, scored by p(00), then the 16 balanced ones, by 1 - p(00)."""
     cases = []
     for idx, (oracle, note) in enumerate([(o, "0") for o in constant_oracles()] + list(balanced_oracle_table())):
         fields = {"name": oracle.label(), "kind": oracle.kind, "function": note}
+        success = None
         if oracle.kind == "constant":
             fields["constant_value"] = oracle.constant_value
-            score = lambda probs: float(probs[0])
-        else:
-            score = lambda probs: 1.0 - float(probs[0])
-        cases.append((dj_circuit(oracle), lambda probs, fields=fields: dict(fields), score, idx))
+            success = 0
+        cases.append((dj_circuit(oracle), fields, success, idx))
     return tuple(cases)
 
 
 def run_dj(config: ExperimentConfig) -> ResultBundle:
     """All 25 single-query oracles: 9 constant and 16 balanced."""
-    entries = _run_cases(config, _dj_cases())
+    entries, _ = _run_cases(config, _dj_cases())
     summary = _averages(entries, {"constant_avg": {"kind": "constant"}, "balanced_avg": {"kind": "balanced"}},
                         config.mitigate)
     summary.update(
@@ -426,22 +429,17 @@ def run_dj(config: ExperimentConfig) -> ResultBundle:
 
 @functools.cache
 def _bv_cases() -> tuple:
-    """run_bv's cases, one per hidden string in label order."""
-    def case(idx):
-        label = BasisLabel.from_index(idx, 2)
-        s = BVString(label.digits)
-
-        def fields(probs):
-            decoded = bv_decode(_passed(ProbDist, probs=probs))  # probs is a row _run_cases has checked
-            return {"name": str(label), "decoded": "".join(str(t) for t in decoded),
-                    "decoded_correctly": decoded == s.s}
-        return bv_circuit(s), fields, lambda probs: float(probs[idx]), 100 + idx
-    return tuple(case(idx) for idx in range(DIM * DIM))
+    """run_bv's cases, one per hidden string in label order, each scored by the probability of its string."""
+    return tuple((bv_circuit(divmod(idx, DIM)), {"name": label}, idx, 100 + idx)
+                 for idx, label in enumerate(_PAIR_LABELS))
 
 
 def run_bv(config: ExperimentConfig) -> ResultBundle:
     """All 9 hidden strings, decoded from the exact distribution."""
-    entries = _run_cases(config, _bv_cases())
+    entries, probs = _run_cases(config, _bv_cases())
+    for entry, p in zip(entries, probs):
+        decoded = "".join(str(t) for t in bv_decode(_passed(ProbDist, probs=p)))  # p is a row _run_cases checked
+        entry.update(decoded=decoded, decoded_correctly=decoded == entry["name"])
     summary = _averages(entries, {"average_sp": {}}, config.mitigate)
     summary.update(
         classical_baseline=classical_baselines()["bv"],
@@ -453,14 +451,11 @@ def run_bv(config: ExperimentConfig) -> ResultBundle:
 
 @functools.cache
 def _grover_cases() -> tuple:
-    """run_grover's cases: the 9 targets for one round, then for two."""
-    def case(rounds, idx):
-        target = BasisLabel.from_index(idx, 2)
-        fields = {"name": f"k{rounds}_{target}", "rounds": rounds, "target": str(target),
-                  "ideal_sp": grover_ideal_success(rounds)}
-        return (grover_circuit(GroverSpec(target, rounds)), lambda probs: dict(fields),
-                lambda probs: float(probs[idx]), 200 + 9 * rounds + idx)
-    return tuple(case(k, idx) for k in (1, 2) for idx in range(DIM * DIM))
+    """run_grover's cases: the 9 targets for one round, then for two, each scored by the probability of its target."""
+    return tuple((grover_circuit(GroverSpec(target, rounds)),
+                  {"name": f"k{rounds}_{target}", "rounds": rounds, "target": target,
+                   "ideal_sp": grover_ideal_success(rounds)}, idx, 200 + 9 * rounds + idx)
+                 for rounds in (1, 2) for idx, target in enumerate(_PAIR_LABELS))
 
 
 def run_grover(config: ExperimentConfig) -> ResultBundle:
@@ -469,7 +464,7 @@ def run_grover(config: ExperimentConfig) -> ResultBundle:
     The figure CSV holds both 9 x 9 probability matrices, one row per
     (rounds, target) pair.
     """
-    entries = _run_cases(config, _grover_cases())
+    entries, _ = _run_cases(config, _grover_cases())
     summary = _averages(entries, {"round1_avg": {"rounds": 1}, "round2_avg": {"rounds": 2}}, mitigated=False)
     baselines = classical_baselines()
     summary.update(
@@ -655,6 +650,8 @@ def _sweep(config: ExperimentConfig, args) -> ResultBundle:
         raise ConfigError(f"steps must be between 1 and {_MAX_SWEEP_STEPS}, got {args.steps}")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise ConfigError(f"--from and --to must be finite, got {args.start} and {args.stop}")
+    if not math.isfinite(args.stop - args.start):  # np.linspace would overflow to a nan grid
+        raise ConfigError(f"--to minus --from must be finite, got {args.stop} - {args.start}")
     return run_device_report(config, np.linspace(args.start, args.stop, args.steps))
 
 

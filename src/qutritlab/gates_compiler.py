@@ -536,13 +536,6 @@ def _wrap_angle(x: float) -> float:
     return math.pi if w <= -math.pi + 1e-15 else w
 
 
-def _marginal_prob(psi: np.ndarray, qutrit: int, level: int) -> float:
-    t = psi.reshape(DIM, DIM)
-    if qutrit == 0:
-        return float(np.sum(np.abs(t[level, :]) ** 2))
-    return float(np.sum(np.abs(t[:, level]) ** 2))
-
-
 def _fit_offset_phase(thetas: np.ndarray, signal: np.ndarray) -> float:
     # least squares on c + a cos(theta) + b sin(theta); the signal model is
     # offset + amplitude * cos(beta + theta), so beta = atan2(a, b) - pi/2:
@@ -562,48 +555,35 @@ def calibrate_frame_phases(channel, n_points: int = 12):
     a superposition on the transition (on both qutrits), pass it through
     the channel, advance the frame by a swept angle on the probed qutrit,
     close with the inverse half-turn pulse and read the return probability.
-    The phase of the fitted oscillation is the calibration value.
+    The prepared state depends on neither the angle nor the probed qutrit,
+    so the channel is called once per transition, and both qutrits' signals
+    over all angles are read off its output by one stacked product. The
+    phase of the fitted oscillation is the calibration value.
 
     Returns ((beta01_q1, beta12_q1), (beta01_q2, beta12_q2)).
     """
     if n_points < 5:
         raise CalibrationFitError("need at least 5 sample angles")
     thetas = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-    psi0 = np.zeros(DIM**2, dtype=complex)
-    psi0[0] = 1.0
-
-    def run(prep_each, z_of_theta, close_gate, probe_q, level, theta):
-        psi = psi0
-        for q in (0, 1):
-            psi = embed_operator(prep_each, (q,), 2) @ psi
-        psi = np.asarray(channel(psi), dtype=complex).reshape(-1)
+    ones, frames = np.ones(n_points), np.exp(1j * thetas)
+    transitions = (  # preparation, closing pulse, frame advance of levels 0, 1, 2 per angle, level read
+        (r01_matrix(0.0, math.pi / 2.0), r01_matrix(math.pi, math.pi / 2.0), (ones, frames, frames), 0),
+        (r12_matrix(0.0, math.pi / 2.0) @ r01_matrix(0.0, math.pi), r12_matrix(math.pi, math.pi / 2.0),
+         (ones, ones, frames), 1),
+    )
+    signals = []
+    for prep, close, advance, level in transitions:
+        psi = np.asarray(channel(np.kron(prep[:, 0], prep[:, 0])), dtype=complex).reshape(-1)
         if psi.shape != (DIM**2,):
             raise CalibrationFitError("channel must return a 9-component state vector")
         norm = np.linalg.norm(psi)
         if norm < 1e-9:
             raise CalibrationFitError("channel returned a null state")
-        psi = psi / norm
-        psi = embed_operator(z_of_theta(theta), (probe_q,), 2) @ psi
-        psi = embed_operator(close_gate, (probe_q,), 2) @ psi
-        return _marginal_prob(psi, probe_q, level)
-
-    results = []
-    for q in (0, 1):
-        prep01 = r01_matrix(0.0, math.pi / 2.0)
-        close01 = r01_matrix(math.pi, math.pi / 2.0)
-        sig01 = np.array(
-            [run(prep01, lambda t: vphase_matrix(t, 0.0), close01, q, 0, t) for t in thetas]
-        )
-        beta01 = _fit_offset_phase(thetas, sig01)
-
-        prep12 = r12_matrix(0.0, math.pi / 2.0) @ r01_matrix(0.0, math.pi)
-        close12 = r12_matrix(math.pi, math.pi / 2.0)
-        sig12 = np.array(
-            [run(prep12, lambda t: vphase_matrix(0.0, t), close12, q, 1, t) for t in thetas]
-        )
-        beta12 = _fit_offset_phase(thetas, sig12)
-        results.append((beta01, beta12))
-    return tuple(results)
+        pair = (psi / norm).reshape(DIM, DIM)
+        probe = close[level] * np.column_stack(advance)  # per angle, the read level's row of close @ advance
+        # per probed qutrit and angle, the amplitudes of the read level over the partner's levels
+        signals.append(np.sum(np.abs(probe @ np.stack((pair, pair.T))) ** 2, axis=-1))
+    return tuple(tuple(_fit_offset_phase(thetas, sig[q]) for sig in signals) for q in (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -33,19 +33,22 @@ no output byte, and an evicted entry is rebuilt to the same floats.
 Both backends walk a tuple of circuits as the tree of their distinct
 moment prefixes (`_shared_prefixes`): each prefix's state is formed once,
 from its parent prefix's state by the map of its last moment, and each
-circuit's final state is read off its slot. The tree is found once per
-tuple of circuits, when the engine or the pure backend (`_pure_plan`)
-first plans that tuple's walk. The two-round Grover circuit begins with
-the one-round one and every DJ/BV circuit with the same fan-out, so the
-runners' 25, 9 and 18 circuits hold 299, 98 and 648 moments but only 179,
-58 and 371 distinct prefixes. A prefix's state is the same floats
-whichever circuit reaches it, so each circuit's state is the one a walk
-of it alone gives, byte for byte. `simulate_pure`, `simulate_lindblad`
-and the full-register channel walk a tuple of one circuit.
+circuit's final state is read off its slot. The steps come by prefix
+length, so each level of the tree fills one run of slots. The tree is
+found once per tuple of circuits, when the engine or the pure backend
+(`_pure_plan`) first plans that tuple's walk. The two-round Grover
+circuit begins with the one-round one and every DJ/BV circuit with the
+same fan-out, so the runners' 25, 9 and 18 circuits hold 299, 98 and 648
+moments but only 179, 58 and 371 distinct prefixes. A prefix's state is
+the same floats whichever circuit reaches it, so each circuit's state is
+the one a walk of it alone gives, byte for byte. `simulate_pure`,
+`simulate_lindblad` and the full-register channel walk a tuple of one
+circuit.
 
 The pure backend walks the tree one level at a time. Level L holds the
-prefixes of L + 1 moments; the plan keeps, per level, the place of each
-prefix's parent in the level before and the prefixes' moment unitaries
+prefixes of L + 1 moments; the plan slices each level's steps out of the
+one list and keeps the place of each prefix's parent in the level before
+(its slot less that level's first) and the prefixes' moment unitaries
 stacked (k, 3**n, 3**n), so one matmul of the stack against the gathered
 parent states fills the level: 13, 11 and 53 products for the runners'
 tuples. A stacked product computes each slice as unitary @ vector does,
@@ -402,7 +405,7 @@ class LindbladEngine:
         if plan is None:
             fail_first_row([c.n_qutrits != 2 for c in circuits], SimulationError,
                            lambda i: "the noise model is calibrated for a two-qutrit register")
-            steps, finals = _shared_prefixes(circuits)
+            steps, _, finals = _shared_prefixes(circuits)
             plan = _remember(self._plans, _PLAN_MEMO, circuits, (
                 tuple(parent for parent, _, _ in steps), tuple(self._superop(m, d) for _, m, d in steps), finals))
         return _walk_prefixes(plan, initial)
@@ -442,26 +445,29 @@ class QutritEngine(LindbladEngine):
         raise SimulationError("the one-qutrit engine has no walk: it forms single-qutrit channels only")
 
 
-def _shared_prefixes(circuits: tuple[Circuit, ...]) -> tuple[tuple, tuple]:
-    """The circuits' distinct moment prefixes, as the steps of one walk.
+def _shared_prefixes(circuits: tuple[Circuit, ...]) -> tuple[tuple, tuple, tuple]:
+    """The circuits' distinct moment prefixes, as the steps of one walk, ordered by prefix length.
 
     Slot 0 holds the initial state and step k fills slot k + 1. Returns
     the steps (parent slot, moment, duration), one per distinct nonempty
-    prefix in first-seen order, each extending its parent's prefix by one
-    moment, and each circuit's final slot (0 for an empty circuit).
+    prefix, each extending its parent's prefix by one moment: first every
+    prefix of one moment, in first-seen order, then every prefix of two,
+    and so on; the number of steps of each length; and each circuit's
+    final slot (0 for an empty circuit).
     """
-    slot_of: dict[tuple, int] = {}
-    steps, finals = [], []
-    for circuit in circuits:
-        slot = 0
-        for moment, duration in zip(circuit.moments, circuit.durations):
-            parent = slot
-            slot = slot_of.get((parent, moment))
-            if slot is None:
-                steps.append((parent, moment, duration))
-                slot = slot_of[parent, moment] = len(steps)
-        finals.append(slot)
-    return tuple(steps), tuple(finals)
+    slots = [0] * len(circuits)
+    steps, counts = [], []
+    for length in range(max((len(c.moments) for c in circuits), default=0)):
+        slot_of: dict[tuple, int] = {}
+        for i, circuit in enumerate(circuits):
+            if length < len(circuit.moments):
+                key = (slots[i], circuit.moments[length])
+                if key not in slot_of:
+                    steps.append((*key, circuit.durations[length]))
+                    slot_of[key] = len(steps)
+                slots[i] = slot_of[key]
+        counts.append(len(slot_of))
+    return tuple(steps), tuple(counts), tuple(slots)
 
 
 def _walk_prefixes(plan: tuple, initial: np.ndarray) -> np.ndarray:
@@ -609,34 +615,26 @@ def ramsey_coherence_time(noise: NoiseModel, qutrit: int, transition: str) -> fl
 def _pure_plan(circuits: tuple[Circuit, ...]) -> tuple:
     """The circuits' walk one prefix-tree level at a time; DimensionMismatchError unless they share a register.
 
-    Level L holds the prefixes of L + 1 moments, in first-seen order.
-    Returns, per level, the place of each prefix's parent in the level
-    before (the initial state alone before level 0) and the stacked
-    (k, 3**n, 3**n) moment unitaries, read-only; and each circuit's final
-    slot among the states of all levels laid end to end after the initial.
+    Level L holds the prefixes of L + 1 moments, in first-seen order, and
+    fills one contiguous run of slots. Returns, per level, the place of
+    each prefix's parent in the level before (the initial state alone
+    before level 0) and the stacked (k, 3**n, 3**n) moment unitaries,
+    read-only; and each circuit's final slot among the states of all
+    levels laid end to end after the initial.
     """
     n_qutrits = circuits[0].n_qutrits
     fail_first_row([c.n_qutrits != n_qutrits for c in circuits], DimensionMismatchError,
                    lambda i: f"circuit {i} acts on a {circuits[i].n_qutrits}-qutrit register, "
                              f"circuit 0 on a {n_qutrits}-qutrit one")
-    steps, finals = _shared_prefixes(circuits)
-    depth, place, levels = [0], [0], []  # per slot: its prefix length and its place in its level
-    for parent, moment, _ in steps:
-        if depth[parent] == len(levels):
-            levels.append(([], []))
-        parents, unitaries = levels[depth[parent]]
-        depth.append(depth[parent] + 1)
-        place.append(len(parents))
-        parents.append(place[parent])
-        unitaries.append(moment_unitary(moment, n_qutrits))
-    start = np.cumsum([0, 1, *(len(parents) for parents, _ in levels)])  # first slot of each prefix length
-    slots = start[depth] + place
-    stacked = []
-    for parents, unitaries in levels:
-        unitaries = np.array(unitaries)
+    steps, counts, finals = _shared_prefixes(circuits)
+    levels, first, previous = [], 0, 0  # the level's first step; the first slot of the level before
+    for count in counts:
+        level = steps[first:first + count]
+        unitaries = np.array([moment_unitary(moment, n_qutrits) for _, moment, _ in level])
         unitaries.flags.writeable = False
-        stacked.append((np.array(parents), unitaries))
-    return tuple(stacked), slots[list(finals)]
+        levels.append((np.array([parent for parent, _, _ in level]) - previous, unitaries))
+        previous, first = first + 1, first + count
+    return tuple(levels), list(finals)
 
 
 def pure_states(circuits, initial: PureState | None = None) -> np.ndarray:

@@ -8,7 +8,9 @@ Kronecker products with one full eigh; bundle text from the stdlib's JSON
 writer. The physics inputs (collapse operators, coupling, moment
 unitaries, compiled circuits, algorithm tables, normal form) are the
 package's, apart from correlated_collapse_ops, a dephasing variant the
-package does not have. Test modules import their references from here
+package does not have, and the two calibration models of
+calibrated_steps that undo the coupling phase in fewer windows than the
+package does. Test modules import their references from here
 and keep no copy; a new reference (an exact propagator, a converged
 basis) goes here.
 """
@@ -107,19 +109,24 @@ def propagator(noise, step_scale: int, duration_ns: float, root: str | None) -> 
     return dense_propagator(dense_generator(noise, root), duration_ns, step_scale)
 
 
-def calibrated_steps(noise, circuit):
-    """(duration, calibrated unitary) of each moment: its unitary after undoing the window's coupling phase."""
+def calibrated_steps(noise, circuit, calibration: str = "every"):
+    """(duration, calibrated unitary) of each moment: its unitary after undoing the window's coupling phase, in
+    every timed window (calibration "every", the package's model), only in those that hold a native conditional
+    phase ("native"), or in none ("none")."""
     coupling = np.real(np.diag(idle_hamiltonian(noise)))
     for moment, duration in zip(circuit.moments, circuit.durations):
         u = moment_unitary(moment, 2)
-        if duration > 0.0:
+        native = any(i.kind in ("CPhaseNative21", "CPhaseNative22") for i in moment)
+        if duration > 0.0 and {"every": True, "native": native, "none": False}[calibration]:
             u = u @ np.diag(np.exp(1j * coupling * duration * 1e-3))
         yield duration, u
 
 
-def stepwise_state(noise, circuit, rho: np.ndarray, step_scale: int = 1, root: str | None = None) -> np.ndarray:
-    """State walk: per moment the propagator, a hermitization, then u rho u^dag; at the end over the trace."""
-    for duration, u in calibrated_steps(noise, circuit):
+def stepwise_state(noise, circuit, rho: np.ndarray, step_scale: int = 1, root: str | None = None,
+                   calibration: str = "every") -> np.ndarray:
+    """State walk: per moment the propagator, a hermitization, then u rho u^dag; at the end over the trace.
+    `calibration` as calibrated_steps takes it."""
+    for duration, u in calibrated_steps(noise, circuit, calibration):
         if duration > 0.0:
             rho = (propagator(noise, step_scale, duration, root) @ rho.reshape(-1)).reshape(rho.shape)
             rho = (rho + rho.conj().T) / 2.0
@@ -341,14 +348,15 @@ def runner_circuits(name: str) -> tuple:
     return tuple(circuit for circuit, *_ in CASES[name]())
 
 
-def final_probabilities(config, circuit, walk: str, root: str | None = None) -> np.ndarray:
+def final_probabilities(config, circuit, walk: str, root: str | None = None,
+                        calibration: str = "every") -> np.ndarray:
     """Outcome probabilities of one circuit from |00>, clipped at 0.
 
     walk "engine": the pure backend's moment walk, or the Lindblad
     engine's moment maps one at a time, then the Hermitian part over its
     trace (the package promises these bytes). walk "textbook":
     stepwise_state on the dense propagators (within a tolerance), with a
-    root under correlated_collapse_ops.
+    root under correlated_collapse_ops and the given calibration model.
     """
     if not config.noisy:
         probs = np.abs(per_case_pure(circuit)) ** 2
@@ -360,7 +368,7 @@ def final_probabilities(config, circuit, walk: str, root: str | None = None) -> 
     else:
         ground = np.zeros((DIM2, DIM2), dtype=complex)
         ground[0, 0] = 1.0
-        probs = np.diagonal(stepwise_state(config.noise, circuit, ground, config.step_scale, root)).real
+        probs = np.diagonal(stepwise_state(config.noise, circuit, ground, config.step_scale, root, calibration)).real
     return np.clip(probs, 0.0, None)
 
 
@@ -369,14 +377,14 @@ def _by_label(values) -> dict:
 
 
 def reference_run_cases(config, cases, walk: str = "engine", replaced: dict | None = None,
-                        root: str | None = None) -> list[dict]:
+                        root: str | None = None, calibration: str = "every") -> list[dict]:
     """One entry per case, each case walked, measured, confused, sampled (the distribution over its sum),
     inverted and repaired on its own; `replaced` maps a case index to probabilities taken in place of its walk;
-    `root` as final_probabilities takes it."""
+    `root` and `calibration` as final_probabilities takes them."""
     m = confusion(config.readout_diagonal) if config.mitigate else None
     replaced, entries = replaced or {}, []
     for index, (circuit, fields, score, offset) in enumerate(cases):
-        p = replaced[index] if index in replaced else final_probabilities(config, circuit, walk, root)
+        p = replaced[index] if index in replaced else final_probabilities(config, circuit, walk, root, calibration)
         entry = {**fields(p), "sp": score(p), "duration_ns": circuit.total_duration, "distribution": _by_label(p)}
         if config.shots is not None:
             measured = p if m is None else np.clip(m @ p, 0.0, None)
@@ -395,9 +403,9 @@ def _mean(entries, key, **where) -> float:
 
 
 def reference_algorithm(name: str, config, walk: str = "engine", replaced: dict | None = None,
-                        root: str | None = None) -> tuple[dict, str]:
+                        root: str | None = None, calibration: str = "every") -> tuple[dict, str]:
     """The bundle document and figure CSV of sim dj, bv or grover."""
-    entries = reference_run_cases(config, CASES[name](), walk, replaced, root)
+    entries = reference_run_cases(config, CASES[name](), walk, replaced, root, calibration)
     baselines = classical_baselines()
     mitigated = ("sp", "sp_mitigated") if config.mitigate else ("sp",)
     if name == "dj":

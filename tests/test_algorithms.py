@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qutritlab.qutrit_core import BasisLabel
-from qutritlab.cli_harness import ExperimentConfig, run_grover
+from qutritlab.cli_harness import ExperimentConfig, run_dj, run_grover
 from qutritlab.gates_compiler import circuit_unitary, logical_gate
 from qutritlab.noise_sim import measure_probs, simulate_pure
 from qutritlab.algorithms import (
@@ -235,6 +235,30 @@ class TestTwoStageMargin:
         assert summary["round1_avg"] == pytest.approx(round1, abs=1e-6)
         assert summary["round2_avg"] == pytest.approx(round2, abs=1e-6)
         assert summary["round2_exceeds_round1"] is (root != "+")
+
+
+class TestCalibrationModels:
+    """Which gate windows are calibrated against the always-on coupling moves the Grover averages by 0.23
+    (README, "Two Grover rounds against one"); the package calibrates every timed window."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # q2 takes the correlated-dephasing branch, which warns
+    @pytest.mark.parametrize("calibration, round1, round2, balanced, constant", [
+        ("every", 0.4666656, 0.4696827, 0.9818051, 0.8923278),
+        ("native", 0.2605806, 0.2473094, 0.9689210, 0.8206947),
+        ("none", 0.2356877, 0.2206182, 0.9689210, 0.8206947),
+    ])
+    def test_averages_under_each_calibration_model(self, calibration, round1, round2, balanced, constant):
+        # the reference pipeline's textbook walk, with the coupling phase undone in every timed window, only in
+        # those that hold a native conditional phase, or in none
+        config = ExperimentConfig.from_mapping({"noisy": True, "shots": None})
+        grover = reference_algorithm("grover", config, walk="textbook", calibration=calibration)[0]["summary"]
+        dj = reference_algorithm("dj", config, walk="textbook", calibration=calibration)[0]["summary"]
+        got = (grover["round1_avg"], grover["round2_avg"], dj["balanced_avg"], dj["constant_avg"])
+        assert got == pytest.approx((round1, round2, balanced, constant), abs=1e-6)
+        if calibration == "every":
+            grover, dj = run_grover(config).summary, run_dj(config).summary
+            package = (grover["round1_avg"], grover["round2_avg"], dj["balanced_avg"], dj["constant_avg"])
+            assert package == pytest.approx(got, abs=1e-6)
 
 
 class TestBaselines:

@@ -21,9 +21,9 @@ import pytest
 import yaml
 
 import qutritlab
-from qutritlab import algorithms, cli_harness, device_hamiltonian, noise_sim
-from qutritlab.qutrit_core import BasisLabel, QutritLabError
-from qutritlab.algorithms import BVString, DJOracle, GroverSpec, bv_circuit, dj_circuit, grover_circuit
+from qutritlab import cli_harness, device_hamiltonian, noise_sim
+from qutritlab.qutrit_core import QutritLabError
+from qutritlab.algorithms import DJOracle, GroverSpec, dj_circuit, grover_circuit
 from qutritlab.device_hamiltonian import DeviceParams, labeled_spectrum
 from qutritlab.gates_compiler import LOGICAL_GATE_NAMES, _moment_unitary, moment_unitary
 from qutritlab.noise_sim import SimulationError, measure_probs, sample_counts, simulate_lindblad
@@ -911,13 +911,13 @@ class TestMomentCacheBundles:
 
 
 class TestNoisyPathReuse:
-    """One Lindblad engine per noise model, one walk of moment maps per
-    circuit and one circuit per spec, with every bundle byte-identical."""
+    """One Lindblad engine per noise model and one walk of moment maps per
+    circuit, with every bundle byte-identical."""
 
     @pytest.mark.parametrize("runner", [run_dj, run_bv, run_grover], ids=["dj", "bv", "grover"])
     def test_cold_and_warm_noisy_bundles_agree(self, runner):
         config = exact_config().replace(noisy=True, mitigate=True, shots=2000, seed=11)
-        for cached in (noise_sim._engine, algorithms.dj_circuit, algorithms.grover_circuit, _moment_unitary):
+        for cached in (noise_sim._engine, _moment_unitary):
             cached.cache_clear()
         cold = runner(config).to_json()
         assert noise_sim._engine.cache_info().misses == 1
@@ -985,14 +985,6 @@ class TestNoisyPathReuse:
                 phase = np.diag(np.exp(1j * engine._coupling_diag * duration * 1e-3))
                 u = engine._calibrated_unitary(moment, duration)
                 assert u.tobytes() == (moment_unitary(moment, 2) @ phase).tobytes()
-
-    def test_circuits_built_once_per_spec(self):
-        oracle = DJOracle("Z", "Xsq")
-        assert dj_circuit(oracle) is dj_circuit(oracle)
-        assert dj_circuit(oracle) is dj_circuit(DJOracle("Z", "Xsq"))
-        assert bv_circuit((1, 2)) is bv_circuit(BVString((1, 2)))
-        assert grover_circuit(GroverSpec("21", 2)) is grover_circuit(GroverSpec(BasisLabel.parse("21"), 2))
-        assert grover_circuit(GroverSpec("21", 1)) is not grover_circuit(GroverSpec("21", 2))
 
     @pytest.mark.parametrize("argv", [
         ["sim", "grover", "--noisy", "--mitigate", "--shots", "20000", "--seed", "5"],
@@ -1245,6 +1237,15 @@ class TestMain:
         assert (first.pop("flux"), first.pop("name"), last.pop("flux"), last.pop("name")) == (
             0.0, "flux_0", 1e308, "flux_1e+308")
         assert first == last
+
+    @pytest.mark.parametrize("steps", ["1", "3"])
+    def test_device_sweep_rejects_a_span_that_overflows(self, capsys, steps):
+        # both bounds are finite, but --to minus --from is not: no numpy warning, one JSON error line
+        assert main(["device", "sweep", "--from=-1.7e308", "--to=1.7e308", "--steps", steps]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "ConfigError",
+                                   "message": "--to minus --from must be finite, got 1.7e+308 - -1.7e+308"}
 
     @pytest.mark.parametrize("steps", ["10001", "100000000000"])
     def test_device_sweep_rejects_too_many_steps(self, capsys, steps):

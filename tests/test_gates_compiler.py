@@ -540,6 +540,18 @@ class TestFrameCalibration:
             q1, q2 = calibrate_frame_phases(self.channel_with(*betas))
             assert np.allclose((*q1, *q2), betas, atol=1e-3)
 
+    def test_channel_called_once_per_transition(self):
+        # the probe state depends on neither the swept angle nor the probed qutrit
+        betas = np.random.default_rng(29).uniform(-math.pi + 0.05, math.pi - 0.05, size=4)
+        channel, inputs = self.channel_with(*betas), []
+
+        def counted(psi):
+            inputs.append(psi)
+            return channel(psi)
+        q1, q2 = calibrate_frame_phases(counted)
+        assert len(inputs) == 2
+        assert np.allclose((*q1, *q2), betas, atol=1e-3)
+
     def test_flat_signal_is_a_fit_error(self):
         # dumping every input into |00> leaves nothing for the phase
         # sweep to act on, so the readout does not oscillate

@@ -776,14 +776,27 @@ class TestSharedPrefixWalk:
     @pytest.mark.parametrize("runner, moments, steps", [("dj", 299, 179), ("bv", 98, 58), ("grover", 648, 371)])
     def test_one_step_per_distinct_prefix(self, runner, moments, steps):
         circuits = runner_circuits(runner)
-        walk, finals = noise_sim._shared_prefixes(circuits)
+        levels = {"dj": 13, "bv": 11, "grover": 53}[runner]
+        walk, counts, finals = noise_sim._shared_prefixes(circuits)
         assert sum(len(c.moments) for c in circuits) == moments
         assert len(walk) == steps
         prefixes = {c.moments[:k] for c in circuits for k in range(1, len(c.moments) + 1)}
         assert len(prefixes) == steps
+        # the steps come in nondecreasing prefix length, counted per length
+        assert all(parent < slot for slot, (parent, _, _) in enumerate(walk, start=1))
+        lengths = [0]  # per slot, the length of its prefix
+        for parent, _, _ in walk:
+            lengths.append(lengths[parent] + 1)
+        assert lengths == sorted(lengths) and len(counts) == levels == max(len(c.moments) for c in circuits)
+        assert sum(counts) == steps and list(counts) == np.bincount(lengths)[1:].tolist()
+        # so prefix length L fills slots starts[L] to starts[L + 1] - 1, and every parent lies in the level before
+        starts = np.cumsum([0, 1, *counts])
+        for length in range(1, levels + 1):
+            for parent, _, _ in walk[starts[length] - 1:starts[length + 1] - 1]:
+                assert starts[length - 1] <= parent < starts[length]
         # the pure backend stacks level L's unitaries, those of the distinct prefixes of L + 1 moments
         plan, _ = noise_sim._pure_plan(circuits)
-        assert len(plan) == {"dj": 13, "bv": 11, "grover": 53}[runner] == max(len(c.moments) for c in circuits)
+        assert [len(parents) for parents, _ in plan] == list(counts)
         for depth, (parents, unitaries) in enumerate(plan):
             assert len(parents) == len({p for p in prefixes if len(p) == depth + 1})
             assert unitaries.shape == (len(parents), DIM2, DIM2) and not unitaries.flags.writeable
@@ -794,7 +807,6 @@ class TestSharedPrefixWalk:
             spelled = []
             while slot:
                 parent, moment, duration = walk[slot - 1]
-                assert parent < slot
                 spelled.append((moment, duration))
                 slot = parent
             assert spelled[::-1] == list(zip(circuit.moments, circuit.durations))
@@ -817,7 +829,7 @@ class TestSharedPrefixWalk:
         assert two.moments[:len(one.moments)] == one.moments  # the one-round circuit is a strict prefix
         other, empty = dj_circuit(DJOracle("X", "Z")), Circuit(2, ())
         circuits = (two, other, one, empty, other, two)
-        walk, finals = noise_sim._shared_prefixes(circuits)
+        walk, _, finals = noise_sim._shared_prefixes(circuits)
         assert len(walk) == len({c.moments[:k] for c in circuits for k in range(1, len(c.moments) + 1)})
         assert finals[3] == 0 and finals[1] == finals[4] and finals[0] == finals[5] and finals[2] < finals[0]
         expected = np.array([per_case_pure(c) for c in circuits])
@@ -900,7 +912,7 @@ class TestSharedPrefixWalk:
     def test_one_qutrit_case_raises_as_the_per_case_loop(self, row):
         circuits = list(runner_circuits("dj"))
         circuits[row] = single_qutrit_circuit("H", 0, n_qutrits=1)
-        cases = [(c, lambda dist: {}, lambda dist: 0.0, i) for i, c in enumerate(circuits)]
+        cases = [(c, {}, 0, i) for i, c in enumerate(circuits)]
         config = ExperimentConfig.default().replace(noisy=True, shots=None, seed=None)
         # the per-case loop's error: simulate_lindblad of the case's circuit, with its row and note
         with pytest.raises(SimulationError) as raised:
