@@ -8,8 +8,10 @@ An algorithm runner's cases are plain data, each success one outcome's
 probability (or its complement), so a run scores all its cases as
 indexed columns of one stack of distributions. Every JSON document it
 writes, to a file, stdout or stderr, is one line of compact JSON with
-sorted keys (_json_text). Outputs carry no timestamps, so a rerun with
-the same configuration and seed reproduces them byte for byte.
+sorted keys (_json_text). A bundle holds its figure CSV as a formatter
+and formats it when the figure is read or written, never for to_json.
+Outputs carry no timestamps, so a rerun with the same configuration and
+seed reproduces them byte for byte.
 
 On the command line each subcommand's parser names its handler, and main
 calls it. `sim`, `device sweep` and `tomo process` share `--config`,
@@ -29,6 +31,7 @@ import math
 import numbers
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -263,15 +266,27 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultBundle:
-    """One experiment's results: ordered entries, summary, figure data."""
+    """One experiment's results: ordered entries, summary, figure data.
+
+    The figure comes as a zero-argument formatter; figure_csv is its text,
+    formatted on first read (save reads it, to_json does not). Equality and
+    the repr leave the formatter out.
+    """
 
     experiment: str
     config_hash: str
     entries: tuple
     summary: dict
-    figure_csv: str
+    format_figure: Callable[[], str] = dataclasses.field(repr=False, compare=False)
+
+    @functools.cached_property
+    def figure_csv(self) -> str:
+        return self.format_figure()
 
     def __post_init__(self):
+        if not callable(self.format_figure):  # else a figure text would fail only at save, after the JSON
+            raise QutritLabError("a bundle's figure must be a zero-argument formatter, not "
+                                 f"{type(self.format_figure).__name__}")
         # "not ... <=" and "not 0 < ... < inf": a nan sum or duration fails too, as JSON has no nan
         for entry in self.entries:
             for key in ("distribution", "mitigated_distribution"):
@@ -392,6 +407,9 @@ def _averages(entries: list[dict], groups: dict, mitigated: bool) -> dict:
             for key, suffix in suffixes.items() for name, where in groups.items()}
 
 
+# A runner hands its bundle the figure as functools.partial(formatter, data), not
+# as a closure, so a bundle still pickles.
+
 def _csv(header: str, rows) -> str:
     return "\n".join([header, *rows]) + "\n"
 
@@ -423,8 +441,12 @@ def run_dj(config: ExperimentConfig) -> ResultBundle:
         n_constant=sum(e["kind"] == "constant" for e in entries),
         n_balanced=sum(e["kind"] == "balanced" for e in entries),
     )
-    rows = [f"{e['name']},{e['kind']},{e['function'].replace(' ', '')},{e['sp']:.9g}" for e in entries]
-    return ResultBundle("dj", config.config_hash(), tuple(entries), summary, _csv("oracle,kind,function,sp", rows))
+    return ResultBundle("dj", config.config_hash(), tuple(entries), summary, functools.partial(_dj_csv, entries))
+
+
+def _dj_csv(entries) -> str:
+    return _csv("oracle,kind,function,sp",
+                (f"{e['name']},{e['kind']},{e['function'].replace(' ', '')},{e['sp']:.9g}" for e in entries))
 
 
 @functools.cache
@@ -445,8 +467,11 @@ def run_bv(config: ExperimentConfig) -> ResultBundle:
         classical_baseline=classical_baselines()["bv"],
         all_decoded_correctly=all(e["decoded_correctly"] for e in entries),
     )
-    rows = [f"{e['name']},{e['sp']:.9g},{e['decoded']}" for e in entries]
-    return ResultBundle("bv", config.config_hash(), tuple(entries), summary, _csv("string,sp,decoded", rows))
+    return ResultBundle("bv", config.config_hash(), tuple(entries), summary, functools.partial(_bv_csv, entries))
+
+
+def _bv_csv(entries) -> str:
+    return _csv("string,sp,decoded", (f"{e['name']},{e['sp']:.9g},{e['decoded']}" for e in entries))
 
 
 @functools.cache
@@ -473,10 +498,14 @@ def run_grover(config: ExperimentConfig) -> ResultBundle:
         classical_baseline_round2=baselines["grover2"],
         round2_duration_ns_22=next(e["duration_ns"] for e in entries if e["rounds"] == 2 and e["target"] == "22"),
     )
-    rows = [f"{e['rounds']},{e['target']}," + ",".join(f"{e['distribution'][lbl]:.9g}" for lbl in _PAIR_LABELS)
-            for e in entries]
     return ResultBundle("grover", config.config_hash(), tuple(entries), summary,
-                        _csv("rounds,target," + ",".join(_PAIR_LABELS), rows))
+                        functools.partial(_grover_csv, entries))
+
+
+def _grover_csv(entries) -> str:
+    return _csv("rounds,target," + ",".join(_PAIR_LABELS),
+                (f"{e['rounds']},{e['target']}," + ",".join(f"{e['distribution'][lbl]:.9g}" for lbl in _PAIR_LABELS)
+                 for e in entries))
 
 
 # device bundle entry key -> SpectrumReport field; the figure prints the first nine
@@ -501,8 +530,12 @@ def run_device_report(config: ExperimentConfig, flux_grid) -> ResultBundle:
     summary = {"points": len(reports), "operating_flux": config.device.flux}
     summary.update({f"operating_{key}": getattr(operating, _DEVICE_ENTRY[key])
                     for key in ("w01_q1", "w01_q2", "j11_khz", "coupler_ghz")})
-    rows = [",".join(f"{e[key]:.9g}" for key in list(_DEVICE_ENTRY)[:9]) for e in entries]
-    return ResultBundle("device", config.config_hash(), tuple(entries), summary, _csv(_DEVICE_CSV_HEADER, rows))
+    return ResultBundle("device", config.config_hash(), tuple(entries), summary,
+                        functools.partial(_device_csv, entries))
+
+
+def _device_csv(entries) -> str:
+    return _csv(_DEVICE_CSV_HEADER, (",".join(f"{e[key]:.9g}" for key in list(_DEVICE_ENTRY)[:9]) for e in entries))
 
 
 @functools.lru_cache(maxsize=len(LOGICAL_GATE_NAMES))
@@ -551,9 +584,15 @@ def run_process_tomo(config: ExperimentConfig, gate: str, qutrit: int) -> Result
         "noiseless_fidelity": noiseless_fid,
         "noisy_fidelity": noisy_fid,
     }
-    parts = noisy_chi.matrix.copy().view(float)  # each row's real and imaginary parts, interleaved
+    return ResultBundle("tomo", config.config_hash(), entries, summary,
+                        functools.partial(_tomo_csv, noisy_chi.matrix))
+
+
+def _tomo_csv(chi: np.ndarray) -> str:
+    """The tomography figure: a one-qutrit chi matrix, row-major, one cell per line."""
+    parts = chi.copy().view(float)  # each row's real and imaginary parts, interleaved
     parts[np.abs(parts) < 1e-12] = 0.0  # rounding noise prints as 0 (never -0), not as nine noisy digits
-    return ResultBundle("tomo", config.config_hash(), entries, summary, _TOMO_CSV % tuple(parts.ravel().tolist()))
+    return _TOMO_CSV % tuple(parts.ravel().tolist())
 
 
 def compile_report(theta: float, target: str) -> dict:

@@ -576,6 +576,8 @@ def calibrate_frame_phases(channel, n_points: int = 12):
         psi = np.asarray(channel(np.kron(prep[:, 0], prep[:, 0])), dtype=complex).reshape(-1)
         if psi.shape != (DIM**2,):
             raise CalibrationFitError("channel must return a 9-component state vector")
+        if not np.isfinite(psi).all():
+            raise CalibrationFitError("channel returned a state with a nan or infinite entry")
         norm = np.linalg.norm(psi)
         if norm < 1e-9:
             raise CalibrationFitError("channel returned a null state")

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -410,7 +411,7 @@ class TestOneTypeCheck:
 class TestResultBundle:
     def test_unnormalized_distribution_rejected(self):
         with pytest.raises(QutritLabError):
-            ResultBundle("t", "h", ({"name": "x", "distribution": {"00": 0.5}},), {}, "a\n")
+            ResultBundle("t", "h", ({"name": "x", "distribution": {"00": 0.5}},), {}, lambda: "a\n")
 
     @pytest.mark.parametrize("entry", [{"duration_ns": 0.0}, {"duration_ns": math.inf},
                                        {"distribution": {"00": math.nan}, "duration_ns": math.nan},
@@ -419,14 +420,54 @@ class TestResultBundle:
     def test_nonpositive_duration_rejected(self, entry):
         # a nan sum or duration would be written as a bare NaN token, which strict JSON readers reject
         with pytest.raises(QutritLabError):
-            ResultBundle("t", "h", ({"name": "x", **entry},), {}, "a\n")
+            ResultBundle("t", "h", ({"name": "x", **entry},), {}, lambda: "a\n")
 
     def test_save_writes_named_pair(self, tmp_path):
-        bundle = ResultBundle("t", "h", (), {}, "col\n1\n")
+        bundle = ResultBundle("t", "h", (), {}, lambda: "col\n1\n")
         json_path, csv_path = bundle.save(tmp_path)
         assert json_path.name == "t_result.json"
         assert csv_path.name == "t_figure.csv"
         assert csv_path.read_text() == "col\n1\n"
+
+    def test_figure_is_formatted_on_first_read_only(self, tmp_path):
+        calls = []
+
+        def figure():
+            calls.append(None)
+            return "col\n1\n"
+        bundle = ResultBundle("t", "h", ({"name": "x", "fidelity": 0.5},), {"k": 1}, figure)
+        assert json.loads(bundle.to_json())["entries"] == [{"name": "x", "fidelity": 0.5}] and calls == []
+        assert bundle.figure_csv == "col\n1\n" and len(calls) == 1
+        bundle.save(tmp_path)
+        assert bundle.figure_csv == "col\n1\n" and len(calls) == 1
+
+    @pytest.mark.parametrize("figure", ["col\n1\n", None], ids=["text", "none"])
+    def test_figure_that_is_not_a_formatter_rejected(self, figure):
+        # caught when the bundle is built, not at save after the JSON file is written
+        with pytest.raises(QutritLabError, match="zero-argument formatter"):
+            ResultBundle("t", "h", (), {}, figure)
+
+    def test_equality_and_repr_leave_the_formatter_out(self):
+        first, second = (ResultBundle("t", "h", (), {}, lambda: "col\n1\n") for _ in range(2))
+        assert first.format_figure is not second.format_figure
+        assert first == second and repr(first) == repr(second)
+        assert "lambda" not in repr(first) and "figure_csv" not in vars(first)
+        assert first != dataclasses.replace(first, summary={"k": 1})
+
+    @pytest.mark.parametrize("run", [
+        run_dj, run_bv, run_grover,
+        lambda config: run_device_report(config.replace(device=DeviceParams(n_levels=6)), [0.1, 0.185]),
+        lambda config: run_process_tomo(config, "H", 2),
+    ], ids=["dj", "bv", "grover", "device", "tomo"])
+    def test_save_writes_the_figure_text(self, run, tmp_path):
+        bundle = run(exact_config())
+        # a bundle pickles with its figure unformatted, as a worker process would send it
+        sent = pickle.loads(pickle.dumps(bundle))
+        assert "figure_csv" not in vars(sent)
+        json_path, csv_path = bundle.save(tmp_path)
+        assert json_path.read_text() == bundle.to_json()
+        assert csv_path.read_text() == bundle.figure_csv == sent.figure_csv
+        assert sent == bundle
 
 
 # every kind of value json writes, with the floats and strings whose text is easiest to get wrong
@@ -508,7 +549,7 @@ class TestJsonWriter:
 
     def test_nan_and_infinity_are_not_written(self, tmp_path, monkeypatch, capsys):
         # JSON has no token for them: the stdlib's default would write bare NaN and Infinity
-        bundle = ResultBundle("x", "h", ({"name": "a", "fidelity": float("nan")},), {"k": float("inf")}, "")
+        bundle = ResultBundle("x", "h", ({"name": "a", "fidelity": float("nan")},), {"k": float("inf")}, lambda: "")
         # the C encoder's message, which names no value
         with pytest.raises(DocumentError, match="^Out of range float values are not JSON compliant$"):
             bundle.to_json()

@@ -560,6 +560,18 @@ class TestFrameCalibration:
         with pytest.raises(CalibrationFitError):
             calibrate_frame_phases(lambda psi: ground)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_channel_output_is_a_fit_error(self, bad):
+        # a norm check alone lets these through, to a RuntimeWarning (an error under
+        # this suite's filter) and nan phases
+        def channel(psi):
+            out = np.array(psi, dtype=complex)
+            out[4] = bad
+            return out
+        for broken in (channel, lambda psi: np.full(9, bad)):
+            with pytest.raises(CalibrationFitError, match="nan or infinite"):
+                calibrate_frame_phases(broken)
+
 
 class TestPulseEnvelope:
     def test_plateau_value(self):
