@@ -114,8 +114,9 @@ def _defaults() -> dict:
 # keys whose value may be null; every other key keeps the type of its default
 _NULLABLE = ("shots", "seed", "out_dir")
 
-# numpy's int64 maximum: the multinomial sampler overflows at 2**63 shots
-_MAX_SHOTS = 2**63 - 1
+# counts are written as floats (_by_label), and every count up to 2**53, and
+# every sum of counts up to it, is an exact float
+_MAX_SHOTS = 2**53
 
 # device sweep grid points: about 4 minutes at 25 ms per point (n_levels 8, one core)
 _MAX_SWEEP_STEPS = 10_000
@@ -173,7 +174,7 @@ def _read_profile(path):
 
 
 # the ExperimentConfig fields that are top-level profile keys of the same name
-_TOP_FIELDS = ("shots", "seed", "noisy", "mitigate", "step_scale", "out_dir")
+_TOP_FIELDS = ("shots", "seed", "noisy", "mitigate", "out_dir")
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,6 @@ class ExperimentConfig:
     noisy: bool
     mitigate: bool
     readout_diagonal: float
-    step_scale: int
     out_dir: str | None
 
     def __post_init__(self):
@@ -213,7 +213,7 @@ class ExperimentConfig:
         if self.shots is not None and self.shots < 1:
             raise ConfigError(f"shots must be positive, got {self.shots}")
         if self.shots is not None and self.shots > _MAX_SHOTS:
-            raise ConfigError(f"shots must be at most 2**63 - 1, got {self.shots}")
+            raise ConfigError(f"shots must be at most 2**53, got {self.shots}")
         if self.mitigate and (self.shots is None or self.shots < (DIM * DIM) ** 2):
             raise ConfigError("mitigation needs shots >= 81 so the count floor stays feasible")
         if self.shots is not None and self.seed is None:
@@ -222,8 +222,6 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.readout_diagonal <= 1.0:
             raise ConfigError("readout diagonal must lie in (0, 1]")
-        if self.step_scale < 1:
-            raise ConfigError("step_scale must be a positive integer")
 
     @classmethod
     def from_mapping(cls, mapping: dict | None) -> "ExperimentConfig":
@@ -369,7 +367,7 @@ def _run_cases(config: ExperimentConfig, cases) -> tuple[list[dict], np.ndarray]
     circuits, fields, success, offsets = zip(*cases)
     try:
         if config.noisy:
-            probs = final_states(circuits, config.noise, config.step_scale).diagonal(axis1=1, axis2=2).real
+            probs = final_states(circuits, config.noise).diagonal(axis1=1, axis2=2).real
         else:
             probs = np.abs(pure_states(circuits)) ** 2
         probs = check_prob_rows(probs)
@@ -569,7 +567,7 @@ def run_process_tomo(config: ExperimentConfig, gate: str, qutrit: int) -> Result
     qidx = qutrit - 1
     ideal_chi, noiseless_fid = _gate_reference(gate)
     pair = _pair_circuit(gate, qidx)
-    noisy_chi = chi_matrix(circuit_channel(pair, config.noise, config.step_scale, qutrit=qidx))
+    noisy_chi = chi_matrix(circuit_channel(pair, config.noise, qutrit=qidx))
     noisy_fid = process_fidelity(noisy_chi, ideal_chi)
 
     entries = ({"name": "noiseless", "fidelity": noiseless_fid}, {"name": "noisy", "fidelity": noisy_fid})

@@ -440,23 +440,22 @@ def flux_sweep(params: DeviceParams, flux_grid) -> list[SpectrumReport]:
     return [labeled_spectrum(params.with_flux(f)) for f in np.asarray(flux_grid, dtype=float)]
 
 
-def toy_couplings(params: DeviceParams, flux: float | None = None) -> tuple[float, float]:
+def toy_couplings(params: DeviceParams) -> tuple[float, float]:
     """Closed-form coupling rates of the adiabatic toy model, in MHz.
 
     g1 is the junction-mediated rate, suppressed by the coupler energy;
     g2 is the capacitive rate. Frequencies come from the labeled
     spectrum at the same bias.
     """
-    p = params if flux is None else params.with_flux(flux)
-    denominator = p.coupler_energy()
-    if p.e_j1 == 0.0 or p.e_j2 == 0.0:
+    denominator = params.coupler_energy()
+    if params.e_j1 == 0.0 or params.e_j2 == 0.0:
         # a junctionless transmon is a free mode at zero frequency, so
         # the sqrt(w1 w2) factor kills both rates
         return (0.0, 0.0)
-    if p.c_q12 <= 0.0:
+    if params.c_q12 <= 0.0:
         raise DeviceModelError("capacitive rate needs a positive bridge capacitance")
-    report = labeled_spectrum(p)
+    report = labeled_spectrum(params)
     w_product = math.sqrt(report.w01_q1 * report.w01_q2)
-    g1_ghz = math.sqrt(p.e_j1 * p.e_j2) / (2.0 * denominator) * w_product
-    g2_ghz = math.sqrt(p.c_q1 * p.c_q2) / (2.0 * p.c_q12) * w_product
+    g1_ghz = math.sqrt(params.e_j1 * params.e_j2) / (2.0 * denominator) * w_product
+    g2_ghz = math.sqrt(params.c_q1 * params.c_q2) / (2.0 * params.c_q12) * w_product
     return (g1_ghz * 1e3, g2_ghz * 1e3)

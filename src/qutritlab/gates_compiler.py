@@ -547,7 +547,7 @@ def _fit_offset_phase(thetas: np.ndarray, signal: np.ndarray) -> float:
     return _wrap_angle(math.atan2(a, b) - math.pi / 2.0)
 
 
-def calibrate_frame_phases(channel, n_points: int = 12):
+def calibrate_frame_phases(channel):
     """Measure the four frame phases a two-qutrit process imparts.
 
     `channel` maps a 9-component state vector to the output state vector.
@@ -562,10 +562,8 @@ def calibrate_frame_phases(channel, n_points: int = 12):
 
     Returns ((beta01_q1, beta12_q1), (beta01_q2, beta12_q2)).
     """
-    if n_points < 5:
-        raise CalibrationFitError("need at least 5 sample angles")
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-    ones, frames = np.ones(n_points), np.exp(1j * thetas)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)  # the swept angles
+    ones, frames = np.ones(thetas.size), np.exp(1j * thetas)
     transitions = (  # preparation, closing pulse, frame advance of levels 0, 1, 2 per angle, level read
         (r01_matrix(0.0, math.pi / 2.0), r01_matrix(math.pi, math.pi / 2.0), (ones, frames, frames), 0),
         (r12_matrix(0.0, math.pi / 2.0) @ r01_matrix(0.0, math.pi), r12_matrix(math.pi, math.pi / 2.0),

@@ -21,14 +21,16 @@ the 81x81 propagator that the state and channel paths read.
 Work that depends only on the noise model is done once per process.
 `simulate_lindblad`, `evolve_idle` and the full-register `circuit_channel`
 take their `LindbladEngine` from one cache slot keyed by (noise model,
-step_scale), the only route to a pair engine; a run with a new noise
-model replaces it. The engine holds the generator, one propagator per
-distinct duration, one map per moment and, per tuple of circuits it has
-walked, the map of each step of that walk; a moment's calibrated unitary
-is formed only to build its map. The three memos are bounded and drop
-their oldest entry first, so a sweep over many distinct angles does not
-grow the engine without end. Cached arrays are read-only; reuse changes
-no output byte, and an evicted entry is rebuilt to the same floats.
+step count factor), the only route to a pair engine; a run with a new
+noise model replaces it. The factor is 1 except in `simulate_lindblad(...,
+step_scale=)`, which acceptance criterion 6 runs at 1 and 2. The engine
+holds the generator, one propagator per distinct duration, one map per
+moment and, per tuple of circuits it has walked, the map of each step of
+that walk; a moment's calibrated unitary is formed only to build its map.
+The three memos are bounded and drop their oldest entry first, so a sweep
+over many distinct angles does not grow the engine without end. Cached
+arrays are read-only; reuse changes no output byte, and an evicted entry
+is rebuilt to the same floats.
 
 Both backends walk a tuple of circuits as the tree of their distinct
 moment prefixes (`_shared_prefixes`): each prefix's state is formed once,
@@ -76,10 +78,11 @@ factor m*n, so the nine operators |k><l| (x) |0><0| map only among
 themselves. `QutritEngine` forms that 9x9 generator (5 sector blocks of
 at most 3) from the qutrit's own collapse operators, and the channel is
 the product of 9x9 maps, kron(u, conj(u)) after each window's
-propagator. Its engines come from a two-slot cache keyed by (coherence,
-step_scale), one per qutrit, and the per-moment kron(u, conj(u)) from a
-cache of its own, u read off the compiler's cached pair unitary of the
-moment. Any other single-qutrit channel is reduced from the full one.
+propagator. Its engines, at step count factor 1, come from a two-slot
+cache keyed by coherence, one per qutrit, and the per-moment
+kron(u, conj(u)) from a cache of its own, u read off the compiler's
+cached pair unitary of the moment. Any other single-qutrit channel is
+reduced from the full one.
 
 Coherence times are given in microseconds, coupling coefficients in kHz,
 and circuit durations in nanoseconds.
@@ -425,8 +428,8 @@ class QutritEngine(LindbladEngine):
 
     n_qutrits = 1
 
-    def __init__(self, coherence: QutritCoherence, step_scale: int = 1):
-        self._set_generator(_generator(1, _single_qutrit_collapse_ops(coherence)), step_scale)
+    def __init__(self, coherence: QutritCoherence):
+        self._set_generator(_generator(1, _single_qutrit_collapse_ops(coherence)), step_scale=1)
         self.coherence = coherence
 
     def channel(self, circuit: Circuit) -> np.ndarray:
@@ -501,17 +504,17 @@ def _qutrit_moment_map(moment: tuple) -> np.ndarray:
     return m
 
 
-# typed, as is the cache below: True and 1.0 equal 1 as keys, and the engine must see True to reject it
+# typed: True and 1.0 equal 1 as keys, and the engine must see True to reject it
 @functools.lru_cache(maxsize=1, typed=True)
 def _engine(noise: NoiseModel, step_scale: int) -> LindbladEngine:
     """The shared engine of the last noise model asked for; one slot, as a run uses one noise model."""
     return LindbladEngine(noise, step_scale)
 
 
-@functools.lru_cache(maxsize=2, typed=True)
-def _qutrit_engine(coherence: QutritCoherence, step_scale: int) -> QutritEngine:
+@functools.lru_cache(maxsize=2)
+def _qutrit_engine(coherence: QutritCoherence) -> QutritEngine:
     """The one-qutrit engines of the last two coherences asked for: tomography alternates the qutrits."""
-    return QutritEngine(coherence, step_scale)
+    return QutritEngine(coherence)
 
 
 def _initial_rho(initial) -> np.ndarray:
@@ -557,23 +560,23 @@ def simulate_lindblad(circuit: Circuit, noise: NoiseModel, initial=None, step_sc
     return _passed(DensityMatrix, matrix=rho)
 
 
-def final_states(circuits, noise: NoiseModel, step_scale: int = 1) -> np.ndarray:
+def final_states(circuits, noise: NoiseModel) -> np.ndarray:
     """The final density matrices of circuits run from |00>, stacked (len(circuits), 9, 9).
 
     The circuits are walked together, each shared moment prefix once; the
     states are then checked as simulate_lindblad checks one, the first
     failing circuit raising with its index as the error's row.
     """
-    walked = _engine(noise, step_scale).walk(tuple(circuits), _initial_rho(None).reshape(-1))
+    walked = _engine(noise, 1).walk(tuple(circuits), _initial_rho(None).reshape(-1))
     return _checked_states(walked.reshape(-1, DIM2, DIM2))
 
 
-def evolve_idle(noise: NoiseModel, initial, duration_ns: float, step_scale: int = 1) -> DensityMatrix:
+def evolve_idle(noise: NoiseModel, initial, duration_ns: float) -> DensityMatrix:
     """Free evolution of the pair for a finite, nonnegative time, no pulses."""
     duration_ns = float(duration_ns)
     if not 0.0 <= duration_ns < math.inf:
         raise SimulationError(f"idle duration must be finite and nonnegative, got {duration_ns} ns")
-    engine = _engine(noise, step_scale)
+    engine = _engine(noise, 1)
     rho = _initial_rho(initial)
     if duration_ns > 0.0:
         out = (engine.propagator(duration_ns) @ rho.reshape(-1)).reshape(rho.shape)
@@ -780,8 +783,7 @@ _K, _L = np.divmod(np.arange(DIM2), DIM)
 _QUTRIT_UNITS = (DIM2 * DIM * _K + DIM * _L, DIM2 * _K + _L)
 
 
-def circuit_channel(circuit: Circuit, noise: NoiseModel, step_scale: int = 1,
-                    qutrit: int | None = None) -> QuantumChannel:
+def circuit_channel(circuit: Circuit, noise: NoiseModel, *, qutrit: int | None = None) -> QuantumChannel:
     """Channel of a compiled circuit under the noise model.
 
     The full-register channel, or with qutrit 0 or 1 the single-qutrit
@@ -799,10 +801,10 @@ def circuit_channel(circuit: Circuit, noise: NoiseModel, step_scale: int = 1,
         if qutrit not in (0, 1):
             raise ChannelError(f"qutrit must be 0 or 1, got {qutrit}")
         if circuit.n_qutrits == 2 and all(i.targets == (qutrit,) for i in circuit.instructions()):
-            engine = _qutrit_engine(noise.q2 if qutrit else noise.q1, step_scale)
+            engine = _qutrit_engine(noise.q2 if qutrit else noise.q1)
             return QuantumChannel(engine.channel(circuit), DIM)
-        return reduced_qutrit_channel(circuit_channel(circuit, noise, step_scale), qutrit)
-    engine = _engine(noise, step_scale)
+        return reduced_qutrit_channel(circuit_channel(circuit, noise), qutrit)
+    engine = _engine(noise, 1)
     return QuantumChannel(engine.walk((circuit,), np.eye(DIM2 * DIM2, dtype=complex))[0], DIM2)
 
 

@@ -155,36 +155,30 @@ def invert_confusion(measured_counts, matrix: ConfusionMatrix) -> SignedCounts:
     return _passed(SignedCounts, q=q[0], shots=float(shots[0]))
 
 
-def mle_correct(signed: SignedCounts, floor: float | None = None) -> np.ndarray:
+def mle_correct(signed: SignedCounts) -> np.ndarray:
     """Closest physical counts to an inverted vector.
 
-    Minimizes sum(((p_i - q_i)/w_i)**2) subject to p_i >= floor and
-    sum(p) = N, where w_i is q_i with a sqrt(N) guard for small entries
-    and the floor defaults to sqrt(N). Solved exactly by an active-set
-    pass: free coordinates share a common Lagrange multiplier, floored
-    ones pin to the floor, repeated until the free set is stable. Runs
-    the stacked pass on a one-row stack, which forms its one group of
-    free entries at each step (see the module docstring).
+    Minimizes sum(((p_i - q_i)/w_i)**2) subject to p_i >= sqrt(N) and
+    sum(p) = N, where w_i is q_i with a sqrt(N) guard for small entries.
+    Solved exactly by an active-set pass: free coordinates share a common
+    Lagrange multiplier, floored ones pin to the floor, repeated until the
+    free set is stable. Runs the stacked pass on a one-row stack, which
+    forms its one group of free entries at each step (see the module
+    docstring).
     """
-    return _repair_rows(signed.q[None], np.array([signed.shots]), floor)[0]
+    return _repair_rows(signed.q[None], np.array([signed.shots]))[0]
 
 
-def _repair_rows(q: np.ndarray, n: np.ndarray, floor: float | None = None) -> np.ndarray:
+def _repair_rows(q: np.ndarray, n: np.ndarray) -> np.ndarray:
     """mle_correct of each row of an (rows, d) stack of inverted counts, row i totalling n[i],
     all rows stepping together with the free entries summed per group of equal size (see the
     module docstring); the first infeasible row raises."""
     rows, d = q.shape
-    root_n = np.sqrt(n)
-    if floor is None:
-        f = root_n
-    else:
-        if not 0.0 <= float(floor) < math.inf:
-            raise MitigationError(f"floor must be finite and non-negative, got {floor!r}")
-        f = np.full(rows, float(floor))
+    f = np.sqrt(n)  # the floor, which also guards the weights
     fail_first_row(d * f > n + 1e-9, InfeasibleError,
                    lambda i: f"{d} entries at floor {f[i]:.6g} exceed the total {n[i]}")
     abs_q = np.abs(q)
-    w2 = np.where(abs_q < root_n[:, None], root_n[:, None], abs_q) ** 2
+    w2 = np.where(abs_q < f[:, None], f[:, None], abs_q) ** 2
 
     p = np.empty_like(q)
     # the rows still moving: their index, inputs, free entries and count of entries pinned to the floor

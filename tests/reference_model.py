@@ -252,7 +252,7 @@ def reference_tomo(config, gate: str, qutrit: int) -> tuple[dict, np.ndarray]:
     for moment in single_qutrit_circuit(gate, 0, n_qutrits=1).moments:
         compiled = moment_unitary(moment, 1) @ compiled
     pair = merge_streams(2, {qidx: decompose_single(gate, qidx)})
-    images = stepwise_channel(config.noise, pair, config.step_scale, partner_ground_units(qidx))
+    images = stepwise_channel(config.noise, pair, units=partner_ground_units(qidx))
     noisy = chi_of_superop(reduced_channel(images, qidx))
     fidelities = {"noiseless": fidelity(chi_of_superop(unitary_superop(compiled)), ideal),
                   "noisy": fidelity(noisy, ideal)}
@@ -275,11 +275,11 @@ def confusion(diagonal: float) -> np.ndarray:
     return m
 
 
-def reference_repair(q, n, floor=None, taken: set | None = None) -> np.ndarray:
-    """The count repair's active-set loop as first written; `taken` collects the branches it went through."""
+def reference_repair(q, n, taken: set | None = None) -> np.ndarray:
+    """The count repair's active-set loop as first written, every entry floored at sqrt(n); `taken` collects the
+    branches it went through."""
     taken = set() if taken is None else taken
-    root_n = math.sqrt(n)
-    f = root_n if floor is None else float(floor)
+    root_n = f = math.sqrt(n)
     d = q.shape[0]
     weights = np.where(np.abs(q) < root_n, root_n, np.abs(q))
     w2 = weights**2
@@ -361,14 +361,14 @@ def final_probabilities(config, circuit, walk: str, root: str | None = None,
     if not config.noisy:
         probs = np.abs(per_case_pure(circuit)) ** 2
     elif walk == "engine":
-        rho = per_case_lindblad(noise_sim._engine(config.noise, config.step_scale), circuit,
+        rho = per_case_lindblad(noise_sim._engine(config.noise, 1), circuit,
                                 vectorized_ground()).reshape(DIM2, DIM2)
         rho = (rho + rho.conj().T) / 2.0
         probs = np.diagonal(rho / np.trace(rho).real).real
     else:
         ground = np.zeros((DIM2, DIM2), dtype=complex)
         ground[0, 0] = 1.0
-        probs = np.diagonal(stepwise_state(config.noise, circuit, ground, config.step_scale, root, calibration)).real
+        probs = np.diagonal(stepwise_state(config.noise, circuit, ground, root=root, calibration=calibration)).real
     return np.clip(probs, 0.0, None)
 
 

@@ -66,7 +66,6 @@ class TestConfig:
         assert c.noisy is False
         assert c.mitigate is False
         assert c.readout_diagonal == 0.85
-        assert c.step_scale == 1
         assert c.out_dir is None
         assert c.device.flux == 0.185
 
@@ -94,7 +93,19 @@ class TestConfig:
 
     def test_default_hash_is_pinned(self):
         # the YAML's value types enter the hash: 178 and 178.0 hash differently
-        assert ExperimentConfig.default().config_hash() == "046f2ad7d64a62a1"
+        assert ExperimentConfig.default().config_hash() == "7f18047251ee76d7"
+
+    def test_step_scale_is_no_profile_key(self, tmp_path, capsys):
+        # the integrator's step count is fixed: a profile that sets it fails as an unknown key
+        with pytest.raises(ConfigError, match="^unknown configuration key 'step_scale'$"):
+            ExperimentConfig.from_mapping({"step_scale": 1})
+        profile = tmp_path / "old.yaml"
+        profile.write_text("step_scale: 2\n")
+        assert main(["sim", "dj", "--config", str(profile)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError" and "'step_scale'" in json.loads(err)["message"]
 
     def test_device_field_defaults_match_packaged_yaml(self):
         assert DeviceParams() == ExperimentConfig.default().device
@@ -177,12 +188,19 @@ class TestConfig:
             ExperimentConfig.from_yaml(unsafe)
         assert isinstance(exc.value.__cause__, yaml.constructor.ConstructorError)
 
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+    @pytest.mark.parametrize("runner", [run_dj, run_bv, run_grover], ids=["dj", "bv", "grover"])
+    def test_counts_are_exact_at_the_shot_limit(self, runner, noisy):
+        # counts are written as floats, and up to 2**53 shots every count and their sum are exact
+        config = exact_config().replace(shots=2**53, seed=1, noisy=noisy)
+        counts = [e["counts"] for e in json.loads(runner(config).to_json())["entries"]]
+        assert counts and all(sum(c.values()) == 2**53 for c in counts)
+        assert all(v.is_integer() for c in counts for v in c.values())
+
     def test_shots_bounded_by_the_sampler_limit(self, tmp_path, capsys):
-        # numpy's multinomial takes int64 counts: 2**63 - 1 shots sample,
-        # one more used to end in a raw OverflowError
-        limit = 2**63 - 1
+        limit = 2**53
         assert exact_config().replace(shots=limit, seed=1).shots == limit
-        with pytest.raises(ConfigError, match="shots"):
+        with pytest.raises(ConfigError, match=r"^shots must be at most 2\*\*53, got 9007199254740993$"):
             exact_config().replace(shots=limit + 1, seed=1)
         config = tmp_path / "run.yaml"
         config.write_text("shots: 99999999999999999999\nseed: 1\n")
@@ -203,10 +221,8 @@ class TestConfig:
             base.replace(seed=None)
         with pytest.raises(ConfigError):
             base.replace(readout_diagonal=0.0)
-        with pytest.raises(ConfigError):
-            base.replace(step_scale=0)
         # the loader's type rules: no truncation, no bool for a number or a number for a bool
-        for changes in ({"step_scale": 1.5}, {"shots": 100.5, "seed": 3}, {"shots": True, "seed": 1},
+        for changes in ({"shots": 100.5, "seed": 3}, {"shots": True, "seed": 1},
                         {"seed": 1.7}, {"noisy": 1}, {"readout_diagonal": True}, {"readout_diagonal": math.nan}):
             with pytest.raises(ConfigError):
                 base.replace(**changes)
@@ -224,9 +240,9 @@ class TestConfig:
 
     def test_replace_converts_like_the_loader(self):
         base = ExperimentConfig.default()
-        direct = base.replace(readout_diagonal=1, shots=np.int64(500), step_scale=np.int64(2))
-        loaded = ExperimentConfig.from_mapping({"readout": {"diagonal": 1}, "shots": 500, "step_scale": 2})
-        assert type(direct.readout_diagonal) is float and type(direct.shots) is type(direct.step_scale) is int
+        direct = base.replace(readout_diagonal=1, shots=np.int64(500))
+        loaded = ExperimentConfig.from_mapping({"readout": {"diagonal": 1}, "shots": 500})
+        assert type(direct.readout_diagonal) is float and type(direct.shots) is int
         assert direct.config_hash() == loaded.config_hash()
 
     def test_replace_is_nondestructive(self):
@@ -279,7 +295,7 @@ class TestConfig:
             assert calls == {"resolve": 1, "load": 1}, route
         calls.clear()
         first = config.config_hash()
-        assert config.config_hash() == first == "046f2ad7d64a62a1"
+        assert config.config_hash() == first == "7f18047251ee76d7"
         config.to_mapping()
         assert not calls
         # replace() builds a new instance, which carries no memo over
@@ -312,7 +328,7 @@ class TestConfig:
         assert config.to_mapping() == {**mapping, "shots": 500, "device": defaults["device"],
                                        "coherence": defaults["coherence"]}
         assert ExperimentConfig.default().to_mapping()["device"]["flux"] == 0.185
-        assert ExperimentConfig.default().config_hash() == "046f2ad7d64a62a1"
+        assert ExperimentConfig.default().config_hash() == "7f18047251ee76d7"
 
     def test_signed_zero_coupling_keeps_its_own_hash(self):
         # equal configs (and equal Python hashes) that write different
@@ -321,8 +337,8 @@ class TestConfig:
         plus = base.replace(noise=dataclasses.replace(base.noise, j11=0.0))
         minus = base.replace(noise=dataclasses.replace(base.noise, j11=-0.0))
         assert plus == minus and hash(plus) == hash(minus)
-        assert plus.config_hash() == "f402a01a7b499753"
-        assert minus.config_hash() == "0717d0d9ffcbeac8"
+        assert plus.config_hash() == "cc6d7962786055dd"
+        assert minus.config_hash() == "aef9d767001fab32"
 
     def test_hash_tracks_physics_fields(self):
         base = ExperimentConfig.default()

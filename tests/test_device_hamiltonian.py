@@ -591,7 +591,7 @@ class TestToyCouplings:
 
     def test_junction_rate_grows_away_from_zero_bias(self):
         p = DeviceParams()
-        g1s = [toy_couplings(p, flux=f)[0] for f in np.linspace(0.0, 0.25, 6)]
+        g1s = [toy_couplings(p.with_flux(f))[0] for f in np.linspace(0.0, 0.25, 6)]
         assert all(b > a for a, b in zip(g1s, g1s[1:]))
 
     def test_missing_junction_kills_both_rates(self):
@@ -605,7 +605,7 @@ class TestToyCouplings:
 
     def test_negative_coupler_energy_rejected(self):
         with pytest.raises(FluxRangeError):
-            toy_couplings(DeviceParams(), flux=0.6)
+            toy_couplings(DeviceParams().with_flux(0.6))
 
 
 class TestKnownModelLimitations:

@@ -82,7 +82,7 @@ def test_process_tomography_matches_the_model(gate, qutrit, profile):
     assert_documents_close(json.loads(text), doc, STATE_TOL)
     # the figure is the per-row formatter's text of the runner's own chi, and the model's chi as printed
     pair = cli_harness._pair_circuit(gate, qutrit - 1)
-    own = chi_matrix(circuit_channel(pair, config.noise, config.step_scale, qutrit=qutrit - 1)).matrix
+    own = chi_matrix(circuit_channel(pair, config.noise, qutrit=qutrit - 1)).matrix
     assert bundle.figure_csv == reference_tomo_csv(own)
     want = np.stack([chi.real.ravel(), chi.imag.ravel()], axis=1)
     assert np.all(np.abs(printed_cells(bundle.figure_csv)[:, 2:] - want) <= PRINTED_REL * np.abs(want) + 2e-12)

@@ -286,14 +286,9 @@ class TestLindbladBackend:
     def test_step_scale_must_be_a_positive_integer(self, value):
         noise = NoiseModel.none()
         circ = dj_circuit(DJOracle("Z", "X"))
-        pair_h = merge_streams(2, {0: decompose_single("H", 0)})
-        calls = [lambda: LindbladEngine(noise, value), lambda: QutritEngine(noise.q1, value),
-                 lambda: simulate_lindblad(circ, noise, step_scale=value),
-                 lambda: evolve_idle(noise, uniform_pair(), 10.0, step_scale=value),
-                 lambda: circuit_channel(circ, noise, value), lambda: circuit_channel(pair_h, noise, value, qutrit=0)]
-        # warm the cached engines of step_scale 1: True and 1.0 equal 1 as keys
+        calls = [lambda: LindbladEngine(noise, value), lambda: simulate_lindblad(circ, noise, step_scale=value)]
+        # warm the cached engine of step_scale 1: True and 1.0 equal 1 as keys
         simulate_lindblad(circ, noise)
-        circuit_channel(pair_h, noise, qutrit=0)
         for call in calls:
             with pytest.raises(SimulationError, match="step_scale"):
                 call()
@@ -359,10 +354,12 @@ class TestLindbladBackend:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for noise in (model() for model in NOISE_MODELS.values()):
-                for step_scale in (1, 2):
-                    for circ in circuits:
-                        channel = circuit_channel(circ, noise, step_scale).superop
-                        assert np.max(np.abs(channel - stepwise_channel(noise, circ, step_scale))) < 1e-13
+                halved = LindbladEngine(noise, 2)  # the pair engine's other step count, which criterion 6 reads
+                for circ in circuits:
+                    channel = circuit_channel(circ, noise).superop
+                    assert np.max(np.abs(channel - stepwise_channel(noise, circ))) < 1e-13
+                    channel = halved.walk((circ,), np.eye(DIM2 * DIM2, dtype=complex))[0]
+                    assert np.max(np.abs(channel - stepwise_channel(noise, circ, 2))) < 1e-13
 
     def test_channel_of_a_warm_engine_gives_the_cold_bytes(self):
         noise = ExperimentConfig.default().noise
@@ -440,7 +437,7 @@ class TestProcessMatrices:
         config = ExperimentConfig.default()
         for gate in LOGICAL_GATE_NAMES:
             pair = merge_streams(2, {0: decompose_single(gate, 0)})
-            channel = circuit_channel(pair, config.noise, config.step_scale, qutrit=0)
+            channel = circuit_channel(pair, config.noise, qutrit=0)
             raw = channel.superop.reshape(DIM, DIM, DIM, DIM).transpose(0, 2, 1, 3).reshape(DIM2, DIM2)
             assert chi_matrix(channel).matrix.tobytes() == ProcessMatrix(raw).matrix.tobytes()
 
@@ -450,7 +447,7 @@ class TestProcessMatrices:
         for gate in LOGICAL_GATE_NAMES:
             for qutrit in (0, 1):
                 pair = merge_streams(2, {qutrit: decompose_single(gate, qutrit)})
-                channel = circuit_channel(pair, config.noise, config.step_scale, qutrit=qutrit)
+                channel = circuit_channel(pair, config.noise, qutrit=qutrit)
                 chi, choi = chi_matrix(channel).matrix, channel.choi()
                 chi_min = np.min(np.linalg.eigvalsh(chi))
                 choi_min = np.min(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0))
@@ -609,29 +606,43 @@ class TestQutritChannel:
     @pytest.mark.parametrize("step_scale", [1, 2])
     @pytest.mark.parametrize("name", NOISE_MODELS)
     def test_propagators_are_the_pair_propagators_block(self, name, step_scale):
+        # the one-qutrit engine steps at 1 only. At criterion 6's halved step the pair engine keeps the block
+        # closed, and its block moves from the one-qutrit propagator by rounding alone: at most 1.6e-14 (1 and 2
+        # OpenBLAS threads), where the full pair propagator moves by 1.1e-12
         noise = NOISE_MODELS[name]()
         pair = LindbladEngine(noise, step_scale)
+        tol = 1e-15 if step_scale == 1 else 2e-13
         for qutrit in (0, 1):
             idx = partner_ground_units(qutrit)
-            engine = QutritEngine(noise.q2 if qutrit else noise.q1, step_scale)
-            assert isinstance(engine, LindbladEngine) and engine.step_scale == step_scale
+            outside = np.setdiff1d(np.arange(DIM**4), idx)
+            engine = QutritEngine(noise.q2 if qutrit else noise.q1)
+            assert isinstance(engine, LindbladEngine) and engine.step_scale == 1
             for duration in (0.5, 16.0, 40.0, 137.3):
                 prop = engine.propagator(duration)
                 assert prop.shape == (9, 9)
                 assert not prop.flags.writeable
-                assert np.max(np.abs(prop - pair.propagator(duration)[np.ix_(idx, idx)])) < 1e-15
+                full = pair.propagator(duration)
+                assert np.count_nonzero(full[np.ix_(outside, idx)]) == 0
+                assert np.max(np.abs(prop - full[np.ix_(idx, idx)])) < tol
 
     @pytest.mark.parametrize("step_scale", [1, 2])
     @pytest.mark.parametrize("name", NOISE_MODELS)
     @pytest.mark.parametrize("gate", LOGICAL_GATE_NAMES)
     def test_matches_the_reduced_full_channel(self, gate, name, step_scale):
+        # at step 2 the full channel is the pair engine's walk at criterion 6's halved step, which the
+        # one-qutrit channel, formed at step 1 only, meets to within 2e-14 (1 and 2 OpenBLAS threads)
         noise = NOISE_MODELS[name]()
+        halved = LindbladEngine(noise, 2) if step_scale == 2 else None
+        tol = 1e-14 if step_scale == 1 else 2e-13
         for qutrit in (0, 1):
             circ = merge_streams(2, {qutrit: decompose_single(gate, qutrit)})
-            direct = circuit_channel(circ, noise, step_scale, qutrit=qutrit)
+            direct = circuit_channel(circ, noise, qutrit=qutrit)
             assert direct.dim == DIM
-            full = circuit_channel(circ, noise, step_scale)
-            assert np.max(np.abs(direct.superop - reduced_qutrit_channel(full, qutrit).superop)) < 1e-14
+            if step_scale == 1:
+                full = circuit_channel(circ, noise)
+            else:
+                full = QuantumChannel(halved.walk((circ,), np.eye(DIM2 * DIM2, dtype=complex))[0], DIM2)
+            assert np.max(np.abs(direct.superop - reduced_qutrit_channel(full, qutrit).superop)) < tol
             if not circ.moments:
                 assert np.array_equal(direct.superop, np.eye(DIM * DIM))
 
@@ -645,7 +656,7 @@ class TestQutritChannel:
         assert noise_sim._engine.cache_info().misses == 0
         # two slots, one per qutrit: alternating qutrits builds each engine once
         assert noise_sim._qutrit_engine.cache_info().misses == 2
-        engines = [noise_sim._qutrit_engine(noise.q2 if q else noise.q1, 1) for q in (0, 1)]
+        engines = [noise_sim._qutrit_engine(noise.q2 if q else noise.q1) for q in (0, 1)]
         assert noise_sim._qutrit_engine.cache_info().misses == 2
         assert all(p.shape == (9, 9) for e in engines for p in e._cache.values())
 
@@ -821,8 +832,9 @@ class TestSharedPrefixWalk:
         expected = np.array([per_case_lindblad(engine, c, vectorized_ground()) for c in circuits])
         walked = engine.walk(circuits, vectorized_ground())
         assert np.array_equal(walked, expected) and walked.tobytes() == expected.tobytes()
-        checked = noise_sim._checked_states(expected.reshape(-1, DIM2, DIM2))
-        assert np.array_equal(noise_sim.final_states(circuits, noise, step_scale), checked)
+        if step_scale == 1:  # the runners' final_states walks the engine at step 1 only
+            checked = noise_sim._checked_states(expected.reshape(-1, DIM2, DIM2))
+            assert np.array_equal(noise_sim.final_states(circuits, noise), checked)
 
     def test_duplicates_nested_prefixes_and_the_empty_circuit(self):
         one, two = grover_circuit(GroverSpec("12", 1)), grover_circuit(GroverSpec("12", 2))

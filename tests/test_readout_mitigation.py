@@ -235,16 +235,16 @@ class TestRepair:
         out = mle_correct(SignedCounts(np.array([-10.0, 60.0, 50.0]), 100.0))
         assert out == pytest.approx([10.0, 48.197, 41.803], abs=0.01)
 
-    def test_custom_floor(self):
-        out = mle_correct(SignedCounts(np.array([-10.0, 60.0, 50.0]), 100.0), floor=0.0)
-        assert out[0] == pytest.approx(0.0, abs=1e-9)
-        assert out.sum() == pytest.approx(100.0, abs=1e-9)
-
-    @pytest.mark.parametrize("floor", [-50.0, -1e-300, math.nan, -math.inf, math.inf])
-    def test_floor_must_be_finite_and_non_negative(self, floor):
-        # a negative floor used to come back as a count, and a nan or -inf one as nine nan counts
-        with pytest.raises(MitigationError, match="floor must be finite and non-negative"):
-            mle_correct(SignedCounts(np.array([-10.0, 60.0, 50.0]), 100.0), floor=floor)
+    @pytest.mark.parametrize("n", [100.0, 81.5, 2e4, 1e9, 2.0**53])
+    def test_the_floor_is_root_n(self, n):
+        # no caller sets a floor: every floored entry is sqrt(N) to the bit, and the others share the rest
+        q = np.array([-0.1, 0.6, 0.5]) * n
+        out = mle_correct(SignedCounts(q, n))
+        assert out[0] == math.sqrt(n)
+        assert np.all(out[1:] > math.sqrt(n))
+        assert out.sum() == pytest.approx(n, rel=1e-12)
+        with pytest.raises(TypeError):
+            mle_correct(SignedCounts(q, n), floor=0.0)
 
     def test_infeasible_totals(self):
         q = np.full(9, 80.0 / 9.0)
@@ -303,27 +303,27 @@ class TestRepair:
 
 
 def repair_cases():
-    """(q, n, floor): every branch of the repair, on 3 and 9 entries."""
+    """(q, n): every branch of the repair, on 3 and 9 entries."""
     interior = np.array([3000.0, 2000.0, 2500.0, 1500.0, 2200.0, 1800.0, 2600.0, 2400.0, 2000.0])
-    three = np.array([-10.0, 60.0, 50.0])
-    cases = [(interior, interior.sum(), None), (three, 100.0, None), (three, 100.0, 0.0), (three, 100.0, 5.0),
-             (three, 100.0, 100.0 / 3.0 + 1e-10), (np.full(9, 9.0), 81.0, None)]
+    # n = 9 - 6e-10: three floors sqrt(n) exceed n by 3e-10, within the feasibility slack, so every entry ends floored
+    cases = [(interior, interior.sum()), (np.array([-10.0, 60.0, 50.0]), 100.0),
+             (np.array([-1.0, 5.0, 5.0 - 6e-10]), 9.0 - 6e-10), (np.full(9, 9.0), 81.0)]
     rng = np.random.default_rng(53)
     for d in (3, 9):
         for n in (1e4, 2e4, 1e9):
             for _ in range(100):
                 raw = rng.normal(loc=n / d, scale=n / 5.0, size=d)
                 q = raw + (n - raw.sum()) / d
-                cases.append((q, float(q.sum()), None))
+                cases.append((q, float(q.sum())))
     return cases
 
 
 class TestLeanRepair:
     def test_bytes_of_the_reference_loop(self):
         taken = set()
-        for q, n, floor in repair_cases():
-            want = reference_repair(q, n, floor, taken)
-            assert mle_correct(SignedCounts(q, n), floor=floor).tobytes() == want.tobytes(), (q, n, floor)
+        for q, n in repair_cases():
+            want = reference_repair(q, n, taken)
+            assert mle_correct(SignedCounts(q, n)).tobytes() == want.tobytes(), (q, n)
         assert taken == {"floored", "all floored", "slack"}
 
 
@@ -363,7 +363,7 @@ class TestStackedMitigation:
         taken = set()
         floored = set()
         for c, got in zip(counts, out):
-            want = reference_repair(invert_confusion(c, matrix).q, float(c.sum()), None, taken)
+            want = reference_repair(invert_confusion(c, matrix).q, float(c.sum()), taken)
             assert got.tobytes() == want.tobytes(), c
             floored.add(int(np.count_nonzero(got == math.sqrt(c.sum()))))
         assert taken == {"floored", "all floored", "slack"}
