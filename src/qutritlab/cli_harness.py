@@ -37,7 +37,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .qutrit_core import DIM, BasisLabel, ProbDist, QutritLabError, _passed, check_prob_rows
 from .gates_compiler import (
@@ -101,14 +100,10 @@ class DocumentError(QutritLabError, ValueError):
     """A document holds what JSON cannot write: a nan, an infinity or a container that holds itself."""
 
 
-# libyaml's safe loader where present; it builds the same values as the pure one
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 @functools.cache
 def _defaults() -> dict:
     """The packaged default profile, parsed once per process; never mutate it."""
-    return yaml.load(resources.files(__package__).joinpath("default_config.yaml").read_text(), _YAML_LOADER)
+    return json.loads(resources.files(__package__).joinpath("default_config.json").read_text())
 
 
 # keys whose value may be null; every other key keeps the type of its default
@@ -167,8 +162,10 @@ def _read_profile(path):
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read configuration file: {exc}") from exc
+    import yaml  # here, so a run without a profile file never loads PyYAML
     try:
-        return yaml.load(text, _YAML_LOADER)
+        # libyaml's safe loader where present; it builds the same values as the pure one
+        return yaml.load(text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed configuration file: {exc}") from exc
 
@@ -241,6 +238,8 @@ class ExperimentConfig:
         return cls.from_mapping(_read_profile(path))
 
     def replace(self, **changes) -> "ExperimentConfig":
+        if unknown := [key for key in changes if key not in self.__dataclass_fields__]:
+            raise ConfigError(f"unknown configuration key {unknown[0]!r}")
         return dataclasses.replace(self, **changes)
 
     def to_mapping(self) -> dict:

@@ -122,18 +122,15 @@ class DeviceParams:
 
 
 def capacitance_matrix(params: DeviceParams) -> np.ndarray:
-    """Node capacitance matrix (transmon 1, transmon 2, coupler)."""
+    """Node capacitance matrix (transmon 1, transmon 2, coupler); DeviceParams keeps its diagonal positive."""
     c1, c2, cc, c12 = params.c_q1, params.c_q2, params.c_c, params.c_q12
-    m = np.array(
+    return np.array(
         [
             [c1 + c12, -c12, 0.0],
             [-c12, c2 + c12, 0.0],
             [0.0, 0.0, c1 + c2 + cc],
         ]
     )
-    if np.any(np.diag(m) <= 0):
-        raise DeviceModelError("capacitance matrix has non-positive diagonal entries")
-    return m
 
 
 def _inductive_form(params: DeviceParams) -> np.ndarray:
@@ -313,6 +310,16 @@ def _parity_leak(factors, odd) -> float:
     return float(a_odd @ b_even + a_even @ b_odd)
 
 
+def _sector_states(factors, grid, members, shift):
+    """A parity sector's eigenvalues, dominant full-space indices and their weights; nothing else outlives it."""
+    h = _contract(factors, grid)
+    h[np.diag_indices_from(h)] -= shift
+    vals, vecs = np.linalg.eigh(h)
+    weights = np.square(vecs, out=vecs)
+    rows = np.argmax(weights, axis=0)
+    return vals, members[rows], weights[rows, np.arange(rows.size)]
+
+
 @functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
 def _label_eigenstates(params: DeviceParams):
     """Diagonalize H and return (normal form, energy above ground, overlap),
@@ -352,14 +359,7 @@ def _label_eigenstates(params: DeviceParams):
     if leak > _PARITY_TOL_GHZ:
         raise DeviceModelError(f"H couples the Fock parity sectors by up to {leak:.3g} GHz")
     shift = np.einsum("tii,tjj->", *factors) / n**3
-    parts = []
-    for grid, members in sectors:
-        h = _contract(factors, grid)
-        h[np.diag_indices_from(h)] -= shift
-        vals, vecs = np.linalg.eigh(h)
-        weights = vecs**2
-        rows = np.argmax(weights, axis=0)
-        parts.append((vals, members[rows], weights[rows, np.arange(rows.size)]))
+    parts = [_sector_states(factors, grid, members, shift) for grid, members in sectors]
     evals, dominant, overlaps = (np.concatenate(x) for x in zip(*parts))
     # a label has one parity, so all eigenstates that compete for it come
     # from one sector, in ascending energy as one eigh of H lists them: the

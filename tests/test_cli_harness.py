@@ -87,7 +87,7 @@ class TestConfig:
             ExperimentConfig.from_mapping({"coherence": {"q1": {"t2_echo": 1.0}}})
 
     def test_packaged_defaults_file_matches_builtin_defaults(self):
-        packaged = Path(qutritlab.__file__).parent / "default_config.yaml"
+        packaged = Path(qutritlab.__file__).parent / "default_config.json"
         c = ExperimentConfig.from_yaml(packaged)
         assert c.config_hash() == ExperimentConfig.default().config_hash()
 
@@ -119,7 +119,7 @@ class TestConfig:
         ExperimentConfig.from_mapping({"coherence": {"q1": {"t1_01": 1.0}}, "device": {"flux": 0.2}})
         assert cli_harness._defaults() is cli_harness._defaults()
         assert cli_harness._defaults() == before
-        packaged = Path(qutritlab.__file__).parent / "default_config.yaml"
+        packaged = Path(qutritlab.__file__).parent / "default_config.json"
         assert before == yaml.safe_load(packaged.read_text())
 
     @pytest.mark.parametrize("as_int, as_float", [
@@ -244,6 +244,14 @@ class TestConfig:
         loaded = ExperimentConfig.from_mapping({"readout": {"diagonal": 1}, "shots": 500})
         assert type(direct.readout_diagonal) is float and type(direct.shots) is int
         assert direct.config_hash() == loaded.config_hash()
+
+    def test_replace_rejects_an_unknown_name_as_the_loader_does(self):
+        # a bare TypeError of the constructor before; a private attribute is no field either
+        base = ExperimentConfig.default()
+        for changes, unknown in (({"step_scale": 2}, "step_scale"), ({"shots": 500, "shotz": 5}, "shotz"),
+                                 ({"_profile": {}}, "_profile")):
+            with pytest.raises(ConfigError, match=f"^unknown configuration key '{unknown}'$"):
+                base.replace(**changes)
 
     def test_replace_is_nondestructive(self):
         base = ExperimentConfig.default()
@@ -1118,6 +1126,49 @@ class TestModuleEntryPoint:
         assert done.returncode == 0
         assert done.stderr == b""
         assert json.loads(done.stdout)["target"] == "21"
+
+    # runs main (or, with no arguments, the library's profile routes), then
+    # reports on stderr's last line whether PyYAML was imported
+    YAML_PROBE = (
+        "import sys\n"
+        "from qutritlab import cli_harness as ch\n"
+        "if sys.argv[1:]:\n"
+        "    status = ch.main(sys.argv[1:])\n"
+        "else:\n"
+        "    ch.ExperimentConfig.default()\n"
+        "    ch.run_dj(ch.ExperimentConfig.from_mapping({'shots': 500}).replace(seed=1))\n"
+        "    status = 0\n"
+        "sys.stderr.write(f\"\\nyaml loaded: {'yaml' in sys.modules}\\n\")\n"
+        "sys.exit(status)\n"
+    )
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["sim", "dj"],
+        ["device", "sweep", "--from", "0", "--to", "0.1", "--steps", "2"],
+        ["tomo", "process", "--gate", "H", "--qutrit", "2"],
+        ["compile", "cphase", "--theta", "1.0", "--target", "21"],
+    ], ids=["library", "sim", "device", "tomo", "compile"])
+    def test_no_profile_file_no_yaml_import(self, argv):
+        done = self.run("-c", self.YAML_PROBE, *argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines()[-1] == b"yaml loaded: False"
+        assert done.stdout if argv else not done.stdout
+
+    def test_profile_file_imports_yaml_and_reads_as_before(self, tmp_path):
+        packaged = str(Path(qutritlab.__file__).parent / "default_config.json")
+        plain = self.run("-c", self.YAML_PROBE, "sim", "dj")
+        profiled = self.run("-c", self.YAML_PROBE, "sim", "dj", "--config", packaged)
+        assert profiled.returncode == 0, profiled.stderr
+        assert profiled.stderr.splitlines()[-1] == b"yaml loaded: True"
+        assert profiled.stdout == plain.stdout and json.loads(plain.stdout)["config_hash"] == "7f18047251ee76d7"
+        unsafe = tmp_path / "unsafe.yaml"
+        unsafe.write_text("shots: !!python/object:collections.OrderedDict {}\n")
+        # test_yaml_error_paths holds the ConfigError's cause to PyYAML's ConstructorError
+        failed = self.run("-c", self.YAML_PROBE, "sim", "dj", "--config", str(unsafe))
+        assert failed.returncode == 1 and failed.stdout == b""
+        error, report = failed.stderr.splitlines()[-3], failed.stderr.splitlines()[-1]
+        assert json.loads(error)["error"] == "ConfigError" and report == b"yaml loaded: True"
 
     def test_package_names_resolve_on_first_use(self):
         script = (
